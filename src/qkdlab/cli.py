@@ -53,13 +53,24 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _parse_params(spec: str) -> ClonerParams:
-    parts = [float(p) for p in spec.split(",")]
+    try:
+        parts = [float(p) for p in spec.split(",")]
+    except ValueError:
+        raise click.BadParameter(f"expected numbers v,x,y[,z], got {spec!r}")
     if len(parts) == 3:
         v, x, y = parts
-        return ClonerParams(v, x, y, y)
-    if len(parts) == 4:
-        return ClonerParams(*parts)
-    raise click.BadParameter(f"expected v,x,y[,z], got {spec!r}")
+        params = ClonerParams(v, x, y, y)
+    elif len(parts) == 4:
+        params = ClonerParams(*parts)
+    else:
+        raise click.BadParameter(f"expected v,x,y[,z], got {spec!r}")
+    try:
+        norm_squared = params.norm_squared
+    except OverflowError:  # float ** raises instead of returning inf
+        norm_squared = float("inf")
+    if not 0.0 < norm_squared < float("inf"):  # also false for NaN
+        raise click.BadParameter(f"cloner parameters {spec!r} need a finite, nonzero norm")
+    return params
 
 
 def _optimal_attack_params() -> ClonerParams:
@@ -283,12 +294,15 @@ def simulate_cmd(rounds, seed, channel_spec, sifting_spec, alice_weights, bob_we
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
-    result = simulate.run_session(config, keep_rounds=dump_csv is not None)
     if dump_csv:
+        # rows are written as each chunk of rounds is sampled
         with open(dump_csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["round", "basis_i", "basis_j", "a", "b"])
-            writer.writerows(result.rounds_data.tolist())
+            result = simulate.run_session(
+                config, on_rounds=lambda rows: writer.writerows(rows.tolist()))
+    else:
+        result = simulate.run_session(config)
 
     payload = {
         "rounds": result.rounds,
@@ -318,7 +332,10 @@ def survey(rounds, seed, no_timestamp, output):
     """Enumerate basis pairs with perfect (relabeled) correlations."""
     if rounds < 1:
         raise click.UsageError("--rounds must be at least 1")
-    config = simulate.SimConfig(rounds=rounds, seed=seed)
+    try:
+        config = simulate.SimConfig(rounds=rounds, seed=seed)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     result = simulate.basis_correlation_survey(config)
     payload = {
         "exact": result.exact,

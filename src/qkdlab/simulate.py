@@ -11,9 +11,13 @@ Sampling is distribution-exact: per basis pair the round outcomes are
 drawn by inverse CDF from a precomputed probability table (9 entries for
 the noise channels, 81 for the cloning attack, where the attacker's two
 measurement outcomes are part of the record).  All randomness for a
-session is drawn as a (rounds, 3) uniform table keyed by the seed, with
-row r holding exactly the numbers consumed by round r; any execution
-order or partitioning of rounds therefore reproduces identical results.
+session comes from one Philox stream keyed by the seed, drawn in chunks
+of rounds one after another with three uniforms per round, so round r
+consumes exactly the numbers it would take from a single (rounds, 3)
+table; any chunk size or partitioning of rounds therefore reproduces
+identical results.  A session keeps only the histogram of (basis pair,
+outcome cell) counts, from which every statistic is derived, so its
+memory use does not grow with the number of rounds.
 """
 
 from __future__ import annotations
@@ -55,6 +59,14 @@ class CloningAttackChannel:
 
     params: ClonerParams
 
+    def __post_init__(self):
+        p = self.params
+        # rejects NaN, which require_normalized lets through, and values
+        # whose square would overflow inside it
+        if not all(abs(c) <= 2.0 for c in (p.v, p.x, p.y, p.z)):
+            raise ValueError(f"cloner parameters {p} are off the normalization surface")
+        p.require_normalized()
+
 
 Channel = Union[IdealChannel, DepolarizingChannel, CloningAttackChannel]
 
@@ -91,6 +103,8 @@ class SimConfig:
     sifting: SiftingRule = field(default_factory=SameIndexSifting)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         for name in ("alice_weights", "bob_weights"):
             w = tuple(float(p) for p in getattr(self, name))
             if len(w) != 4 or min(w) < 0 or abs(sum(w) - 1.0) > 1e-12:
@@ -99,32 +113,50 @@ class SimConfig:
 
     @staticmethod
     def from_json(data: dict) -> "SimConfig":
-        """Build a config from the JSON shape mirrored by the CLI flags."""
+        """Build a config from the JSON shape mirrored by the CLI flags.
+
+        Input of another shape (a missing key, a value of the wrong type)
+        raises ValueError.
+        """
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
+        for key in ("rounds", "seed"):
+            if key not in data:
+                raise ValueError(f"config is missing {key!r}")
+            if type(data[key]) is not int:
+                raise ValueError(f"config {key!r} must be an integer, got {data[key]!r}")
         ch = data.get("channel", {"type": "ideal"})
-        kind = ch.get("type", "ideal")
-        if kind == "ideal":
-            channel: Channel = IdealChannel()
-        elif kind == "depolarizing":
-            channel = DepolarizingChannel(float(ch["visibility"]))
-        elif kind == "cloning":
-            channel = CloningAttackChannel(ClonerParams(*ch["params"]))
-        else:
-            raise ValueError(f"unknown channel type {kind!r}")
         sift = data.get("sifting", {"rule": "same"})
-        if sift.get("rule", "same") == "same":
-            sifting: SiftingRule = SameIndexSifting()
-        elif sift["rule"] == "pairs":
-            sifting = PairedIndexSifting(tuple((int(i), int(j)) for i, j in sift["pairs"]))
-        else:
-            raise ValueError(f"unknown sifting rule {sift!r}")
-        return SimConfig(
-            rounds=int(data["rounds"]),
-            seed=int(data["seed"]),
-            channel=channel,
-            alice_weights=tuple(data.get("alice_weights", _UNIFORM4)),
-            bob_weights=tuple(data.get("bob_weights", _UNIFORM4)),
-            sifting=sifting,
-        )
+        if not (isinstance(ch, dict) and isinstance(sift, dict)):
+            raise ValueError("config 'channel' and 'sifting' must be JSON objects")
+        try:
+            kind = ch.get("type", "ideal")
+            if kind == "ideal":
+                channel: Channel = IdealChannel()
+            elif kind == "depolarizing":
+                channel = DepolarizingChannel(float(ch["visibility"]))
+            elif kind == "cloning":
+                channel = CloningAttackChannel(ClonerParams(*(float(p) for p in ch["params"])))
+            else:
+                raise ValueError(f"unknown channel type {kind!r}")
+            if sift.get("rule", "same") == "same":
+                sifting: SiftingRule = SameIndexSifting()
+            elif sift["rule"] == "pairs":
+                sifting = PairedIndexSifting(tuple((int(i), int(j)) for i, j in sift["pairs"]))
+            else:
+                raise ValueError(f"unknown sifting rule {sift!r}")
+            return SimConfig(
+                rounds=data["rounds"],
+                seed=data["seed"],
+                channel=channel,
+                alice_weights=tuple(data.get("alice_weights", _UNIFORM4)),
+                bob_weights=tuple(data.get("bob_weights", _UNIFORM4)),
+                sifting=sifting,
+            )
+        except KeyError as exc:
+            raise ValueError(f"config is missing {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"config value of the wrong type: {exc}") from None
 
 
 def round_distribution(channel: Channel, alice_basis: int, bob_basis: int) -> np.ndarray:
@@ -166,7 +198,6 @@ def _attack_table(params: ClonerParams, i: int, j: int) -> np.ndarray:
     """P[a, b, e_b, e_c]: sender outcome uniform; her measurement leaves the
     flying qutrit in the matching conjugate-basis state, which is cloned and
     then read out in the receiver's basis pair."""
-    params.require_normalized()
     mat = phi_cloner_matrix(params)
     basis_bob = np.column_stack(
         [conjugate_phi_basis_state(_PHIS[j], l).amps for l in range(3)])
@@ -204,90 +235,148 @@ class SimResult:
     raw_counts: dict[tuple[int, int], np.ndarray]
     empirical_i_ae: float | None = None
     attack_counts: np.ndarray | None = None
-    rounds_data: np.ndarray | None = None
 
 
-def _sample_outcomes(config: SimConfig):
-    """Vectorized inverse-CDF sampling of bases and outcome cells."""
-    tables = {}
-    for i in range(4):
-        for j in range(4):
-            tables[(i, j)] = round_distribution(config.channel, i, j)
+# Rounds drawn per step.  It bounds a session's working memory (about
+# 110 bytes per round of the chunk) and changes no result.
+_CHUNK = 1 << 18
 
+# Generator.random returns k * 2**-53 with an integer k in [0, 2**53), so
+# u * _GRID is exact and cells can be found by integer comparison.
+_GRID = 1 << 53
+
+# Each table row's key range is cut into 2**_GUIDE_BITS equal buckets.  A
+# draw whose bucket holds no key needs no search (at most K - 1 of the
+# 1024 buckets of a row hold one).
+_GUIDE_BITS = 10
+
+
+def _cell_search(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted integer keys and a bucket guide for exact inverse-CDF lookups.
+
+    Row p of ``cum`` is the cumulative distribution of table p.  It
+    contributes the keys (p << 53) + min(ceil(cum[p, k] * 2**53), 2**53) for
+    its first K - 1 cells; for u on the 2**-53 grid, ceil(c * 2**53) <=
+    u * 2**53 holds exactly when c <= u.  The last cell needs no key: a u
+    past every other threshold lands there, as the clipped float
+    ``searchsorted`` puts it.  ``guide[g]`` counts the keys below the start
+    of bucket g, the key range [g, g + 1) << (53 - _GUIDE_BITS).
+    """
+    scaled = np.minimum(np.ceil(cum[:, :-1] * _GRID), _GRID).astype(np.int64)
+    rows = np.arange(len(cum), dtype=np.int64)[:, None] << 53
+    keys = (scaled + rows).reshape(-1)
+    starts = np.arange((len(cum) << _GUIDE_BITS) + 1, dtype=np.int64) << (53 - _GUIDE_BITS)
+    return keys, np.searchsorted(keys, starts)
+
+
+def _cell_index(search: tuple[np.ndarray, np.ndarray], row: np.ndarray,
+                u: np.ndarray) -> np.ndarray:
+    """Flat index row * K + cell of each draw.
+
+    Equal to row * K + min(searchsorted(cum[row], u, side="right"), K - 1)
+    for every u that ``Generator.random`` returns.  The keys of earlier rows
+    all lie at or below a draw's key (row << 53) + u * 2**53 and those of
+    later rows above it, so counting the keys at or below it counts
+    row * (K - 1) keys before the draw's own row.  Where the draw's bucket
+    holds no key the guide gives that count; elsewhere a binary search does.
+    """
+    keys, guide = search
+    key = (u * _GRID).astype(np.int64)
+    key += row << 53
+    bucket = key >> (53 - _GUIDE_BITS)
+    index = guide[bucket]
+    split = np.flatnonzero(index != guide[bucket + 1])
+    index[split] = np.searchsorted(keys, key[split], side="right")
+    return index + row
+
+
+def _basis_index(cum_weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """min(searchsorted(cum_weights, u, side="right"), 3), by three comparisons."""
+    return sum(u >= c for c in cum_weights[:3].tolist())
+
+
+def _sample_outcomes(config: SimConfig, cum: np.ndarray):
+    """Stream bases and outcome cells, ``_CHUNK`` rounds at a time.
+
+    ``cum`` holds the cumulative outcome table of basis pair (i, j) in row
+    4 * i + j.  Yields, per chunk and in round order, the first round
+    number, the two basis indices and each round's flat histogram index
+    pair * K + cell.
+    """
+    search = _cell_search(cum)
+    alice_cum = np.cumsum(config.alice_weights)
+    bob_cum = np.cumsum(config.bob_weights)
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed)))
-    u = gen.random((config.rounds, 3))
-    ai = np.clip(np.searchsorted(np.cumsum(config.alice_weights), u[:, 0], side="right"), 0, 3)
-    bj = np.clip(np.searchsorted(np.cumsum(config.bob_weights), u[:, 1], side="right"), 0, 3)
-
-    cells = np.zeros(config.rounds, dtype=np.int64)
-    for (i, j), table in tables.items():
-        mask = (ai == i) & (bj == j)
-        if not mask.any():
-            continue
-        cum = np.cumsum(table.reshape(-1))
-        idx = np.searchsorted(cum, u[mask, 2], side="right")
-        cells[mask] = np.clip(idx, 0, table.size - 1)
-    return tables, ai, bj, cells
+    for start in range(0, config.rounds, _CHUNK):
+        u = gen.random((min(_CHUNK, config.rounds - start), 3))
+        ai = _basis_index(alice_cum, u[:, 0])
+        bj = _basis_index(bob_cum, u[:, 1])
+        yield start, ai, bj, _cell_index(search, 4 * ai + bj, u[:, 2])
 
 
-def run_session(config: SimConfig, keep_rounds: bool = False) -> SimResult:
+def run_session(config: SimConfig, on_rounds=None) -> SimResult:
     """Simulate a full session: basis choices, outcomes, sifting, statistics.
 
     Deterministic for a fixed config (seed included); see the module
-    docstring for why the result is independent of any parallel split of
-    the round loop.
+    docstring for why the result does not depend on the chunk size.  Memory
+    use does not grow with ``config.rounds``.  If given, ``on_rounds`` is
+    called once per chunk, in round order, with an (n, 5) integer array of
+    (round, basis_i, basis_j, a, b) rows.
     """
     if config.rounds < 1:
         raise ValueError("need at least one round")
-    tables, ai, bj, cells = _sample_outcomes(config)
-    attacked = isinstance(config.channel, CloningAttackChannel)
+    tables = np.array([round_distribution(config.channel, i, j).reshape(-1)
+                       for i in range(4) for j in range(4)])
+    cells = tables.shape[1]
+    hist = np.zeros(16 * cells, dtype=np.int64)
+    for start, ai, bj, index in _sample_outcomes(config, np.cumsum(tables, axis=1)):
+        hist += np.bincount(index, minlength=16 * cells)
+        if on_rounds is not None:
+            cell = index % cells
+            on_rounds(np.column_stack([np.arange(start, start + len(index)), ai, bj,
+                                       cell // (cells // 3), cell // (cells // 9) % 3]))
+    return _session_statistics(config, hist.reshape(16, cells))
 
-    if attacked:
-        a = cells // 27
-        b = (cells // 9) % 3
-        e_b = (cells // 3) % 3
-        e_c = cells % 3
-    else:
-        a = cells // 3
-        b = cells % 3
-        e_b = e_c = None
+
+def _session_statistics(config: SimConfig, hist: np.ndarray) -> SimResult:
+    """Every reported statistic, from the (16, K) histogram of (basis pair, cell).
+
+    Cell c of a 9-cell table is (a, b) = divmod(c, 3); of an 81-cell attack
+    table, (a, b, e_b, e_c) in base 3.
+    """
+    cells = hist.shape[1]
+    cell = np.arange(cells)
+    a, b = cell // (cells // 3), cell // (cells // 9) % 3
+    n_pair = hist.sum(axis=1)
+    n_agree = hist[:, a == b].sum(axis=1)
 
     if isinstance(config.sifting, SameIndexSifting):
-        sift = ai == bj
+        accept = np.eye(4, dtype=bool)
     else:
         accept = np.zeros((4, 4), dtype=bool)
         for i, j in config.sifting.pairs:
             accept[i, j] = True
-        sift = accept[ai, bj]
+    accept = accept.reshape(-1)
 
-    n_sift = int(sift.sum())
+    n_sift = int(n_pair[accept].sum())
     if n_sift > 0:
-        errs = int((a[sift] != b[sift]).sum())
-        qber = errs / n_sift
+        qber = (n_sift - int(n_agree[accept].sum())) / n_sift
         qber_se = math.sqrt(max(qber * (1.0 - qber), 0.0) / n_sift)
     else:
         qber = qber_se = None
 
-    corr = np.full((4, 4), np.nan)
-    raw_counts: dict[tuple[int, int], np.ndarray] = {}
-    for (i, j), table in tables.items():
-        mask = (ai == i) & (bj == j)
-        n_pair = int(mask.sum())
-        raw_counts[(i, j)] = np.bincount(cells[mask], minlength=table.size)
-        if n_pair:
-            corr[i, j] = float((a[mask] == b[mask]).sum()) / n_pair
+    corr = np.full(16, np.nan)
+    seen = n_pair > 0
+    corr[seen] = n_agree[seen] / n_pair[seen]
 
     empirical_i_ae = None
     attack_counts = None
-    if attacked and n_sift > 0:
-        m = (e_c[sift] - e_b[sift]) % 3
-        flat = a[sift] * 9 + e_b[sift] * 3 + m
-        attack_counts = np.bincount(flat, minlength=27).reshape(3, 3, 3)
+    if isinstance(config.channel, CloningAttackChannel) and n_sift > 0:
+        e_b, e_c = cell // 3 % 3, cell % 3
+        attack_counts = np.zeros(27, dtype=np.int64)
+        np.add.at(attack_counts, a * 9 + e_b * 3 + (e_c - e_b) % 3, hist[accept].sum(axis=0))
+        attack_counts = attack_counts.reshape(3, 3, 3)
         empirical_i_ae = plugin_mutual_information(attack_counts.reshape(3, 9))
-
-    rounds_data = None
-    if keep_rounds:
-        rounds_data = np.column_stack([np.arange(config.rounds), ai, bj, a, b])
 
     return SimResult(
         rounds=config.rounds,
@@ -295,11 +384,10 @@ def run_session(config: SimConfig, keep_rounds: bool = False) -> SimResult:
         sifted_fraction=n_sift / config.rounds,
         qber=qber,
         qber_se=qber_se,
-        basis_correlation_matrix=corr,
-        raw_counts=raw_counts,
+        basis_correlation_matrix=corr.reshape(4, 4),
+        raw_counts={(p // 4, p % 4): hist[p] for p in range(16)},
         empirical_i_ae=empirical_i_ae,
         attack_counts=attack_counts,
-        rounds_data=rounds_data,
     )
 
 

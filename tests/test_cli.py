@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -124,6 +125,92 @@ def test_simulate_dump_csv(runner, tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "round,basis_i,basis_j,a,b"
     assert len(lines) == 51
+
+
+# sha256 of the --no-timestamp output of the README simulate examples
+# (1e5 rounds, seed 7), as the earlier whole-table, mask-per-pair engine
+# printed it; the streaming engine must reproduce every byte
+README_SIMULATE_SHA256 = {
+    "ideal": "793b5181749df9500f9d81268dc897eb9d16f001edfa1b7f07aa969e05c14813",
+    "clone:optimal": "b921dd5634ada755080235bff235c9af3790b7a26da48a9490c0da31199b2eee",
+    "depol:0.6962": "bbe42476030cdefdf9b6eb0cc7398245d58ca41eec0465b4f8eb3a459e3c5385",
+}
+
+
+@pytest.mark.parametrize("channel", list(README_SIMULATE_SHA256))
+def test_simulate_readme_examples_byte_identical(runner, channel):
+    result = runner.invoke(main, ["simulate", "--rounds", "100000", "--seed", "7",
+                                  "--channel", channel, "--no-timestamp"])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == README_SIMULATE_SHA256[channel]
+
+
+def test_simulate_dump_csv_longer_than_a_chunk_byte_identical(runner, tmp_path):
+    # 300000 rounds span two chunks and part of a third
+    out = tmp_path / "rounds.csv"
+    result = runner.invoke(main, [
+        "simulate", "--rounds", "300000", "--seed", "3", "--channel", "depol:0.6962",
+        "--alice-weights", "0.1,0.2,0.3,0.4", "--sifting", "pairs:0-0,1-3,2-2",
+        "--dump-csv", str(out), "--no-timestamp"])
+    assert result.exit_code == 0, result.output
+    assert (hashlib.sha256(result.stdout_bytes).hexdigest()
+            == "d524b9d10aa519d0e9138b37174e308f3f499622a15b612666717f641a6d4666")
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == "cf3b1b0b26b1359031cb31778c6b8ca975faff23cb82fd86ec880cef951ff868")
+
+
+def assert_usage_error(result, message):
+    """Exit 1 through click's error path: a one-line message, no traceback."""
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and message in errors[0], result.output
+
+
+def test_simulate_negative_seed_exits_1(runner):
+    result = runner.invoke(main, ["simulate", "--rounds", "10", "--seed", "-1"])
+    assert_usage_error(result, "seed must be nonnegative")
+
+
+@pytest.mark.parametrize("spec", ["0,0,0", "nan,0,0", "0,0,0,0", "1e200,0,0", "inf,0,0"])
+def test_simulate_clone_degenerate_params_exit_1(runner, spec):
+    result = runner.invoke(main, ["simulate", "--rounds", "10", "--channel", f"clone:{spec}"])
+    assert_usage_error(result, "finite, nonzero norm")
+
+
+@pytest.mark.parametrize("spec", ["0,0,0", "nan,0,0", "1e200,0,0"])
+def test_cloner_eval_degenerate_params_exit_1(runner, spec):
+    result = runner.invoke(main, ["cloner-eval", "--params", spec])
+    assert_usage_error(result, "finite, nonzero norm")
+
+
+def test_cloner_eval_non_numeric_params_exit_1(runner):
+    result = runner.invoke(main, ["cloner-eval", "--params", "a,b,c"])
+    assert_usage_error(result, "expected numbers")
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"seed": 5}, "missing 'rounds'"),
+    ({"rounds": 3000}, "missing 'seed'"),
+    ({"rounds": "3000", "seed": 5}, "'rounds' must be an integer"),
+    ({"rounds": 3000, "seed": None}, "'seed' must be an integer"),
+    ({"rounds": 3000, "seed": 5, "channel": {"type": "depolarizing"}}, "missing 'visibility'"),
+    ({"rounds": 3000, "seed": 5, "channel": {"type": "cloning", "params": [0, 0, 0, 0]}},
+     "normalization surface"),
+    ({"rounds": 3000, "seed": 5, "alice_weights": None}, "wrong type"),
+], ids=["no-rounds", "no-seed", "string-rounds", "null-seed", "no-visibility",
+        "zero-params", "null-weights"])
+def test_simulate_malformed_config_exits_1(runner, tmp_path, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    result = runner.invoke(main, ["simulate", "--config", str(path)])
+    assert_usage_error(result, message)
+
+
+def test_survey_negative_seed_exits_1(runner):
+    result = runner.invoke(main, ["survey", "--rounds", "10", "--seed", "-1"])
+    assert_usage_error(result, "seed must be nonnegative")
 
 
 def test_cloner_eval_identity(runner):

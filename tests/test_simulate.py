@@ -1,10 +1,12 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from qkdlab import simulate
 from qkdlab.cloner import ClonerParams, closed_form_report
 from qkdlab.security import crossing_point, eve_information
 from qkdlab.simulate import (CloningAttackChannel, DepolarizingChannel,
@@ -17,6 +19,11 @@ from qkdlab.simulate import (CloningAttackChannel, DepolarizingChannel,
 
 def optimal_params() -> ClonerParams:
     return crossing_point("3deb").cloner_params().normalized()
+
+
+# the solved 3DEB attack to ten digits, so that no test below pays for a solve
+ATTACK = CloningAttackChannel(
+    ClonerParams(0.8319757912, 0.1710859978, 0.2038281325, 0.2038281325).normalized())
 
 
 # --- exact round tables --------------------------------------------------------
@@ -319,3 +326,189 @@ def test_survey_requires_ideal_channel():
     with pytest.raises(ValueError):
         basis_correlation_survey(SimConfig(rounds=100, seed=0,
                                            channel=DepolarizingChannel(0.5)))
+
+
+# --- streaming engine against the mask-per-pair reference -----------------------
+
+
+def reference_session(config: SimConfig) -> dict:
+    """The earlier engine, kept as the oracle: the whole (rounds, 3) uniform
+    table at once, one boolean mask per basis pair to sample the cells and
+    one more per pair to histogram them."""
+    tables = {(i, j): round_distribution(config.channel, i, j)
+              for i in range(4) for j in range(4)}
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed)))
+    u = gen.random((config.rounds, 3))
+    ai = np.clip(np.searchsorted(np.cumsum(config.alice_weights), u[:, 0], side="right"), 0, 3)
+    bj = np.clip(np.searchsorted(np.cumsum(config.bob_weights), u[:, 1], side="right"), 0, 3)
+    cells = np.zeros(config.rounds, dtype=np.int64)
+    for (i, j), table in tables.items():
+        mask = (ai == i) & (bj == j)
+        if not mask.any():
+            continue
+        cum = np.cumsum(table.reshape(-1))
+        idx = np.searchsorted(cum, u[mask, 2], side="right")
+        cells[mask] = np.clip(idx, 0, table.size - 1)
+
+    attacked = isinstance(config.channel, CloningAttackChannel)
+    if attacked:
+        a, b = cells // 27, (cells // 9) % 3
+        e_b, e_c = (cells // 3) % 3, cells % 3
+    else:
+        a, b = cells // 3, cells % 3
+    if isinstance(config.sifting, SameIndexSifting):
+        sift = ai == bj
+    else:
+        accept = np.zeros((4, 4), dtype=bool)
+        for i, j in config.sifting.pairs:
+            accept[i, j] = True
+        sift = accept[ai, bj]
+
+    n_sift = int(sift.sum())
+    qber = qber_se = None
+    if n_sift > 0:
+        qber = int((a[sift] != b[sift]).sum()) / n_sift
+        qber_se = math.sqrt(max(qber * (1.0 - qber), 0.0) / n_sift)
+    corr = np.full((4, 4), np.nan)
+    raw_counts = {}
+    for (i, j), table in tables.items():
+        mask = (ai == i) & (bj == j)
+        raw_counts[(i, j)] = np.bincount(cells[mask], minlength=table.size)
+        if mask.any():
+            corr[i, j] = float((a[mask] == b[mask]).sum()) / int(mask.sum())
+    attack_counts = empirical_i_ae = None
+    if attacked and n_sift > 0:
+        m = (e_c[sift] - e_b[sift]) % 3
+        flat = a[sift] * 9 + e_b[sift] * 3 + m
+        attack_counts = np.bincount(flat, minlength=27).reshape(3, 3, 3)
+        empirical_i_ae = plugin_mutual_information(attack_counts.reshape(3, 9))
+    return dict(sifted_count=n_sift, qber=qber, qber_se=qber_se,
+                basis_correlation_matrix=corr, raw_counts=raw_counts,
+                attack_counts=attack_counts, empirical_i_ae=empirical_i_ae,
+                rows=np.column_stack([np.arange(config.rounds), ai, bj, a, b]))
+
+
+def assert_same_statistics(res, ref: dict) -> None:
+    assert res.sifted_count == ref["sifted_count"]
+    assert res.qber == ref["qber"] and res.qber_se == ref["qber_se"]
+    assert np.array_equal(res.basis_correlation_matrix, ref["basis_correlation_matrix"],
+                          equal_nan=True)
+    assert list(res.raw_counts) == list(ref["raw_counts"])
+    for key, counts in ref["raw_counts"].items():
+        assert np.array_equal(res.raw_counts[key], counts), key
+    assert res.empirical_i_ae == ref["empirical_i_ae"]
+    if ref["attack_counts"] is None:
+        assert res.attack_counts is None
+    else:
+        assert np.array_equal(res.attack_counts, ref["attack_counts"])
+
+
+CHANNELS = {
+    "ideal": IdealChannel(),
+    "depolarizing": DepolarizingChannel(0.6962),
+    "attack": ATTACK,
+    "identity-attack": CloningAttackChannel(ClonerParams.identity()),
+}
+
+
+@pytest.mark.parametrize("channel", list(CHANNELS), ids=list(CHANNELS))
+@pytest.mark.parametrize("rounds", [1, simulate._CHUNK, 5 * simulate._CHUNK // 2],
+                         ids=["one-round", "one-chunk", "2.5-chunks"])
+def test_streaming_engine_equals_reference(channel, rounds):
+    config = SimConfig(rounds=rounds, seed=7, channel=CHANNELS[channel])
+    assert_same_statistics(run_session(config), reference_session(config))
+
+
+@pytest.mark.parametrize("channel", list(CHANNELS), ids=list(CHANNELS))
+def test_streaming_engine_equals_reference_uneven_weights_paired_sifting(channel):
+    # basis 3 of the sender is never chosen; pair (1,3) mixes unequal bases
+    config = SimConfig(
+        rounds=5 * simulate._CHUNK // 2, seed=11, channel=CHANNELS[channel],
+        alice_weights=(0.5, 0.3, 0.2, 0.0), bob_weights=(0.1, 0.2, 0.3, 0.4),
+        sifting=PairedIndexSifting(((0, 0), (1, 3), (2, 2), (3, 3))))
+    assert_same_statistics(run_session(config), reference_session(config))
+
+
+def test_round_rows_stream_in_order_for_any_chunk_size(monkeypatch):
+    # a chunk size that does not divide the round count gives the same
+    # statistics and the same per-round rows, chunk after chunk
+    config = SimConfig(rounds=2_500, seed=3, channel=ATTACK,
+                       alice_weights=(0.1, 0.2, 0.3, 0.4))
+    ref = reference_session(config)
+    monkeypatch.setattr(simulate, "_CHUNK", 999)
+    chunks = []
+    res = run_session(config, on_rounds=chunks.append)
+    assert [len(c) for c in chunks] == [999, 999, 502]
+    assert np.array_equal(np.concatenate(chunks), ref["rows"])
+    assert_same_statistics(res, ref)
+
+
+def test_cell_lookup_exact_at_cdf_boundaries():
+    grid = 2.0 ** -53
+    u_gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(0))).random(100_000)
+    # the lookup relies on the generator returning multiples of 2**-53
+    assert np.array_equal(u_gen / grid, np.floor(u_gen / grid))
+
+    # zero-probability cells repeat CDF values; dyadic entries put CDF
+    # values (and guide-bucket starts) on the grid; the first row passes 1
+    # before its last cell, so its keys must be capped below the next
+    # row's; the second-to-last sums to just under 1
+    rows = np.array([
+        [0.5, 0.0, 0.25, 0.0, 0.125, 0.125 + 2 ** -50, 0.0, 0.0, 0.0],
+        [0.25, 0.0, 0.25, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0],
+        [1 / 9] * 9,
+        [0.0] * 8 + [1.0],
+        [1.0] + [0.0] * 8,
+        [1 / 1024, 0.0, 3 / 1024, 1 / 3, 0.0, 0.0, 1 / 7, 0.0, 0.0],
+        [0.0, 0.1, 0.0, 0.2, 0.0, 0.3, 0.0, 0.0, 0.4 - 1e-13],
+    ])
+    rows[5, -1] = 1.0 - rows[5, :-1].sum()
+    cum = np.cumsum(rows, axis=1)
+    cells = cum.shape[1]
+
+    candidates = {0.0, 1.0 - grid}
+    candidates.update(k / 1024 for k in range(1024))
+    candidates.update(k / 1024 - grid for k in range(1, 1025))
+    for c in cum.ravel():
+        for v in (c, np.nextafter(c, 0.0), np.nextafter(c, 2.0)):
+            # snap down and up onto the values the generator can return
+            candidates.update((math.floor(v / grid) * grid, math.ceil(v / grid) * grid))
+    u = np.array(sorted(x for x in candidates if 0.0 <= x < 1.0))
+    u = np.concatenate([u, u_gen])
+    assert np.array_equal(u / grid, np.floor(u / grid))
+
+    search = simulate._cell_search(cum)
+    for p, row_cum in enumerate(cum):
+        expected = np.clip(np.searchsorted(row_cum, u, side="right"), 0, cells - 1)
+        row = np.full(len(u), p, dtype=np.int64)
+        assert np.array_equal(simulate._cell_index(search, row, u), p * cells + expected), p
+
+
+def test_session_memory_does_not_grow_with_rounds():
+    def traced_peak(rounds):
+        tracemalloc.start()
+        try:
+            run_session(SimConfig(rounds=rounds, seed=0, channel=ATTACK))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = traced_peak(1_000_000), traced_peak(4_000_000)
+    one_chunk_uniforms = simulate._CHUNK * 3 * 8
+    assert large <= small + one_chunk_uniforms
+    # a (rounds, 3) uniform table alone would take 96 MB at 4e6 rounds
+    assert large < 64e6
+
+
+def test_config_from_json_rejects_malformed_input():
+    # cases beyond the CLI's malformed-config tests
+    good = {"rounds": 10, "seed": 1}
+    for bad in ([good], {"rounds": 10, "seed": 1.5}, {"rounds": 10, "seed": -1},
+                dict(good, channel="ideal"),
+                dict(good, channel={"type": "cloning", "params": [math.nan, 0, 0, 0]}),
+                dict(good, channel={"type": "cloning", "params": [1e200, 0, 0, 0]}),
+                dict(good, channel={"type": "cloning", "params": [1, 0, 0]}),
+                dict(good, sifting={"rule": "pairs"})):
+        with pytest.raises(ValueError):
+            SimConfig.from_json(bad)
+    assert SimConfig.from_json(good).rounds == 10
