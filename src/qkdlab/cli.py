@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -36,17 +35,22 @@ def _envelope(command: str, inputs: dict, result, seed=None, timestamp=True) -> 
         "inputs": dict(inputs),
         "seed": seed,
     }
-    if os.environ.get("QKDLAB_THREADS"):
-        env["inputs"]["qkdlab_threads"] = os.environ["QKDLAB_THREADS"]
     if timestamp:
         env["timestamp"] = datetime.now(timezone.utc).isoformat()
     env["result"] = jsonable(result)
     return env
 
 
+def _open_for_writing(path: str, **kwargs):
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as exc:
+        raise click.FileError(path, exc.strerror) from None
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w") as fh:
+        with _open_for_writing(output) as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         click.echo(text)
@@ -296,7 +300,7 @@ def simulate_cmd(rounds, seed, channel_spec, sifting_spec, alice_weights, bob_we
 
     if dump_csv:
         # rows are written as each chunk of rounds is sampled
-        with open(dump_csv, "w", newline="") as fh:
+        with _open_for_writing(dump_csv, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["round", "basis_i", "basis_j", "a", "b"])
             result = simulate.run_session(

@@ -79,11 +79,6 @@ class Operator:
         eye = self.entries @ self.entries.conj().T
         return bool(np.max(np.abs(eye - np.eye(self.dim))) <= tol)
 
-    def apply(self, state: StateVector) -> StateVector:
-        if self.dim != state.dim:
-            raise ValueError("operator/state dimension mismatch")
-        return StateVector(self.entries @ state.amps, state.factors)
-
 
 @dataclass
 class DensityMatrix:

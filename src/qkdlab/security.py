@@ -27,9 +27,18 @@ the amplitude matrix together:
 * ``qubit``      -- [[v,x],[y,y]] in dimension 2, the phase-covariant
                     qubit cloner behind the Ekert91 comparison numbers.
 
+Each preset carries its geometry as data (see ``ProtocolPreset``): the
+half-widths of the search box at pinned F_A, a map from a search point and
+a sign branch to the amplitudes (None where infeasible), and one set of
+coefficient rows per protocol basis.  One maximizer, ``_maximize_on``,
+reads that data for the attacker's information, the symmetric point and
+the information sweep alike; the universal preset is the case with no
+search coordinate at all.
+
 The 2mub and qubit masks are reconstructions validated against their
-published crossing fidelities (0.7887 and 1/2 + 1/sqrt(8)); the tests
-report any mismatch rather than forcing agreement.
+published crossing fidelities ((1 + 1/sqrt(d))/2: 0.7887 and
+1/2 + 1/sqrt(8)); the tests report any mismatch rather than forcing
+agreement.
 
 The crossing solver follows a two-level strategy: an outer scalar
 root-find on F_A of g(F) = [max I_AE over the constraint surface at fixed
@@ -42,8 +51,7 @@ affects reported information values.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -123,8 +131,7 @@ def bob_information(f_a: float, base=2) -> float:
     """Receiver's information log(3) - H[F_A, (1-F_A)/2, (1-F_A)/2]."""
     if not (1.0 / 3.0 - 1e-12 <= f_a <= 1.0 + 1e-12):
         raise ValueError(f"fidelity {f_a!r} outside [1/3, 1]")
-    e = (1.0 - f_a) / 2.0
-    return (LOG3 - _entropy_nats((f_a, e, e))) / _log_of_base(base)
+    return _iab_nats(f_a, 3) / _log_of_base(base)
 
 
 def _iab_iae_rows(rows, dim: int) -> tuple[float, float]:
@@ -191,34 +198,106 @@ def ck_rate_bound(i_ab: float, i_ae: float, i_be: float) -> float:
 
 @dataclass(frozen=True)
 class ProtocolPreset:
-    """A protocol's cloner family: amplitude-matrix slots tied to parameters."""
+    """A protocol's cloner family: amplitude-matrix slots tied to parameters.
+
+    The geometry the inner maximizer searches is data:
+
+    * ``box(f_a)`` -- half-width of each search coordinate at pinned F_A
+      (an empty tuple when F_A leaves no freedom);
+    * ``amplitudes(f_a, u, sign)`` -- the amplitudes, in ``free_params``
+      order, at search point ``u`` on the given sign branch, or ``None``
+      when the point is infeasible;
+    * ``rows(*amplitudes)`` -- one set of coefficient rows c[m, :] per
+      protocol basis;
+    * ``cloner(*amplitudes)`` -- the same point as (v, x, y, z = y) qutrit
+      cloner parameters, or ``None`` for masks outside that family.
+    """
 
     name: str
     dimension: int
     mask: tuple[tuple[str, ...], ...]
     free_params: tuple[str, ...]
+    box: Callable[[float], tuple[float, ...]]
+    amplitudes: Callable[[float, list, float], tuple[float, ...] | None]
+    rows: Callable[..., tuple]
+    cloner: Callable[..., ClonerParams] | None = None
 
-    def matrix_values(self, values: dict[str, float]) -> np.ndarray:
-        return np.array([[values[slot] for slot in row] for row in self.mask])
+    def amplitudes_of(self, values: dict[str, float]) -> tuple[float, ...]:
+        return tuple(values[p] for p in self.free_params)
+
+
+def _amplitudes_3deb(f_a, u, sign):
+    y = u[0]
+    v2 = f_a - 2.0 * y * y
+    x2 = (1.0 - f_a - 4.0 * y * y) / 2.0
+    if v2 < 0 or x2 < 0:
+        return None
+    return math.sqrt(v2), sign * math.sqrt(x2), y
+
+
+def _amplitudes_universal(f_a, u, sign):
+    # v^2 + 8y^2 = 1 and F = v^2 + 2y^2 leave no freedom beyond signs
+    y2 = (1.0 - f_a) / 6.0
+    v2 = f_a - 2.0 * y2
+    if v2 < 0 or y2 < 0:
+        return None
+    return math.sqrt(v2), sign * math.sqrt(y2)
+
+
+def _amplitudes_2mub(f_a, u, sign):
+    x, xp = u
+    rr = x * x + xp * xp
+    v2 = f_a - rr
+    y2 = (1.0 - f_a - rr) / 4.0
+    if v2 < 0 or y2 < 0:
+        return None
+    return math.sqrt(v2), x, xp, sign * math.sqrt(y2)
+
+
+def _amplitudes_qubit(f_a, u, sign):
+    y = u[0]
+    v2 = f_a - y * y
+    x2 = 1.0 - f_a - y * y
+    if v2 < 0 or x2 < 0:
+        return None
+    return math.sqrt(v2), sign * math.sqrt(x2), y
+
+
+def _half_width(f_a: float) -> float:
+    return math.sqrt(max(min(f_a, 1.0 - f_a), 0.0))
 
 
 PRESETS = {
     "3deb": ProtocolPreset(
         "3deb", 3,
         (("v", "x", "x"), ("y", "y", "y"), ("y", "y", "y")),
-        ("v", "x", "y")),
+        ("v", "x", "y"),
+        box=lambda f_a: (math.sqrt(max(min(f_a / 2.0, (1.0 - f_a) / 4.0), 0.0)),),
+        amplitudes=_amplitudes_3deb,
+        rows=lambda v, x, y: (_rows_constrained(v, x, y),),
+        cloner=lambda v, x, y: ClonerParams(v, x, y, y)),
     "universal": ProtocolPreset(
         "universal", 3,
         (("v", "y", "y"), ("y", "y", "y"), ("y", "y", "y")),
-        ("v", "y")),
+        ("v", "y"),
+        box=lambda f_a: (),
+        amplitudes=_amplitudes_universal,
+        rows=lambda v, y: (_rows_constrained(v, y, y),),
+        cloner=lambda v, y: ClonerParams(v, y, y, y)),
     "2mub": ProtocolPreset(
         "2mub", 3,
         (("v", "x", "x"), ("xp", "y", "y"), ("xp", "y", "y")),
-        ("v", "x", "xp", "y")),
+        ("v", "x", "xp", "y"),
+        box=lambda f_a: (_half_width(f_a),) * 2,
+        amplitudes=_amplitudes_2mub,
+        rows=lambda v, x, xp, y: (_rows_2mub(v, x, xp, y), _rows_2mub(v, xp, x, y))),
     "qubit": ProtocolPreset(
         "qubit", 2,
         (("v", "x"), ("y", "y")),
-        ("v", "x", "y")),
+        ("v", "x", "y"),
+        box=lambda f_a: (_half_width(f_a),),
+        amplitudes=_amplitudes_qubit,
+        rows=lambda v, x, y: (_rows_qubit(v, x, y),)),
 }
 
 _PRESET_ALIASES = {"12-state": "universal", "3d-bb84": "2mub", "ekert91": "qubit"}
@@ -236,59 +315,36 @@ def resolve_preset(name: str | ProtocolPreset) -> ProtocolPreset:
                          f"choose from {sorted(PRESETS)}") from None
 
 
+def _mean_information(preset: ProtocolPreset, amps) -> tuple[float, float]:
+    """(I_AB, I_AE) in nats, averaged over the preset's protocol bases."""
+    pairs = [_iab_iae_rows(rows, preset.dimension) for rows in preset.rows(*amps)]
+    return (sum(i_ab for i_ab, _ in pairs) / len(pairs),
+            sum(i_ae for _, i_ae in pairs) / len(pairs))
+
+
 def preset_information(preset, values: dict[str, float], base=2) -> tuple[float, float]:
     """(I_AB, I_AE) for a parameter assignment of a preset's mask.
 
-    For the two-basis preset both quantities are averaged over the two
-    protocol bases; the masks of the other presets make every protocol
-    basis equivalent.
+    Both quantities are averaged over the preset's protocol bases; only
+    the two-basis mask has more than one inequivalent basis.
     """
     preset = resolve_preset(preset)
     lb = _log_of_base(base)
-    if preset.name in ("3deb", "universal"):
-        x = values["x"] if preset.name == "3deb" else values["y"]
-        i_ab, i_ae = _iab_iae_rows(_rows_constrained(values["v"], x, values["y"]), 3)
-    elif preset.name == "2mub":
-        a1, e1 = _iab_iae_rows(_rows_2mub(values["v"], values["x"], values["xp"], values["y"]), 3)
-        a2, e2 = _iab_iae_rows(_rows_2mub(values["v"], values["xp"], values["x"], values["y"]), 3)
-        i_ab, i_ae = (a1 + a2) / 2, (e1 + e2) / 2
-    elif preset.name == "qubit":
-        i_ab, i_ae = _iab_iae_rows(_rows_qubit(values["v"], values["x"], values["y"]), 2)
-    else:  # pragma: no cover
-        raise ValueError(preset.name)
+    i_ab, i_ae = _mean_information(preset, preset.amplitudes_of(values))
     return i_ab / lb, i_ae / lb
 
 
 def preset_fidelity(preset, values: dict[str, float]) -> float:
-    """Protocol-averaged fidelity of the receiver's clone."""
+    """Protocol-averaged fidelity of the receiver's clone: the mean weight
+    of the error-free row m = 0 over the protocol bases."""
     preset = resolve_preset(preset)
-    if preset.name in ("3deb", "universal"):
-        return values["v"] ** 2 + 2 * values["y"] ** 2
-    if preset.name == "2mub":
-        return values["v"] ** 2 + values["x"] ** 2 + values["xp"] ** 2
-    if preset.name == "qubit":
-        return values["v"] ** 2 + values["y"] ** 2
-    raise ValueError(preset.name)  # pragma: no cover
+    rowsets = preset.rows(*preset.amplitudes_of(values))
+    return (sum(sum(c * c for c in rows[0]) for rows in rowsets)
+            / (len(rowsets) * preset.dimension))
 
 
 # ---------------------------------------------------------------------------
 # derivative-free inner maximization
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("QKDLAB_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _run_tasks(fn, args_list):
-    cap = _thread_cap()
-    if cap <= 1 or len(args_list) <= 1:
-        return [fn(a) for a in args_list]
-    with ThreadPoolExecutor(max_workers=min(cap, len(args_list))) as pool:
-        return list(pool.map(fn, args_list))
 
 
 def _pattern_search(f, lo, hi, x0, tol=PARAM_TOL, initial_step=None, max_sweeps=10_000):
@@ -334,8 +390,8 @@ def _maximize_with_restarts(f, lo, hi, n_restarts=N_RESTARTS, coarse_tol=1e-5):
     if all(h - l <= 0 for l, h in zip(lo, hi)):
         x = list(lo)
         return f(x), x
-    results = _run_tasks(lambda x0: _pattern_search(f, lo, hi, x0, tol=coarse_tol),
-                         _restart_points(lo, hi, n_restarts))
+    results = [_pattern_search(f, lo, hi, x0, tol=coarse_tol)
+               for x0 in _restart_points(lo, hi, n_restarts)]
     best_f, best_x = results[0]
     for fv, xv in results[1:]:  # strict > keeps the lowest restart index on ties
         if fv > best_f:
@@ -348,109 +404,42 @@ def _maximize_with_restarts(f, lo, hi, n_restarts=N_RESTARTS, coarse_tol=1e-5):
 _INFEASIBLE = -1e18
 
 
-def _max_iae_at(preset: ProtocolPreset, f_a: float) -> tuple[float, dict[str, float]]:
-    """Maximize I_AE (nats) over the preset manifold with the fidelity pinned.
+def _maximize_on(preset: ProtocolPreset, f_a: float, objective):
+    """Maximize objective(*amplitudes) over the preset manifold at pinned F_A.
 
     The overall sign symmetry of the amplitudes is quotiented by keeping
-    v >= 0; the remaining relative signs are explored via branch labels
-    and signed search coordinates.
+    v >= 0; the remaining relative sign is the branch label, and the rest
+    is explored by signed search coordinates.  Returns (best, amplitudes),
+    with amplitudes None when no point is feasible.
     """
-    name = preset.name
+    half = preset.box(f_a)
+    lo, hi = [-h for h in half], list(half)
+    amplitudes = preset.amplitudes
+    best, best_amps = _INFEASIBLE, None
+    for sign in (1.0, -1.0):
+        def f(u, sign=sign):
+            amps = amplitudes(f_a, u, sign)
+            return _INFEASIBLE if amps is None else objective(*amps)
+        fv, u = _maximize_with_restarts(f, lo, hi)
+        if fv > best:
+            best, best_amps = fv, amplitudes(f_a, u, sign)
+    return best, best_amps
 
-    if name == "universal":
-        # v^2 + 8y^2 = 1 and F = v^2 + 2y^2 leave no freedom beyond signs.
-        y2 = (1.0 - f_a) / 6.0
-        v2 = f_a - 2.0 * y2
-        if v2 < 0 or y2 < 0:
-            return _INFEASIBLE, {}
-        v, y = math.sqrt(v2), math.sqrt(y2)
-        best, vals = _INFEASIBLE, {}
-        for s in (1.0, -1.0):
-            _, i_ae = _iab_iae_rows(_rows_constrained(v, s * y, s * y), 3)
-            if i_ae > best:
-                best, vals = i_ae, {"v": v, "y": s * y}
-        return best, vals
 
-    if name == "3deb":
-        ym = math.sqrt(max(min(f_a / 2.0, (1.0 - f_a) / 4.0), 0.0))
+def _max_iae_at(preset: ProtocolPreset, f_a: float) -> tuple[float, dict[str, float]]:
+    """Maximize I_AE (nats), averaged over the protocol bases, with the
+    fidelity pinned; returns the maximum and its parameter assignment."""
+    rows, d = preset.rows, preset.dimension
 
-        def objective(sign):
-            def f(u):
-                y = u[0]
-                v2 = f_a - 2.0 * y * y
-                x2 = (1.0 - f_a - 4.0 * y * y) / 2.0
-                if v2 < 0 or x2 < 0:
-                    return _INFEASIBLE
-                _, i_ae = _iab_iae_rows(
-                    _rows_constrained(math.sqrt(v2), sign * math.sqrt(x2), y), 3)
-                return i_ae
-            return f
+    def i_ae(*amps):
+        rowsets = rows(*amps)
+        total = 0.0
+        for r in rowsets:
+            total += _iab_iae_rows(r, d)[1]
+        return total / len(rowsets)
 
-        best, vals = _INFEASIBLE, {}
-        for s in (1.0, -1.0):
-            fv, xv = _maximize_with_restarts(objective(s), [-ym], [ym])
-            if fv > best:
-                y = xv[0]
-                best = fv
-                vals = {"v": math.sqrt(f_a - 2 * y * y),
-                        "x": s * math.sqrt(max((1 - f_a - 4 * y * y) / 2, 0.0)),
-                        "y": y}
-        return best, vals
-
-    if name == "2mub":
-        r = math.sqrt(max(min(f_a, 1.0 - f_a), 0.0))
-
-        def objective(ysign):
-            def f(u):
-                x, xp = u
-                rr = x * x + xp * xp
-                v2 = f_a - rr
-                y2 = (1.0 - f_a - rr) / 4.0
-                if v2 < 0 or y2 < 0:
-                    return _INFEASIBLE
-                v, y = math.sqrt(v2), ysign * math.sqrt(y2)
-                return (_iab_iae_rows(_rows_2mub(v, x, xp, y), 3)[1]
-                        + _iab_iae_rows(_rows_2mub(v, xp, x, y), 3)[1]) / 2.0
-            return f
-
-        best, vals = _INFEASIBLE, {}
-        for s in (1.0, -1.0):
-            fv, xv = _maximize_with_restarts(objective(s), [-r, -r], [r, r])
-            if fv > best:
-                x, xp = xv
-                rr = x * x + xp * xp
-                best = fv
-                vals = {"v": math.sqrt(f_a - rr), "x": x, "xp": xp,
-                        "y": s * math.sqrt(max((1 - f_a - rr) / 4, 0.0))}
-        return best, vals
-
-    if name == "qubit":
-        ym = math.sqrt(max(min(f_a, 1.0 - f_a), 0.0))
-
-        def objective(sign):
-            def f(u):
-                y = u[0]
-                v2 = f_a - y * y
-                x2 = 1.0 - f_a - y * y
-                if v2 < 0 or x2 < 0:
-                    return _INFEASIBLE
-                _, i_ae = _iab_iae_rows(
-                    _rows_qubit(math.sqrt(v2), sign * math.sqrt(x2), y), 2)
-                return i_ae
-            return f
-
-        best, vals = _INFEASIBLE, {}
-        for s in (1.0, -1.0):
-            fv, xv = _maximize_with_restarts(objective(s), [-ym], [ym])
-            if fv > best:
-                y = xv[0]
-                best = fv
-                vals = {"v": math.sqrt(f_a - y * y),
-                        "x": s * math.sqrt(max(1 - f_a - y * y, 0.0)),
-                        "y": y}
-        return best, vals
-
-    raise ValueError(name)  # pragma: no cover
+    best, amps = _maximize_on(preset, f_a, i_ae)
+    return best, ({} if amps is None else dict(zip(preset.free_params, amps)))
 
 
 def _iab_nats(f_a: float, dim: int) -> float:
@@ -477,12 +466,12 @@ class CrossingResult:
     i_ae: float
 
     def cloner_params(self) -> ClonerParams:
-        """The solution as constrained-matrix parameters (qutrit presets)."""
-        p = self.params_star
-        if "xp" in p or "z" in p:
-            raise ValueError("mask does not map onto (v, x, y, z) parameters")
-        x = p.get("x", p["y"])
-        return ClonerParams(p["v"], x, p["y"], p["y"])
+        """The solution as (v, x, y, z = y) cloner parameters (3deb, universal)."""
+        preset = PRESETS[self.preset]
+        if preset.cloner is None:
+            raise ValueError(f"preset {self.preset!r} does not map onto "
+                             "(v, x, y, z = y) qutrit cloner parameters")
+        return preset.cloner(*preset.amplitudes_of(self.params_star))
 
 
 @lru_cache(maxsize=None)
@@ -519,8 +508,6 @@ def _crossing_core(preset_name: str) -> tuple[float, tuple, float, int]:
         raise CrossingError(
             f"crossing solver did not converge for {preset_name!r}: "
             f"residual {residual:.2e}")
-    if vals.get("v", 0.0) < 0.0:
-        vals = {k: -u for k, u in vals.items()}
     return f_star, tuple(sorted(vals.items())), residual, evals
 
 
@@ -566,30 +553,12 @@ def symmetric_point(preset="3deb") -> SymmetricResult:
     if preset.name != "3deb":
         raise ValueError("symmetric point is defined for the 3deb preset")
 
-    def max_fb(f_a: float) -> tuple[float, dict[str, float]]:
-        ym = math.sqrt(max(min(f_a / 2.0, (1.0 - f_a) / 4.0), 0.0))
-        best, vals = _INFEASIBLE, {}
-        for s in (1.0, -1.0):
-            def f(u, sign=s):
-                y = u[0]
-                v2 = f_a - 2.0 * y * y
-                x2 = (1.0 - f_a - 4.0 * y * y) / 2.0
-                if v2 < 0 or x2 < 0:
-                    return _INFEASIBLE
-                v, x = math.sqrt(v2), sign * math.sqrt(x2)
-                return (1.0 + 6.0 * y * y + 8.0 * x * y + 4.0 * v * y) / 3.0
-            fv, xv = _maximize_with_restarts(f, [-ym], [ym])
-            if fv > best:
-                y = xv[0]
-                best = fv
-                vals = {"v": math.sqrt(f_a - 2 * y * y),
-                        "x": s * math.sqrt(max((1 - f_a - 4 * y * y) / 2, 0.0)),
-                        "y": y}
-        return best, vals
+    def max_fb(f_a: float):
+        return _maximize_on(preset, f_a, lambda v, x, y:
+                            (1.0 + 6.0 * y * y + 8.0 * x * y + 4.0 * v * y) / 3.0)
 
     f_sym = brentq(lambda f: max_fb(f)[0] - f, 0.40, 0.95, xtol=1e-13, rtol=8.9e-16)
-    _, vals = max_fb(f_sym)
-    params = ClonerParams(vals["v"], vals["x"], vals["y"], vals["y"]).normalized()
+    params = preset.cloner(*max_fb(f_sym)[1]).normalized()
     rep = closed_form_report(params)
     gap = abs(rep.f_a - rep.f_b)
     if gap > RESIDUAL_TOL:
@@ -726,12 +695,10 @@ def information_sweep(preset="3deb", start=0.70, stop=0.85, points=151, base=2):
             continue
         i_ab = _iab_nats(f_a, d) / lb
         i_ae = best / lb
-        if preset.name in ("3deb", "universal"):
-            x = vals["x"] if preset.name == "3deb" else vals["y"]
-            p = ClonerParams(vals["v"], x, vals["y"], vals["y"])
+        f_b = None
+        if preset.cloner is not None:
+            p = preset.cloner(*preset.amplitudes_of(vals))
             f_b = closed_form_report(p.normalized()).f_b
-        else:
-            f_b = None
         rows.append({
             "f_a": f_a,
             "params": vals,

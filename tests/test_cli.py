@@ -159,6 +159,40 @@ def test_simulate_dump_csv_longer_than_a_chunk_byte_identical(runner, tmp_path):
             == "cf3b1b0b26b1359031cb31778c6b8ca975faff23cb82fd86ec880cef951ff868")
 
 
+# sha256 of the --no-timestamp output of the analysis commands, recorded
+# before the inner maximizer was rewritten as one preset-driven routine;
+# every crossing, sweep row and symmetric point must reproduce every byte
+ANALYSIS_SHA256 = {
+    "table --format json":
+        "4e833ed2b656ecb2801bf95045d70c8c5c8b5d5cbd2f9e17ee8832063d7ddbfe",
+    "crossing --preset 3deb":
+        "441f583568482bb388e0f0f669e67aa3bd16edafcd2313c7084e7c7971bbc1d8",
+    "crossing --preset universal":
+        "54a5b20da16d95dd2d32a90100fc844f7894038173039d4e330baaf4058ef57a",
+    "crossing --preset 2mub":
+        "ecaeb0c64862db3d3718542234e943bbf23e8e99045b4857fd5d26a6e3516e96",
+    "crossing --preset qubit":
+        "7964331e7aa9a12c05d6a79f0e7f40f88a0d50a35fa8e43543343075701aff9e",
+    "symmetric":
+        "6b2938980c8354f0563cd982527aa9df31b1f871963a466e98dbc010dc107256",
+    "sweep --preset 3deb --points 7 --format csv":
+        "f8d36d2a951d08e2ffee76383245defc404d2b8e24f26ddbec2fe31ef390dfc1",
+    "sweep --preset universal --points 7 --format csv":
+        "2dc9a74ce563393911bfd47a979085451a132ef87940573e981020a4f55d8cc0",
+    "sweep --preset 2mub --points 7 --format csv":
+        "b305374b8900051e69ba21fbbcab324bfd8cf4f931e23618e1d0fd920ae11d9a",
+    "sweep --preset qubit --start 0.80 --stop 0.90 --points 7 --format csv":
+        "4128b24b7cd168046e4772ec75de11ea5b699f1da3b092610258302a7bcb8b4a",
+}
+
+
+@pytest.mark.parametrize("args", list(ANALYSIS_SHA256))
+def test_analysis_outputs_byte_identical(runner, args):
+    result = runner.invoke(main, args.split() + ["--no-timestamp"])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == ANALYSIS_SHA256[args]
+
+
 def assert_usage_error(result, message):
     """Exit 1 through click's error path: a one-line message, no traceback."""
     assert result.exit_code == 1
@@ -211,6 +245,17 @@ def test_simulate_malformed_config_exits_1(runner, tmp_path, config, message):
 def test_survey_negative_seed_exits_1(runner):
     result = runner.invoke(main, ["survey", "--rounds", "10", "--seed", "-1"])
     assert_usage_error(result, "seed must be nonnegative")
+
+
+@pytest.mark.parametrize("args", [
+    ["thresholds", "--output"],
+    ["simulate", "--rounds", "10", "--dump-csv"],
+])
+def test_write_into_missing_directory_exits_1(runner, tmp_path, args):
+    target = tmp_path / "nodir" / "out"
+    result = runner.invoke(main, args + [str(target)])
+    assert_usage_error(result, "No such file or directory")
+    assert not target.exists()
 
 
 def test_cloner_eval_identity(runner):

@@ -145,6 +145,13 @@ def test_crossing_qubit_closed_form():
     assert abs(res.f_a_star - (0.5 + 1 / math.sqrt(8))) <= 1e-6
 
 
+@pytest.mark.parametrize("preset", ["2mub", "qubit"])
+def test_two_basis_crossings_match_closed_form(preset):
+    # Cerf et al. / Bruss-Macchiavello: F* = (1 + 1/sqrt(d)) / 2
+    d = PRESETS[preset].dimension
+    assert abs(crossing_point(preset).f_a_star - (1 + 1 / math.sqrt(d)) / 2) <= 1e-9
+
+
 def test_crossing_base_invariance():
     stars = [crossing_point("3deb", base=b).f_a_star for b in (2, 3, "e")]
     assert max(stars) - min(stars) <= 1e-6
@@ -159,6 +166,15 @@ def test_crossing_result_params_fit_cloner():
     params = res.cloner_params().normalized()
     rep = closed_form_report(params)
     assert abs(rep.f_a - res.f_a_star) <= 1e-9
+
+
+def test_cloner_params_only_for_the_qutrit_y_eq_z_family():
+    universal = crossing_point("universal")
+    p = universal.params_star
+    assert universal.cloner_params() == ClonerParams(p["v"], p["y"], p["y"], p["y"])
+    for preset in ("2mub", "qubit"):
+        with pytest.raises(ValueError):
+            crossing_point(preset).cloner_params()
 
 
 def test_inner_maximum_not_beaten_by_random_probes():
