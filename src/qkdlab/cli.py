@@ -1,16 +1,21 @@
 """Command-line front end: reproducible analysis and simulation runs.
 
-Every command emits a JSON envelope carrying the tool version, an echo of
-its inputs, the seed where one applies, and a timestamp (suppressible
-with --no-timestamp, after which repeated runs are byte-identical).
-Exit codes: 0 success, 1 usage or input error, 2 numerical
-non-convergence.
+Every subcommand is registered through ``command()``, which owns the
+boundary they share: the --no-timestamp and --output options, the JSON
+envelope (tool version, an echo of the inputs, the seed where one applies,
+a timestamp unless --no-timestamp asks for byte-identical reruns, the
+result), emission, and the exit codes: 0 success, 1 usage or input error
+(any ValueError), 2 numerical non-convergence (CrossingError).  A command
+body only parses its own options, calls the library and returns its
+inputs and result, or finished CSV text.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import json
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -24,21 +29,6 @@ from .qudit import optimal_bases
 from .security import CrossingError
 
 click.UsageError.exit_code = 1  # usage errors are exit 1; exit 2 means non-convergence
-
-_BASES = {"2": 2, "3": 3, "e": "e"}
-
-
-def _envelope(command: str, inputs: dict, result, seed=None, timestamp=True) -> dict:
-    env = {
-        "command": command,
-        "version": __version__,
-        "inputs": dict(inputs),
-        "seed": seed,
-    }
-    if timestamp:
-        env["timestamp"] = datetime.now(timezone.utc).isoformat()
-    env["result"] = jsonable(result)
-    return env
 
 
 def _open_for_writing(path: str, **kwargs):
@@ -54,6 +44,17 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         click.echo(text)
+
+
+def _csv(header: list[str], rows) -> str:
+    """CSV text; numbers to 10 significant digits, None as an empty field."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(v if isinstance(v, str) else "" if v is None else f"{v:.10g}"
+                        for v in row)
+    return buf.getvalue().rstrip("\n")
 
 
 def _parse_params(spec: str) -> ClonerParams:
@@ -116,10 +117,12 @@ def _parse_sifting(spec: str) -> simulate.SiftingRule:
     raise click.BadParameter(f"unknown sifting rule {spec!r}; use same or pairs:i-j,...")
 
 
-timestamp_option = click.option("--no-timestamp", is_flag=True,
-                                help="Omit the timestamp for byte-identical reruns.")
-output_option = click.option("--output", type=click.Path(dir_okay=False), default=None,
-                             help="Write to a file instead of stdout.")
+def _parse_weights(spec: str | None) -> tuple[float, ...]:
+    if spec is None:
+        return (0.25, 0.25, 0.25, 0.25)
+    return tuple(float(p) for p in spec.split(","))
+
+
 base_option = click.option("--base", type=click.Choice(["2", "3", "e"]), default="2",
                            show_default=True, help="Log base for information values.")
 
@@ -130,10 +133,45 @@ def main():
     """Security analysis and simulation of the qutrit entanglement protocol."""
 
 
-@main.command()
-@timestamp_option
-@output_option
-def bases(no_timestamp, output):
+def command(name: str):
+    """Register the decorated body as subcommand ``name`` of ``main``.
+
+    The body takes its own options and returns ``(inputs, result[, seed])``,
+    emitted as the JSON envelope, or finished text, emitted as it is.
+    """
+    def register(body):
+        @functools.wraps(body)
+        def run(no_timestamp, output, **options):
+            try:
+                out = body(**options)
+            except CrossingError as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(2)
+            except ValueError as exc:
+                raise click.UsageError(str(exc))
+            if not isinstance(out, str):
+                inputs, result, *seed = out
+                env = {"command": name, "version": __version__, "inputs": dict(inputs),
+                       "seed": seed[0] if seed else None}
+                if not no_timestamp:
+                    env["timestamp"] = datetime.now(timezone.utc).isoformat()
+                env["result"] = jsonable(result)
+                out = dumps(env)
+            _emit(out, output)
+
+        cmd = main.command(name)(run)
+        cmd.params += [
+            click.Option(["--no-timestamp"], is_flag=True,
+                         help="Omit the timestamp for byte-identical reruns."),
+            click.Option(["--output"], type=click.Path(dir_okay=False), default=None,
+                         help="Write to a file instead of stdout."),
+        ]
+        return cmd
+    return register
+
+
+@command("bases")
+def bases():
     """Print the four protocol bases and their dodecagon structure."""
     specs = optimal_bases()
     result = {
@@ -150,18 +188,16 @@ def bases(no_timestamp, output):
             (2 * 3.141592653589793 * l / 3 + b.phi) % (2 * 3.141592653589793)
             for b in specs for l in range(3)),
     }
-    _emit(dumps(_envelope("bases", {}, result, timestamp=not no_timestamp)), output)
+    return {}, result
 
 
-@main.command("cloner-eval")
+@command("cloner-eval")
 @click.option("--params", "params_spec", required=True,
               help="Cloner parameters v,x,y[,z], or 'optimal'.")
 @click.option("--normalize/--no-normalize", default=True, show_default=True,
               help="Rescale the parameters onto the normalization surface.")
 @base_option
-@timestamp_option
-@output_option
-def cloner_eval(params_spec, normalize, base, no_timestamp, output):
+def cloner_eval(params_spec, normalize, base):
     """Fidelities, disturbances and information quantities of one cloner."""
     if params_spec.strip().lower() == "optimal":
         params = _optimal_attack_params()
@@ -169,90 +205,50 @@ def cloner_eval(params_spec, normalize, base, no_timestamp, output):
         params = _parse_params(params_spec)
         if normalize:
             params = params.normalized()
-    try:
-        report = security.info_report(params, base=_BASES[base])
-        matrix = phi_cloner_matrix(params)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    result = asdict(report)
-    result["amplitude_matrix"] = matrix.to_json()
+    result = asdict(security.info_report(params, base=base))
+    result["amplitude_matrix"] = phi_cloner_matrix(params).to_json()
     inputs = {"params": {"v": params.v, "x": params.x, "y": params.y, "z": params.z},
               "base": base, "normalize": normalize}
-    _emit(dumps(_envelope("cloner-eval", inputs, result, timestamp=not no_timestamp)),
-          output)
+    return inputs, result
 
 
-@main.command()
+@command("crossing")
 @click.option("--preset", default="3deb", show_default=True,
               help="Protocol preset: 3deb, universal, 2mub or qubit.")
 @base_option
-@timestamp_option
-@output_option
-def crossing(preset, base, no_timestamp, output):
+def crossing(preset, base):
     """Solve for the information crossing point of a protocol preset."""
-    try:
-        preset_obj = security.resolve_preset(preset)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    try:
-        result = security.crossing_point(preset_obj, base=_BASES[base])
-    except CrossingError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    inputs = {"preset": preset_obj.name, "base": base}
-    _emit(dumps(_envelope("crossing", inputs, result, timestamp=not no_timestamp)),
-          output)
+    preset_obj = security.resolve_preset(preset)
+    result = security.crossing_point(preset_obj, base=base)
+    return {"preset": preset_obj.name, "base": base}, result
 
 
-@main.command()
-@timestamp_option
-@output_option
-def symmetric(no_timestamp, output):
+@command("symmetric")
+def symmetric():
     """Largest fidelity at which both clones are equally good."""
-    try:
-        result = security.symmetric_point("3deb")
-    except CrossingError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    _emit(dumps(_envelope("symmetric", {"preset": "3deb"}, result,
-                          timestamp=not no_timestamp)), output)
+    return {"preset": "3deb"}, security.symmetric_point("3deb")
 
 
-@main.command()
-@timestamp_option
-@output_option
-def thresholds(no_timestamp, output):
+@command("thresholds")
+def thresholds():
     """Visibility/fidelity threshold constants and their relations."""
-    _emit(dumps(_envelope("thresholds", {}, security.thresholds(),
-                          timestamp=not no_timestamp)), output)
+    return {}, security.thresholds()
 
 
-@main.command()
+@command("table")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
               show_default=True)
-@timestamp_option
-@output_option
-def table(fmt, no_timestamp, output):
+def table(fmt):
     """Acceptable-error-rate comparison across the four protocols."""
-    try:
-        rows = security.error_rate_table()
-    except CrossingError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    rows = security.error_rate_table()
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["protocol", "f_a_star", "error_rate", "paper_value", "delta"])
-        for r in rows:
-            writer.writerow([r.protocol, f"{r.f_a_star:.10g}", f"{r.error_rate:.10g}",
-                             f"{r.paper_value:.10g}", f"{r.delta:.10g}"])
-        _emit(buf.getvalue().rstrip("\n"), output)
-    else:
-        _emit(dumps(_envelope("table", {"format": fmt}, rows,
-                              timestamp=not no_timestamp)), output)
+        return _csv(["protocol", "f_a_star", "error_rate", "paper_value", "delta"],
+                    ([r.protocol, r.f_a_star, r.error_rate, r.paper_value, r.delta]
+                     for r in rows))
+    return {"format": fmt}, rows
 
 
-@main.command("simulate")
+@command("simulate")
 @click.option("--rounds", type=int, default=None, help="Number of protocol rounds.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--channel", "channel_spec", default="ideal", show_default=True,
@@ -265,38 +261,21 @@ def table(fmt, no_timestamp, output):
               default=None, help="Read the whole SimConfig from a JSON file instead.")
 @click.option("--dump-csv", type=click.Path(dir_okay=False), default=None,
               help="Write per-round (round,basis_i,basis_j,a,b) rows to a CSV file.")
-@timestamp_option
-@output_option
 def simulate_cmd(rounds, seed, channel_spec, sifting_spec, alice_weights, bob_weights,
-                 config_path, dump_csv, no_timestamp, output):
+                 config_path, dump_csv):
     """Run one Monte Carlo session and report its statistics."""
-
-    def parse_weights(spec):
-        if spec is None:
-            return (0.25, 0.25, 0.25, 0.25)
-        return tuple(float(p) for p in spec.split(","))
-
-    try:
-        if config_path is not None:
-            import json as _json
-            with open(config_path) as fh:
-                config = simulate.SimConfig.from_json(_json.load(fh))
-            seed = config.seed
-        else:
-            if rounds is None:
-                raise click.UsageError("--rounds is required (or pass --config)")
-            if rounds < 1:
-                raise click.UsageError("--rounds must be at least 1")
-            config = simulate.SimConfig(
-                rounds=rounds, seed=seed,
-                channel=_parse_channel(channel_spec),
-                alice_weights=parse_weights(alice_weights),
-                bob_weights=parse_weights(bob_weights),
-                sifting=_parse_sifting(sifting_spec))
-        if config.rounds < 1:
-            raise click.UsageError("rounds must be at least 1")
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    if config_path is not None:
+        with open(config_path) as fh:
+            config = simulate.SimConfig.from_json(json.load(fh))
+    elif rounds is None:
+        raise click.UsageError("--rounds is required (or pass --config)")
+    else:
+        config = simulate.SimConfig(
+            rounds=rounds, seed=seed,
+            channel=_parse_channel(channel_spec),
+            alice_weights=_parse_weights(alice_weights),
+            bob_weights=_parse_weights(bob_weights),
+            sifting=_parse_sifting(sifting_spec))
 
     if dump_csv:
         # rows are written as each chunk of rounds is sampled
@@ -323,35 +302,25 @@ def simulate_cmd(rounds, seed, channel_spec, sifting_spec, alice_weights, bob_we
               "bob_weights": config.bob_weights}
     if config_path is not None:
         inputs["config"] = config_path
-    _emit(dumps(_envelope("simulate", inputs, payload, seed=seed,
-                          timestamp=not no_timestamp)), output)
+    return inputs, payload, config.seed
 
 
-@main.command()
+@command("survey")
 @click.option("--rounds", type=int, default=100_000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@timestamp_option
-@output_option
-def survey(rounds, seed, no_timestamp, output):
+def survey(rounds, seed):
     """Enumerate basis pairs with perfect (relabeled) correlations."""
-    if rounds < 1:
-        raise click.UsageError("--rounds must be at least 1")
-    try:
-        config = simulate.SimConfig(rounds=rounds, seed=seed)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    result = simulate.basis_correlation_survey(config)
+    result = simulate.basis_correlation_survey(simulate.SimConfig(rounds=rounds, seed=seed))
     payload = {
         "exact": result.exact,
         "empirical": result.empirical,
         "perfect_pairs": [list(p) for p in result.perfect_pairs],
         "conjugate_pairing": {str(j): i for j, i in result.conjugate_pairing.items()},
     }
-    _emit(dumps(_envelope("survey", {"rounds": rounds}, payload, seed=seed,
-                          timestamp=not no_timestamp)), output)
+    return {"rounds": rounds}, payload, seed
 
 
-@main.command()
+@command("sweep")
 @click.option("--preset", default="3deb", show_default=True)
 @click.option("--start", type=float, default=0.70, show_default=True)
 @click.option("--stop", type=float, default=0.85, show_default=True)
@@ -359,33 +328,18 @@ def survey(rounds, seed, no_timestamp, output):
 @base_option
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
-@timestamp_option
-@output_option
-def sweep(preset, start, stop, points, base, fmt, no_timestamp, output):
+def sweep(preset, start, stop, points, base, fmt):
     """Best-attack information along a fidelity grid (plot-ready)."""
-    try:
-        preset_obj = security.resolve_preset(preset)
-        rows = security.information_sweep(preset_obj, start, stop, points,
-                                          base=_BASES[base])
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    preset_obj = security.resolve_preset(preset)
+    rows = security.information_sweep(preset_obj, start, stop, points, base=base)
     if fmt == "json":
         inputs = {"preset": preset_obj.name, "start": start, "stop": stop,
                   "points": points, "base": base}
-        _emit(dumps(_envelope("sweep", inputs, rows, timestamp=not no_timestamp)),
-              output)
-        return
-    param_names = list(preset_obj.free_params)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["f_a", "f_b", "i_ab", "i_ae", "r_bound"] + param_names)
-    for row in rows:
-        rec = [f"{row['f_a']:.10g}",
-               "" if row["f_b"] is None else f"{row['f_b']:.10g}",
-               f"{row['i_ab']:.10g}", f"{row['i_ae']:.10g}", f"{row['r_bound']:.10g}"]
-        rec += [f"{row['params'][p]:.10g}" for p in param_names]
-        writer.writerow(rec)
-    _emit(buf.getvalue().rstrip("\n"), output)
+        return inputs, rows
+    names = list(preset_obj.free_params)
+    return _csv(["f_a", "f_b", "i_ab", "i_ae", "r_bound"] + names,
+                ([r["f_a"], r["f_b"], r["i_ab"], r["i_ae"], r["r_bound"]]
+                 + [r["params"][p] for p in names] for r in rows))
 
 
 if __name__ == "__main__":

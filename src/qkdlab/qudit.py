@@ -128,10 +128,6 @@ class BasisSpec:
     def states(self) -> list[StateVector]:
         return [self.state(l) for l in range(3)]
 
-    def matrix(self) -> np.ndarray:
-        """Columns are the three basis states."""
-        return np.column_stack([s.amps for s in self.states()])
-
 
 def _check_trit(l: int, what: str = "index") -> None:
     if l not in (0, 1, 2):

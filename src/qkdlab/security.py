@@ -106,17 +106,15 @@ def _base_label(base) -> str:
 def shannon_entropy(p, base=2) -> float:
     """-sum p_i log(p_i); entries below 1e-15 contribute nothing."""
     lb = _log_of_base(base)
+    p = tuple(p)  # read twice below; a one-pass iterable must still work
     total = 0.0
-    acc = 0.0
     for pi in p:
         if pi < -1e-12:
             raise ValueError(f"negative probability {pi!r}")
         total += pi
-        if pi > 1e-15:
-            acc -= pi * math.log(pi)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
-    return acc / lb
+    return _entropy_nats(p) / lb
 
 
 def _entropy_nats(ps) -> float:

@@ -103,11 +103,14 @@ class SimConfig:
     sifting: SiftingRule = field(default_factory=SameIndexSifting)
 
     def __post_init__(self):
+        if self.rounds < 1:
+            raise ValueError("rounds must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         for name in ("alice_weights", "bob_weights"):
             w = tuple(float(p) for p in getattr(self, name))
-            if len(w) != 4 or min(w) < 0 or abs(sum(w) - 1.0) > 1e-12:
+            if (len(w) != 4 or not all(math.isfinite(p) and p >= 0 for p in w)
+                    or abs(sum(w) - 1.0) > 1e-12):
                 raise ValueError(f"{name} must be 4 nonnegative weights summing to 1")
             setattr(self, name, w)
 

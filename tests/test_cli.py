@@ -6,7 +6,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qkdlab import security
 from qkdlab.cli import main
 
 SCHEMA = json.loads(
@@ -233,8 +236,10 @@ def test_cloner_eval_non_numeric_params_exit_1(runner):
     ({"rounds": 3000, "seed": 5, "channel": {"type": "cloning", "params": [0, 0, 0, 0]}},
      "normalization surface"),
     ({"rounds": 3000, "seed": 5, "alice_weights": None}, "wrong type"),
+    ({"rounds": 3000, "seed": 5, "alice_weights": [math.nan, 0, 0, 1]},
+     "alice_weights must be 4 nonnegative weights"),
 ], ids=["no-rounds", "no-seed", "string-rounds", "null-seed", "no-visibility",
-        "zero-params", "null-weights"])
+        "zero-params", "null-weights", "nan-weights"])
 def test_simulate_malformed_config_exits_1(runner, tmp_path, config, message):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -370,3 +375,120 @@ def test_numbers_have_ten_significant_digits(runner):
     out = runner.invoke(main, ["thresholds", "--no-timestamp"]).output
     val = json.loads(out)["result"]["qubit_fidelity_threshold"]
     assert val == float(f"{0.5 + 1 / math.sqrt(8):.10g}")
+
+
+def test_simulate_nan_weight_exits_1(runner):
+    # every comparison with NaN is false, so the weight check used to pass
+    result = runner.invoke(main, ["simulate", "--rounds", "1000",
+                                  "--alice-weights", "nan,0,0,1"])
+    assert_usage_error(result, "alice_weights must be 4 nonnegative weights")
+
+
+@pytest.fixture()
+def unsolvable(monkeypatch):
+    """Every crossing and symmetric-point solve fails to converge."""
+    def fail(*args, **kwargs):
+        raise security.CrossingError("no crossing (forced)")
+
+    monkeypatch.setattr(security, "crossing_point", fail)
+    monkeypatch.setattr(security, "symmetric_point", fail)
+
+
+@pytest.mark.parametrize("args", [
+    ["crossing"],
+    ["symmetric"],
+    ["table"],
+    ["table", "--format", "csv"],
+    ["cloner-eval", "--params", "optimal"],
+    ["simulate", "--rounds", "10", "--channel", "clone:optimal"],
+], ids=" ".join)
+def test_non_convergence_exits_2_for_every_solve(runner, unsolvable, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert result.stdout == ""
+    assert result.stderr == "error: no crossing (forced)\n"
+
+
+def test_every_command_owns_the_shared_boundary():
+    assert set(main.commands) == set(SCHEMA["properties"]["command"]["enum"])
+    for name, cmd in main.commands.items():
+        options = {opt for param in cmd.params for opt in param.opts}
+        assert {"--no-timestamp", "--output"} <= options, name
+
+
+# The error contract over generated argument strings: exit 0, 1 or 2,
+# never an escaped exception or a traceback.  Besides arbitrary text the
+# strategies build near-valid specs, so that generated runs also get past
+# parsing and into the library.
+_TEXT = st.text(max_size=24)
+_NUMBER = st.one_of(st.sampled_from(["0", "0.25", "0.5", "1", "-1", "nan", "inf",
+                                     "1e-300", "1e300"]),
+                    st.floats().map(repr))
+
+
+def _numbers(min_size, max_size):
+    return st.lists(_NUMBER, min_size=min_size, max_size=max_size).map(",".join)
+
+
+def _optional(*strategies):
+    """None (the option is left out), or one of the given strategies."""
+    return st.one_of(st.none(), *strategies)
+
+
+_PAIRS = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=4).map(
+    lambda pairs: "pairs:" + ",".join(f"{i}-{j}" for i, j in pairs))
+_CONTRACT = settings(max_examples=40, derandomize=True, deadline=None)
+
+
+def assert_contract(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code in (0, 1, 2), (args, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        args, repr(result.exception))
+    assert "Traceback" not in result.output, args
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(rounds=st.integers(-2, 2000),
+       channel=_optional(_TEXT, st.just("ideal"), _NUMBER.map("depol:".__add__),
+                         st.one_of(st.just("optimal"), _numbers(3, 4)).map("clone:".__add__)),
+       sifting=_optional(_TEXT, st.just("same"), _PAIRS),
+       alice=_optional(_TEXT, _numbers(4, 4)), bob=_optional(_TEXT, _numbers(4, 4)))
+def test_simulate_error_contract(rounds, channel, sifting, alice, bob):
+    args = ["simulate", f"--rounds={rounds}", "--no-timestamp"]
+    for option, value in [("--channel", channel), ("--sifting", sifting),
+                          ("--alice-weights", alice), ("--bob-weights", bob)]:
+        if value is not None:
+            args.append(f"{option}={value}")
+    assert_contract(CliRunner(), args)
+
+
+@_CONTRACT
+@given(spec=st.one_of(_TEXT, st.just("optimal"), _numbers(3, 4)))
+def test_cloner_eval_error_contract(spec):
+    assert_contract(CliRunner(), ["cloner-eval", f"--params={spec}", "--no-timestamp"])
+
+
+@_CONTRACT
+@given(preset=st.sampled_from(["3deb", "qubit"]), points=st.integers(-1, 3),
+       start=st.one_of(st.floats(), st.floats(0.3, 1.0)),
+       stop=st.one_of(st.floats(), st.floats(0.3, 1.0)))
+def test_sweep_error_contract(preset, points, start, stop):
+    assert_contract(CliRunner(), ["sweep", f"--preset={preset}", f"--points={points}",
+                                  f"--start={start!r}", f"--stop={stop!r}"])
+
+
+def _cold_2mub_solve(name):
+    try:
+        return security.resolve_preset(name).name == "2mub"
+    except ValueError:
+        return False
+
+
+@_CONTRACT
+@given(preset=st.one_of(_TEXT, st.sampled_from(["3deb", "3DEB", "universal", "12-State",
+                                                "qubit", "EKERT91"]))
+       .filter(lambda name: not _cold_2mub_solve(name)))
+def test_crossing_error_contract(preset):
+    assert_contract(CliRunner(), ["crossing", f"--preset={preset}", "--no-timestamp"])
