@@ -205,6 +205,8 @@ def cloner_eval(params_spec, normalize, base):
         params = _parse_params(params_spec)
         if normalize:
             params = params.normalized()
+        else:
+            params.require_normalized(remedy="drop --no-normalize to rescale")
     result = asdict(security.info_report(params, base=base))
     result["amplitude_matrix"] = phi_cloner_matrix(params).to_json()
     inputs = {"params": {"v": params.v, "x": params.x, "y": params.y, "z": params.z},

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qudit import (DensityMatrix, StateVector, bell_state, error_operator,
-                    partial_trace, phi_basis_state)
+from .qudit import (BasisSpec, DensityMatrix, StateVector, bell_state,
+                    error_operator, partial_trace, phi_basis_state)
 
 PARAM_NORM_TOL = 1e-8
 MATRIX_NORM_TOL = 1e-6
@@ -60,12 +60,12 @@ class ClonerParams:
         """Whether the two lower rows are tied (y == z)."""
         return abs(self.y - self.z) <= SYMMETRY_TOL
 
-    def require_normalized(self, tol: float = PARAM_NORM_TOL) -> None:
+    def require_normalized(self, tol: float = PARAM_NORM_TOL,
+                           remedy: str = "call .normalized() first") -> None:
         dev = abs(self.norm_squared - 1.0)
         if dev > tol:
             raise ValueError(
-                f"parameters off the normalization surface by {dev:.2e}; "
-                "call .normalized() first")
+                f"parameters off the normalization surface by {dev:.2e}; {remedy}")
 
     def require_symmetric(self) -> None:
         if not self.symmetric:
@@ -279,26 +279,38 @@ def phase_covariance_check(mat: AmplitudeMatrix, phi_grid) -> float:
     return worst
 
 
+def coefficient_rows(v: float, s: float, t: float, y: float, d: int = 3):
+    """Coefficient rows c[m, :] of a tied amplitude mask in a phase basis.
+
+    The mask has a[0, 0] = v, s in the rest of column 0, t in the rest of
+    row 0 and y everywhere else.  In a phase basis of dimension d its rows
+    are
+
+        c[0]   = (v + (d-1) s, v - s, ..., v - s)
+        c[m>0] = (t + (d-1) y, t - y, ..., t - y)
+
+    the row-wise Fourier transform of the rewritten amplitudes (see
+    :func:`tilde_amplitudes`).  Every protocol preset and
+    :func:`tilde_coefficients` read their rows from here.
+    """
+    k = d - 1
+    first = (v + k * s,) + (v - s,) * k
+    other = (t + k * y,) + (t - y,) * k
+    return (first,) + (other,) * k
+
+
 def tilde_coefficients(params: ClonerParams) -> np.ndarray:
-    """Coefficients ct[m, j] of the cloner expanded in a phase basis.
+    """Coefficients ct[m, j] of the y = z cloner expanded in a phase basis.
 
-    Closed form (requires y = z):
-
-        ct[m, j] = 3 y delta_{j0} + (v - y) delta_{m0}
-                   + (x - y)(delta_{m1} + delta_{m2})
-
-    The result is checked against its definition, the row-wise Fourier
-    transform of the rewritten amplitudes, before being returned.
+    These are the rows of :func:`coefficient_rows` for the mask
+    [[v,x,x],[y,y,y],[y,y,y]]; they are checked against their definition,
+    the row-wise Fourier transform of the rewritten amplitudes, before
+    being returned.
     """
     params.require_normalized()
     params.require_symmetric()
     v, x, y = params.v, params.x, params.y
-    ct = np.zeros((3, 3))
-    for m in range(3):
-        for j in range(3):
-            ct[m, j] = (3 * y * (j == 0)
-                        + (v - y) * (m == 0)
-                        + (x - y) * (m in (1, 2)))
+    ct = np.array(coefficient_rows(v, y, x, y))
 
     at = tilde_amplitudes(phi_cloner_matrix(params)).a
     w = np.exp(2j * math.pi * np.outer(np.arange(3), np.arange(3)) / 3.0)
@@ -330,19 +342,22 @@ def eve_joint_distribution(params: ClonerParams, k: int,
     if abs(table.sum() - 1.0) > 1e-12:
         raise AssertionError("attack outcome table does not sum to 1")
 
-    state_table = _state_route_table(phi_cloner_matrix(params), k, verify_phi)
+    basis = BasisSpec(verify_phi)
+    state_table = outcome_table(phi_cloner_matrix(params), basis.state(k), basis)
     if np.max(np.abs(table - state_table)) > 1e-12:
         raise AssertionError("attack outcome table disagrees with the "
                              "state-level construction")
     return table
 
 
-def _state_route_table(mat: AmplitudeMatrix, k: int, phi: float) -> np.ndarray:
-    """Squared amplitudes of the cloned |k_phi> in the (phi, phi, phi*) basis."""
-    out = clone_state(mat, phi_basis_state(phi, k))
-    basis_a = np.column_stack([phi_basis_state(phi, l).amps for l in range(3)])
-    basis_c = basis_a.conj()
-    # project each register: amps indexed (A,B,C) row-major
-    t = out.joint.amps.reshape(3, 3, 3)
-    amps = np.einsum("abc,ai,bj,ck->ijk", t, basis_a.conj(), basis_a.conj(), basis_c.conj())
+def outcome_table(mat: AmplitudeMatrix, input_state: StateVector,
+                  basis: BasisSpec) -> np.ndarray:
+    """P[alpha, beta, gamma] of the cloned ``input_state``.
+
+    Both clones (registers A and B) are read in ``basis``, the machine
+    (register C) in the conjugate basis.
+    """
+    cols = basis.matrix()
+    t = clone_state(mat, input_state).joint.amps.reshape(3, 3, 3)
+    amps = np.einsum("abc,ai,bj,ck->ijk", t, cols.conj(), cols.conj(), cols)
     return np.abs(amps) ** 2

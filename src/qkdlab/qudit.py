@@ -128,6 +128,10 @@ class BasisSpec:
     def states(self) -> list[StateVector]:
         return [self.state(l) for l in range(3)]
 
+    def matrix(self) -> np.ndarray:
+        """The three basis states as columns."""
+        return np.column_stack([s.amps for s in self.states()])
+
 
 def _check_trit(l: int, what: str = "index") -> None:
     if l not in (0, 1, 2):

