@@ -16,9 +16,8 @@ so both I_AB and I_AE reduce to short entropy expressions; see
 ``_iab_iae_rows``.
 
 Three cloner families tie slots of the amplitude matrix together; their
-masks are in the docstrings of ``_phase_covariant``,
-``_amplitudes_universal`` and ``_amplitudes_2mub``.  They give four
-protocol presets:
+masks are in the docstrings of ``_phase_covariant`` and next to the
+``PRESETS`` entries.  They give four protocol presets:
 
 * the phase-covariant family, a function of the dimension d:
   ``3deb`` (d = 3, the paper's four phase bases) and ``qubit`` (d = 2,
@@ -28,13 +27,15 @@ protocol presets:
 * ``2mub``       -- the two-basis qutrit protocol (3D-BB84); information
   is averaged over the computational and Fourier bases.
 
-Each preset carries its geometry as data (see ``ProtocolPreset``): the
-half-widths of the search box at pinned F_A, a map from a search point and
-a sign branch to the amplitudes (None where infeasible), and one set of
-coefficient rows per protocol basis.  One maximizer, ``_maximize_on``,
-reads that data for the attacker's information, the symmetric point and
-the information sweep alike; the universal preset is the case with no
-search coordinate at all.
+At pinned F_A every family has the same shape: the amplitudes a_i after v
+lie on an ellipsoid sum_i e_i a_i^2 = 1 - F_A, and v^2 = F_A -
+sum_i g_i a_i^2.  Each preset declares its two weight tuples e and g and
+one set of coefficient rows per protocol basis (see ``ProtocolPreset``);
+one angle chart, ``ProtocolPreset.chart``, maps a point of the box
+[-pi/2, pi/2]^(k-1) and a sign branch onto the ellipsoid.  One maximizer,
+``_maximize_on``, searches that box for the attacker's information, the
+symmetric point and the information sweep alike; the universal preset is
+the case with no angle at all.
 
 The 2mub and qubit masks are reconstructions validated against their
 published crossing fidelities ((1 + 1/sqrt(d))/2: 0.7887 and
@@ -181,13 +182,13 @@ def ck_rate_bound(i_ab: float, i_ae: float, i_be: float) -> float:
 class ProtocolPreset:
     """A protocol's cloner family: amplitude-matrix slots tied to parameters.
 
-    The geometry the inner maximizer searches is data:
+    The amplitudes are ``free_params`` in order, v first.  At pinned F_A
+    the amplitudes a_1, ..., a_k after v lie on the ellipsoid
+    sum_i e_i a_i^2 = 1 - F_A, and v = sqrt(F_A - sum_i g_i a_i^2) >= 0
+    (the overall sign of the amplitudes is quotiented away).  The two
+    weight tuples ``e`` and ``g`` are the whole search geometry; ``chart``
+    maps k - 1 angles and a sign branch onto the ellipsoid.  The rest is:
 
-    * ``box(f_a)`` -- half-width of each search coordinate at pinned F_A
-      (an empty tuple when F_A leaves no freedom);
-    * ``amplitudes(f_a, u, sign)`` -- the amplitudes, in ``free_params``
-      order, at search point ``u`` on the given sign branch, or ``None``
-      when the point is infeasible;
     * ``rows(*amplitudes)`` -- one set of coefficient rows c[m, :] per
       protocol basis;
     * ``cloner(*amplitudes)`` -- the same point as (v, x, y, z = y) qutrit
@@ -197,13 +198,34 @@ class ProtocolPreset:
     name: str
     dimension: int
     free_params: tuple[str, ...]
-    box: Callable[[float], tuple[float, ...]]
-    amplitudes: Callable[[float, list, float], tuple[float, ...] | None]
+    e: tuple[float, ...]
+    g: tuple[float, ...]
     rows: Callable[..., tuple]
     cloner: Callable[..., ClonerParams] | None = None
 
     def amplitudes_of(self, values: dict[str, float]) -> tuple[float, ...]:
         return tuple(values[p] for p in self.free_params)
+
+    def chart(self, f_a: float, angles, sign: float) -> tuple[float, ...] | None:
+        """The amplitudes (v, a_1, ..., a_k) at pinned F_A, or ``None``
+        where v^2 < 0.
+
+        a_i = sqrt((1 - F_A) / e_i) s_i, with s the hyperspherical unit
+        vector s_1 = sign cos t_1, s_2 = sin t_1 cos t_2, ...,
+        s_k = sin t_1 ... sin t_{k-1}.  With every angle in [-pi/2, pi/2]
+        the two signs cover the ellipsoid, and they meet on the faces
+        t_1 = +-pi/2 of that box.
+        """
+        amps, v2, r = [], f_a, 1.0
+        for e, g, t in zip(self.e, self.g, (*angles, 0.0)):
+            a = math.sqrt((1.0 - f_a) / e) * r * math.cos(t)
+            r *= math.sin(t)
+            v2 -= g * a * a
+            amps.append(a)
+        if v2 < 0:
+            return None
+        amps[0] *= sign
+        return (math.sqrt(v2), *amps)
 
 
 def _phase_covariant(name: str, d: int) -> ProtocolPreset:
@@ -211,66 +233,30 @@ def _phase_covariant(name: str, d: int) -> ProtocolPreset:
     [[v,x,...,x],[y,y,...,y],...,[y,y,...,y]].
 
     Normalization v^2 + (d-1) x^2 + d(d-1) y^2 = 1 and the fidelity
-    F_A = v^2 + (d-1) y^2 leave y as the one search coordinate:
-    v^2 = F_A - (d-1) y^2 and x^2 = (1 - F_A - (d-1)^2 y^2) / (d-1), both
-    nonnegative for |y| <= sqrt(min(F_A / (d-1), (1 - F_A) / (d-1)^2)).
-    d = 3 is the paper's attack on its four phase bases, d = 2 the qubit
-    cloner behind the Ekert91 comparison.
+    F_A = v^2 + (d-1) y^2 give the ellipsoid (d-1) x^2 + (d-1)^2 y^2 =
+    1 - F_A and v^2 = F_A - (d-1) y^2.  d = 3 is the paper's attack on its
+    four phase bases, d = 2 the qubit cloner behind the Ekert91 comparison.
     """
-    k = d - 1
-
-    def amplitudes(f_a, u, sign):
-        y = u[0]
-        v2 = f_a - k * y * y
-        x2 = (1.0 - f_a - k * k * y * y) / k
-        if v2 < 0 or x2 < 0:
-            return None
-        return math.sqrt(v2), sign * math.sqrt(x2), y
-
     return ProtocolPreset(
-        name, d, ("v", "x", "y"),
-        box=lambda f_a: (math.sqrt(max(min(f_a / k, (1.0 - f_a) / (k * k)), 0.0)),),
-        amplitudes=amplitudes,
+        name, d, ("v", "x", "y"), e=(d - 1, (d - 1) ** 2), g=(0, d - 1),
         rows=lambda v, x, y: (coefficient_rows(v, y, x, y, d),),
         cloner=(lambda v, x, y: ClonerParams(v, x, y, y)) if d == 3 else None)
 
 
-def _amplitudes_universal(f_a, u, sign):
-    """The universal cloners [[v,y,y],[y,y,y],[y,y,y]]: every state is
-    cloned with the same fidelity.  v^2 + 8y^2 = 1 and F = v^2 + 2y^2
-    leave no freedom beyond signs."""
-    y2 = (1.0 - f_a) / 6.0
-    v2 = f_a - 2.0 * y2
-    if v2 < 0 or y2 < 0:
-        return None
-    return math.sqrt(v2), sign * math.sqrt(y2)
-
-
-def _amplitudes_2mub(f_a, u, sign):
-    """The two-basis cloners [[v,x,x],[x',y,y],[x',y,y]], searched over
-    (x, x'): v^2 = F - x^2 - x'^2 and y^2 = (1 - F - x^2 - x'^2) / 4."""
-    x, xp = u
-    rr = x * x + xp * xp
-    v2 = f_a - rr
-    y2 = (1.0 - f_a - rr) / 4.0
-    if v2 < 0 or y2 < 0:
-        return None
-    return math.sqrt(v2), x, xp, sign * math.sqrt(y2)
-
-
 PRESETS = {
     "3deb": _phase_covariant("3deb", 3),
+    # the universal cloners [[v,y,y],[y,y,y],[y,y,y]] clone every state
+    # with the same fidelity: v^2 + 8y^2 = 1 and F_A = v^2 + 2y^2 leave
+    # 6y^2 = 1 - F_A, no freedom beyond the sign
     "universal": ProtocolPreset(
-        "universal", 3, ("v", "y"),
-        box=lambda f_a: (),
-        amplitudes=_amplitudes_universal,
+        "universal", 3, ("v", "y"), e=(6,), g=(2,),
         rows=lambda v, y: (coefficient_rows(v, y, y, y),),
         cloner=lambda v, y: ClonerParams(v, y, y, y)),
-    # computational-basis rows first; the Fourier basis swaps x and x'
+    # the two-basis cloners [[v,x,x],[x',y,y],[x',y,y]]: x^2 + x'^2 + 4y^2
+    # = 1 - F_A and v^2 = F_A - x^2 - x'^2; computational-basis rows
+    # first, the Fourier basis swaps x and x'
     "2mub": ProtocolPreset(
-        "2mub", 3, ("v", "x", "xp", "y"),
-        box=lambda f_a: (math.sqrt(max(min(f_a, 1.0 - f_a), 0.0)),) * 2,
-        amplitudes=_amplitudes_2mub,
+        "2mub", 3, ("v", "x", "xp", "y"), e=(1, 1, 4), g=(1, 1, 0),
         rows=lambda v, x, xp, y: (coefficient_rows(v, x, xp, y),
                                   coefficient_rows(v, xp, x, y))),
     "qubit": _phase_covariant("qubit", 2),
@@ -383,22 +369,22 @@ _INFEASIBLE = -1e18
 def _maximize_on(preset: ProtocolPreset, f_a: float, objective):
     """Maximize objective(*amplitudes) over the preset manifold at pinned F_A.
 
-    The overall sign symmetry of the amplitudes is quotiented by keeping
-    v >= 0; the remaining relative sign is the branch label, and the rest
-    is explored by signed search coordinates.  Returns (best, amplitudes),
-    with amplitudes None when no point is feasible.
+    The manifold is the preset's ellipsoid, searched through its angle
+    chart on the box [-pi/2, pi/2]^(k-1) once per sign branch; the seam
+    between the branches is a face of that box.  Returns (best,
+    amplitudes), with amplitudes None when no point is feasible.
     """
-    half = preset.box(f_a)
-    lo, hi = [-h for h in half], list(half)
-    amplitudes = preset.amplitudes
+    n = len(preset.e) - 1
+    lo, hi = [-math.pi / 2] * n, [math.pi / 2] * n
+    chart = preset.chart
     best, best_amps = _INFEASIBLE, None
     for sign in (1.0, -1.0):
         def f(u, sign=sign):
-            amps = amplitudes(f_a, u, sign)
+            amps = chart(f_a, u, sign)
             return _INFEASIBLE if amps is None else objective(*amps)
         fv, u = _maximize_with_restarts(f, lo, hi)
         if fv > best:
-            best, best_amps = fv, amplitudes(f_a, u, sign)
+            best, best_amps = fv, chart(f_a, u, sign)
     return best, best_amps
 
 

@@ -29,9 +29,10 @@ from typing import Union
 
 import numpy as np
 
-from .cloner import ClonerParams, outcome_table, phi_cloner_matrix
+from .cloner import ClonerParams, closed_form_report, outcome_table, phi_cloner_matrix
 from .qudit import (BasisSpec, conjugate_phi_basis_state, max_entangled,
                     optimal_bases, phi_basis_state)
+from .security import _entropy_nats, eve_information
 
 TABLE_TOL = 1e-12
 
@@ -392,12 +393,8 @@ def plugin_mutual_information(counts: np.ndarray, base: float = 2.0) -> float:
     if n == 0:
         return 0.0
     p = counts / n
-
-    def h(q):
-        q = q[q > 0]
-        return float(-(q * np.log(q)).sum())
-
-    nats = h(p.sum(axis=1)) + h(p.sum(axis=0)) - h(p.reshape(-1))
+    nats = (_entropy_nats(p.sum(axis=1).tolist()) + _entropy_nats(p.sum(axis=0).tolist())
+            - _entropy_nats(p.reshape(-1).tolist()))
     return max(nats, 0.0) / math.log(base)
 
 
@@ -485,9 +482,6 @@ def empirical_vs_analytic(config: SimConfig, bootstrap: int = 50) -> ComparisonR
         raise ValueError("comparison requires the cloning-attack channel")
     if config.rounds < 100_000:
         raise ValueError("need at least 1e5 rounds for the comparison")
-
-    from .cloner import closed_form_report
-    from .security import eve_information
 
     params = config.channel.params
     result = run_session(config)

@@ -13,6 +13,7 @@ from qkdlab.cloner import (AmplitudeMatrix, ClonerParams, clone_state,
                            tilde_coefficients)
 from qkdlab.qudit import (DensityMatrix, error_operator, optimal_bases,
                           phi_basis_state)
+from qkdlab.security import PRESETS, preset_fidelity
 
 # rounded published solution of the crossing problem; off the constraint
 # surface by ~2e-5, so analysis functions get the normalized version
@@ -349,6 +350,35 @@ def test_preset_rows_match_fourier_definition(d):
                 (coefficient_rows(v, y, y, y, d), tied_mask(d, v, y, y, y)),
                 (coefficient_rows(v, xp, x, y, d), tied_mask(d, v, x, xp, y))):
             assert np.max(np.abs(definition(mat) - np.array(rows))) <= 1e-12
+
+
+def preset_mask(preset, amps):
+    """The amplitude matrix of a preset's mask at amplitudes in
+    ``free_params`` order."""
+    if preset.name == "2mub":
+        v, x, xp, y = amps
+        return tied_mask(3, v, x, xp, y)
+    if preset.name == "universal":
+        v, y = amps
+        return tied_mask(3, v, y, y, y)
+    v, x, y = amps
+    return tied_mask(preset.dimension, v, x, y, y)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_chart_lands_on_the_fixed_fidelity_surface(name):
+    # every chart point is a normalized cloner of the preset's mask with
+    # receiver fidelity F_A, on both sign branches
+    preset = PRESETS[name]
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        f_a = rng.uniform(0.5, 1.0)
+        angles = list(rng.uniform(-math.pi / 2, math.pi / 2, len(preset.e) - 1))
+        for sign in (1.0, -1.0):
+            amps = preset.chart(f_a, angles, sign)
+            assert abs(np.linalg.norm(preset_mask(preset, amps).a) - 1.0) <= 1e-12
+            values = dict(zip(preset.free_params, amps))
+            assert abs(preset_fidelity(preset, values) - f_a) <= 1e-12
 
 
 def test_eve_joint_identity_cloner():

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from qkdlab.cloner import ClonerParams, closed_form_report
 from qkdlab.security import (CrossingError, _crossing_core, _iab_nats,
-                             _max_iae_at, bob_information, ck_rate_bound,
-                             crossing_point, error_rate_table, eve_information,
+                             _max_iae_at, _maximize_on, bob_information,
+                             ck_rate_bound, crossing_point, error_rate_table,
+                             eve_information,
                              fidelity_from_visibility, info_report,
                              information_sweep, preset_fidelity,
                              preset_information, resolve_preset, PRESETS,
@@ -176,23 +177,83 @@ def test_cloner_params_only_for_the_qutrit_y_eq_z_family():
             crossing_point(preset).cloner_params()
 
 
-def test_inner_maximum_not_beaten_by_random_probes():
-    # along the constraint surface at F*, no parameter choice pushes the
-    # attacker's information above the receiver's by more than 1e-8
-    res = crossing_point("3deb", base="e")
-    f_star = res.f_a_star
-    i_ab = res.i_ab
+def _cartesian_probes(preset, f_a, rng, n=300):
+    """Feasible amplitude assignments at pinned F_A, drawn in the Cartesian
+    coordinates of each mask (independent of the search chart), including
+    points with y = 0 where the sign branches of y meet."""
+    def root(q):
+        return math.sqrt(max(q, 0.0))
+
+    probes = []
+    if preset in ("3deb", "qubit"):
+        k = PRESETS[preset].dimension - 1
+        ym = math.sqrt(min(f_a / k, (1 - f_a) / k ** 2))
+        for y in [0.0, ym, -ym, *rng.uniform(-ym, ym, n)]:
+            for s in (-1.0, 1.0):
+                probes.append({"v": root(f_a - k * y * y),
+                               "x": s * root((1 - f_a - k * k * y * y) / k), "y": y})
+    elif preset == "universal":
+        for s in (-1.0, 1.0):
+            probes.append({"v": root(f_a - (1 - f_a) / 3), "y": s * root((1 - f_a) / 6)})
+    else:
+        h = math.sqrt(min(f_a, 1 - f_a))
+        points = list(rng.uniform(-h, h, (n, 2)))
+        if f_a >= 0.5:  # y = 0 on the circle x^2 + x'^2 = 1 - F
+            r = math.sqrt(1 - f_a)
+            points += [(r * math.cos(t), r * math.sin(t))
+                       for t in np.linspace(-math.pi, math.pi, 41)]
+        for x, xp in points:
+            rr = x * x + xp * xp
+            if rr <= min(f_a, 1 - f_a + 1e-15):
+                for s in (-1.0, 1.0):
+                    probes.append({"v": root(f_a - rr), "x": x, "xp": xp,
+                                   "y": s * root((1 - f_a - rr) / 4)})
+    return probes
+
+
+@pytest.mark.parametrize("preset,f_a", [
+    ("3deb", 0.5), ("3deb", 0.7752755323), ("3deb", 0.95),
+    ("universal", 0.5), ("universal", 0.7732860898), ("universal", 0.95),
+    ("2mub", 0.45), ("2mub", 0.7886751346), ("2mub", 0.92),
+    ("qubit", 0.6), ("qubit", 0.8535533906), ("qubit", 0.95),
+])
+def test_inner_maximum_not_beaten_by_random_probes(preset, f_a):
+    # the angle chart reaches every feasible point: no probe of the mask at
+    # pinned F_A beats the inner maximum
+    best, _ = _max_iae_at(PRESETS[preset], f_a)
     rng = np.random.default_rng(77)
-    ym = math.sqrt(min(f_star / 2, (1 - f_star) / 4))
-    for _ in range(300):
-        y = rng.uniform(-ym, ym)
-        s = rng.choice((-1.0, 1.0))
-        v = math.sqrt(f_star - 2 * y * y)
-        x = s * math.sqrt((1 - f_star - 4 * y * y) / 2)
-        vals = {"v": v, "x": x, "y": y}
-        assert preset_fidelity("3deb", vals) <= f_star + 1e-12
-        i_ae = preset_information("3deb", vals, base="e")[1]
-        assert i_ae <= i_ab + 1e-8
+    probes = _cartesian_probes(preset, f_a, rng)
+    assert len(probes) >= 2
+    for vals in probes:
+        assert abs(preset_fidelity(preset, vals) - f_a) <= 1e-12
+        assert preset_information(preset, vals, base="e")[1] <= best + 1e-12, vals
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_chart_reaches_both_ends_of_every_axis(name):
+    # at F >= 1/2 every point of the ellipsoid sum e_i a_i^2 = 1 - F is
+    # feasible, so maximizing +-a_i must reach sqrt((1 - F) / e_i)
+    preset = PRESETS[name]
+    f_a = 0.8
+    for i, e in enumerate(preset.e, start=1):
+        for direction in (1.0, -1.0):
+            best, _ = _maximize_on(preset, f_a, lambda *amps: direction * amps[i])
+            assert abs(best - math.sqrt((1 - f_a) / e)) <= 1e-12, (i, direction)
+
+
+@pytest.mark.parametrize("f_a,x,xp", [
+    (0.90, math.sqrt(0.05), math.sqrt(0.05)),
+    (0.92, math.sqrt(0.04), math.sqrt(0.04)),
+    (0.95, 0.0, math.sqrt(0.05)),
+], ids=["0.90", "0.92", "0.95"])
+def test_2mub_inner_maximum_reaches_the_boundary(f_a, x, xp):
+    # above F ~ 0.89 the 2mub optimum lies on y = 0, where the two sign
+    # branches of y meet; a search that cannot follow the circle
+    # x^2 + x'^2 = 1 - F falls short there and overstates security
+    vals = {"v": math.sqrt(f_a - x * x - xp * xp), "x": x, "xp": xp, "y": 0.0}
+    boundary = preset_information("2mub", vals, base="e")[1]
+    best, _ = _max_iae_at(PRESETS["2mub"], f_a)
+    assert abs(best - boundary) <= 1e-12
 
 
 def test_unknown_preset_rejected():
