@@ -45,9 +45,15 @@ agreement.
 The crossing solver follows a two-level strategy: an outer scalar
 root-find on F_A of g(F) = [max I_AE over the constraint surface at fixed
 F] - I_AB(F), with the inner maximization done by a deterministic
-derivative-free pattern search from 16 fixed-seed restarts.  The crossing
-condition is invariant under the choice of log base, so the base only
-affects reported information values.
+derivative-free pattern search from 16 fixed-seed restarts on each sign
+branch.  The 32 searches run in lockstep (``_pattern_search``): every
+compass move evaluates the objective once, on the stacked candidates of
+the searches still active, so the chart, the coefficient rows and the
+entropy helper all take arrays of points.  Each search still makes the
+moves it would make alone, and every lane of a batch is bit-equal to its
+point evaluated on its own.  The crossing condition is invariant under
+the choice of log base, so the base only affects reported information
+values.
 """
 
 from __future__ import annotations
@@ -67,7 +73,9 @@ LOG3 = math.log(3.0)
 RESIDUAL_TOL = 1e-8
 PARAM_TOL = 1e-9
 N_RESTARTS = 16
+_COARSE_TOL = 1e-5
 _RESTART_SEED = 0x3DEB
+_INFEASIBLE = -1e18
 
 #: Published reference values the computed results are compared against.
 REFERENCE_ERROR_RATES = {
@@ -116,14 +124,23 @@ def shannon_entropy(p, base=2) -> float:
         total += pi
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
-    return _entropy_nats(p) / lb
+    return float(_entropy_nats(p)) / lb
 
 
-def _entropy_nats(ps) -> float:
+def _entropy_nats(ps):
+    """-sum_i p_i log(p_i) in nats over the leading axis of ``ps``.
+
+    Terms are added in index order and entries at or below 1e-15
+    contribute nothing, so a stack of distributions ps[i, ...] gives one
+    entropy per trailing index, each equal to that distribution's alone.
+    """
+    p = np.asarray(ps, dtype=float)
+    live = p > 1e-15
+    terms = np.log(p, out=np.zeros(p.shape), where=live)
+    np.multiply(terms, p, out=terms, where=live)
     acc = 0.0
-    for p in ps:
-        if p > 1e-15:
-            acc -= p * math.log(p)
+    for t in terms:
+        acc = acc - t
     return acc
 
 
@@ -134,25 +151,37 @@ def bob_information(f_a: float, base=2) -> float:
     return _iab_nats(f_a, 3) / _log_of_base(base)
 
 
-def _iab_iae_rows(rows, dim: int) -> tuple[float, float]:
-    """(I_AB, I_AE) in nats from coefficient rows c[m, :].
+def _iab_iae_rows(rows, dim: int):
+    """(I_AB, I_AE) in nats from coefficient rows c[m, j].
 
     P(error = m) = sum_j c[m,j]^2 / dim; conditionally on m the offset
     between the attacker's clone outcome and the sender's symbol is
-    distributed as c[m,j]^2 / (dim P(m)).
+    distributed as c[m,j]^2 / (dim P(m)).  Axes after m and j are a batch
+    (protocol bases, points): the result holds one (I_AB, I_AE) per batch
+    index, each bit-equal to that index's alone, as every sum runs in
+    index order and rows of weight <= 1e-15 add exactly 0.
     """
     logd = math.log(dim)
-    weights = [sum(c * c for c in row) / dim for row in rows]
-    i_ab = logd - _entropy_nats(weights)
+    c2 = np.square(np.asarray(rows, dtype=float))
+    w = c2[:, 0]
+    for j in range(1, dim):
+        w = w + c2[:, j]
+    w = w / dim
+    live = w > 1e-15
+    cond = c2 / np.where(live, dim * w, 1.0)[:, None]
+    s = cond[:, 0]
+    for j in range(1, dim):
+        s = s + cond[:, j]
+    bad = live & (np.abs(s - 1.0) > 1e-9)
+    if np.count_nonzero(bad):
+        raise ValueError(f"conditional distribution sums to {float(s[bad][0])!r}")
+    # one entropy call: h[0] is H(w), h[1 + m] is H(cond[m, :])
+    h = _entropy_nats(np.concatenate((w[:, None], cond.swapaxes(0, 1)), axis=1))
+    terms = np.where(live, w * (logd - h[1:]), 0.0)
     i_ae = 0.0
-    for w, row in zip(weights, rows):
-        if w > 1e-15:
-            cond = [c * c / (dim * w) for c in row]
-            s = sum(cond)
-            if abs(s - 1.0) > 1e-9:
-                raise ValueError(f"conditional distribution sums to {s!r}")
-            i_ae += w * (logd - _entropy_nats(cond))
-    return i_ab, i_ae
+    for t in terms:
+        i_ae = i_ae + t
+    return logd - h[0], i_ae
 
 
 def eve_information(params: ClonerParams, base=2) -> float:
@@ -166,7 +195,7 @@ def eve_information(params: ClonerParams, base=2) -> float:
     params.require_normalized()
     params.require_symmetric()
     _, i_ae = _iab_iae_rows(coefficient_rows(params.v, params.y, params.x, params.y), 3)
-    return i_ae / _log_of_base(base)
+    return float(i_ae) / _log_of_base(base)
 
 
 def ck_rate_bound(i_ab: float, i_ae: float, i_be: float) -> float:
@@ -206,26 +235,32 @@ class ProtocolPreset:
     def amplitudes_of(self, values: dict[str, float]) -> tuple[float, ...]:
         return tuple(values[p] for p in self.free_params)
 
-    def chart(self, f_a: float, angles, sign: float) -> tuple[float, ...] | None:
-        """The amplitudes (v, a_1, ..., a_k) at pinned F_A, or ``None``
-        where v^2 < 0.
+    def chart(self, f_a: float, angles, signs):
+        """The amplitudes (v, a_1, ..., a_k) at pinned F_A, one array each.
 
-        a_i = sqrt((1 - F_A) / e_i) s_i, with s the hyperspherical unit
-        vector s_1 = sign cos t_1, s_2 = sin t_1 cos t_2, ...,
-        s_k = sin t_1 ... sin t_{k-1}.  With every angle in [-pi/2, pi/2]
-        the two signs cover the ellipsoid, and they meet on the faces
-        t_1 = +-pi/2 of that box.
+        ``angles`` has shape (K, k - 1) and ``signs`` shape (K,), or
+        (k - 1,) and a scalar for one point; each amplitude then has shape
+        (K,), or is 0-d.  a_i = sqrt((1 - F_A) / e_i) s_i, with s the
+        hyperspherical unit vector s_1 = sign cos t_1,
+        s_2 = sin t_1 cos t_2, ..., s_k = sin t_1 ... sin t_{k-1}.  With
+        every angle in [-pi/2, pi/2] the two signs cover the ellipsoid, and
+        they meet on the faces t_1 = +-pi/2 of that box.  Where v^2 < 0 the
+        point is infeasible and v is ``_INFEASIBLE``.
         """
-        amps, v2, r = [], f_a, 1.0
-        for e, g, t in zip(self.e, self.g, (*angles, 0.0)):
-            a = math.sqrt((1.0 - f_a) / e) * r * math.cos(t)
-            r *= math.sin(t)
-            v2 -= g * a * a
+        angles = np.asarray(angles, dtype=float)
+        cos, sin = np.cos(angles), np.sin(angles)
+        # r starts with the batch shape, so that amplitudes have it even
+        # with no angle at all (universal)
+        amps, v2, r = [], f_a, np.ones(np.shape(signs))
+        for i, (e, g) in enumerate(zip(self.e, self.g)):
+            a = math.sqrt((1.0 - f_a) / e) * r
+            if i < angles.shape[-1]:
+                a, r = a * cos[..., i], r * sin[..., i]
+            if g:
+                v2 = v2 - g * a * a
             amps.append(a)
-        if v2 < 0:
-            return None
-        amps[0] *= sign
-        return (math.sqrt(v2), *amps)
+        amps[0] = amps[0] * signs
+        return (np.where(v2 < 0, _INFEASIBLE, np.sqrt(np.maximum(v2, 0.0))), *amps)
 
 
 def _phase_covariant(name: str, d: int) -> ProtocolPreset:
@@ -277,11 +312,12 @@ def resolve_preset(name: str | ProtocolPreset) -> ProtocolPreset:
                          f"choose from {sorted(PRESETS)}") from None
 
 
-def _mean_information(preset: ProtocolPreset, amps) -> tuple[float, float]:
-    """(I_AB, I_AE) in nats, averaged over the preset's protocol bases."""
-    pairs = [_iab_iae_rows(rows, preset.dimension) for rows in preset.rows(*amps)]
-    return (sum(i_ab for i_ab, _ in pairs) / len(pairs),
-            sum(i_ae for _, i_ae in pairs) / len(pairs))
+def _mean_information(preset: ProtocolPreset, amps):
+    """(I_AB, I_AE) in nats, averaged over the preset's protocol bases;
+    the amplitudes may be arrays of points."""
+    rowsets = np.asarray(preset.rows(*amps), dtype=float)  # [basis, m, j, ...]
+    i_ab, i_ae = _iab_iae_rows(rowsets.swapaxes(0, 1).swapaxes(1, 2), preset.dimension)
+    return sum(i_ab) / len(i_ab), sum(i_ae) / len(i_ae)
 
 
 def preset_information(preset, values: dict[str, float], base=2) -> tuple[float, float]:
@@ -293,7 +329,7 @@ def preset_information(preset, values: dict[str, float], base=2) -> tuple[float,
     preset = resolve_preset(preset)
     lb = _log_of_base(base)
     i_ab, i_ae = _mean_information(preset, preset.amplitudes_of(values))
-    return i_ab / lb, i_ae / lb
+    return float(i_ab) / lb, float(i_ae) / lb
 
 
 def preset_fidelity(preset, values: dict[str, float]) -> float:
@@ -310,28 +346,41 @@ def preset_fidelity(preset, values: dict[str, float]) -> float:
 
 
 def _pattern_search(f, lo, hi, x0, tol=PARAM_TOL, initial_step=None, max_sweeps=10_000):
-    """Maximize f over a box by compass search with step halving."""
-    ndim = len(lo)
-    x = [min(max(x0[i], lo[i]), hi[i]) for i in range(ndim)]
-    fx = f(x)
-    steps = [initial_step or (hi[i] - lo[i]) / 4.0 for i in range(ndim)]
+    """Maximize over a box by compass search with step halving, K searches
+    in lockstep.
+
+    ``x0`` is a (K, n) array of starting points and ``lo``, ``hi`` the box
+    corners, shape (n,).  ``f(u, k)`` returns the objective, shape (m,),
+    of searches ``k`` (an index array of length m) at the points ``u``,
+    shape (m, n).  At each (coordinate, +-step) move the searches still
+    active are evaluated together; each one accepts a strictly better
+    point, halves its own steps after a sweep with no gain and stops once
+    its steps are within ``tol``, so it makes the moves it would make
+    alone.  Returns the values (K,) and the points (K, n).
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    x = np.minimum(np.maximum(np.array(x0, dtype=float), lo), hi)
+    fx = f(x, np.arange(len(x)))
+    steps = np.zeros_like(x) + (initial_step or (hi - lo) / 4.0)
     for _ in range(max_sweeps):
-        if max(steps) <= tol:
+        active = steps.max(axis=1) > tol
+        if not np.count_nonzero(active):
             break
-        improved = False
-        for i in range(ndim):
-            for d in (steps[i], -steps[i]):
-                xi = min(max(x[i] + d, lo[i]), hi[i])
-                if xi == x[i]:
+        improved = np.zeros(len(x), dtype=bool)
+        for i in range(x.shape[1]):
+            for d in (steps[:, i], -steps[:, i]):
+                xi = np.minimum(np.maximum(x[:, i] + d, lo[i]), hi[i])
+                k = (active & (xi != x[:, i])).nonzero()[0]
+                if k.size == 0:
                     continue
-                cand = list(x)
-                cand[i] = xi
-                fc = f(cand)
-                if fc > fx:
-                    x, fx = cand, fc
-                    improved = True
-        if not improved:
-            steps = [s / 2.0 for s in steps]
+                cand = x[k]
+                cand[:, i] = xi[k]
+                fc = f(cand, k)
+                up = fc > fx[k]
+                if np.count_nonzero(up):
+                    k, cand, fc = k[up], cand[up], fc[up]
+                    x[k], fx[k], improved[k] = cand, fc, True
+        steps[active & ~improved] /= 2.0
     return fx, x
 
 
@@ -346,67 +395,65 @@ def _restart_points(lo, hi, n_restarts: int) -> list[list[float]]:
     return pts
 
 
-def _maximize_with_restarts(f, lo, hi, n_restarts=N_RESTARTS, coarse_tol=1e-5):
-    """Restarts locate the basin at coarse tolerance; the best point is then
-    polished down to the full parameter tolerance."""
-    if all(h - l <= 0 for l, h in zip(lo, hi)):
-        x = list(lo)
-        return f(x), x
-    results = [_pattern_search(f, lo, hi, x0, tol=coarse_tol)
-               for x0 in _restart_points(lo, hi, n_restarts)]
-    best_f, best_x = results[0]
-    for fv, xv in results[1:]:  # strict > keeps the lowest restart index on ties
-        if fv > best_f:
-            best_f, best_x = fv, xv
-    fp, xp_ = _pattern_search(f, lo, hi, best_x, tol=PARAM_TOL,
-                              initial_step=100 * coarse_tol)
-    return (fp, xp_) if fp >= best_f else (best_f, best_x)
-
-
-_INFEASIBLE = -1e18
+def _charted(preset: ProtocolPreset, f_a: float, objective):
+    """``objective`` as a function of chart points at pinned F_A: it maps
+    angles (K, n) and signs (K,) to the K values, ``_INFEASIBLE`` where
+    v^2 < 0."""
+    def f(angles, signs):
+        amps = preset.chart(f_a, angles, signs)
+        return np.where(amps[0] == _INFEASIBLE, _INFEASIBLE, objective(*amps))
+    return f
 
 
 def _maximize_on(preset: ProtocolPreset, f_a: float, objective):
     """Maximize objective(*amplitudes) over the preset manifold at pinned F_A.
 
     The manifold is the preset's ellipsoid, searched through its angle
-    chart on the box [-pi/2, pi/2]^(k-1) once per sign branch; the seam
-    between the branches is a face of that box.  Returns (best,
-    amplitudes), with amplitudes None when no point is feasible.
+    chart on the box [-pi/2, pi/2]^(k-1) on both sign branches; the seam
+    between the branches is a face of that box.  ``objective`` takes one
+    amplitude array per free parameter, shape (K,), and returns the K
+    values as an array.  The 16 restarts of both branches run as one
+    lockstep batch of 32 searches to ``_COARSE_TOL``; each branch's best
+    restart (the lowest index among equals) is then polished from step
+    100 * ``_COARSE_TOL`` down to ``PARAM_TOL``, the two polishes again in
+    lockstep.  Returns (best, amplitudes), with amplitudes None when no
+    point is feasible.
     """
     n = len(preset.e) - 1
     lo, hi = [-math.pi / 2] * n, [math.pi / 2] * n
-    chart = preset.chart
+    branches = np.array([1.0, -1.0])
+    f = _charted(preset, f_a, objective)
+    if n == 0:
+        u = np.empty((2, 0))
+        fv = f(u, branches)
+    else:
+        signs = np.repeat(branches, N_RESTARTS)
+        fc, uc = _pattern_search(lambda u, k: f(u, signs[k]), lo, hi,
+                                 np.tile(_restart_points(lo, hi, N_RESTARTS), (2, 1)),
+                                 tol=_COARSE_TOL)
+        win = fc.reshape(2, N_RESTARTS).argmax(axis=1) + [0, N_RESTARTS]
+        fp, up = _pattern_search(lambda u, k: f(u, branches[k]), lo, hi, uc[win],
+                                 tol=PARAM_TOL, initial_step=100 * _COARSE_TOL)
+        keep = fp >= fc[win]
+        fv, u = np.where(keep, fp, fc[win]), np.where(keep[:, None], up, uc[win])
     best, best_amps = _INFEASIBLE, None
-    for sign in (1.0, -1.0):
-        def f(u, sign=sign):
-            amps = chart(f_a, u, sign)
-            return _INFEASIBLE if amps is None else objective(*amps)
-        fv, u = _maximize_with_restarts(f, lo, hi)
-        if fv > best:
-            best, best_amps = fv, chart(f_a, u, sign)
+    for sign, fs, us in zip(branches, fv, u):
+        if fs > best:
+            best = float(fs)
+            best_amps = tuple(float(a) for a in preset.chart(f_a, us, sign))
     return best, best_amps
 
 
 def _max_iae_at(preset: ProtocolPreset, f_a: float) -> tuple[float, dict[str, float]]:
     """Maximize I_AE (nats), averaged over the protocol bases, with the
     fidelity pinned; returns the maximum and its parameter assignment."""
-    rows, d = preset.rows, preset.dimension
-
-    def i_ae(*amps):
-        rowsets = rows(*amps)
-        total = 0.0
-        for r in rowsets:
-            total += _iab_iae_rows(r, d)[1]
-        return total / len(rowsets)
-
-    best, amps = _maximize_on(preset, f_a, i_ae)
+    best, amps = _maximize_on(preset, f_a, lambda *amps: _mean_information(preset, amps)[1])
     return best, ({} if amps is None else dict(zip(preset.free_params, amps)))
 
 
 def _iab_nats(f_a: float, dim: int) -> float:
     e = (1.0 - f_a) / (dim - 1)
-    return math.log(dim) - _entropy_nats([f_a] + [e] * (dim - 1))
+    return math.log(dim) - float(_entropy_nats([f_a] + [e] * (dim - 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -393,8 +393,8 @@ def plugin_mutual_information(counts: np.ndarray, base: float = 2.0) -> float:
     if n == 0:
         return 0.0
     p = counts / n
-    nats = (_entropy_nats(p.sum(axis=1).tolist()) + _entropy_nats(p.sum(axis=0).tolist())
-            - _entropy_nats(p.reshape(-1).tolist()))
+    nats = float(_entropy_nats(p.sum(axis=1)) + _entropy_nats(p.sum(axis=0))
+                 - _entropy_nats(p.reshape(-1)))
     return max(nats, 0.0) / math.log(base)
 
 

@@ -538,16 +538,9 @@ def test_sweep_error_contract(preset, points, start, stop):
                                   f"--start={start!r}", f"--stop={stop!r}"])
 
 
-def _cold_2mub_solve(name):
-    try:
-        return security.resolve_preset(name).name == "2mub"
-    except ValueError:
-        return False
-
-
 @_CONTRACT
 @given(preset=st.one_of(_TEXT, st.sampled_from(["3deb", "3DEB", "universal", "12-State",
-                                                "qubit", "EKERT91"]))
-       .filter(lambda name: not _cold_2mub_solve(name)))
+                                                "2mub", "3D-BB84", "3d-bb84",
+                                                "qubit", "EKERT91"])))
 def test_crossing_error_contract(preset):
     assert_contract(CliRunner(), ["crossing", f"--preset={preset}", "--no-timestamp"])

@@ -1,13 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdlab.cloner import ClonerParams, closed_form_report
-from qkdlab.security import (CrossingError, _crossing_core, _iab_nats,
-                             _max_iae_at, _maximize_on, bob_information,
+from qkdlab.cloner import ClonerParams, closed_form_report, coefficient_rows
+from qkdlab.security import (CrossingError, _INFEASIBLE, _charted, _crossing_core,
+                             _entropy_nats, _iab_iae_rows, _iab_nats, _max_iae_at,
+                             _maximize_on, _mean_information, _pattern_search,
+                             _restart_points, bob_information,
                              ck_rate_bound, crossing_point, error_rate_table,
                              eve_information,
                              fidelity_from_visibility, info_report,
@@ -400,3 +403,157 @@ def test_iab_nats_matches_entropy():
     f = 0.77
     expected = math.log(3) - shannon_entropy((f, (1 - f) / 2, (1 - f) / 2), base="e")
     assert abs(_iab_nats(f, 3) - expected) <= 1e-12
+
+
+# --- lockstep search against the scalar search it replaced ---------------------
+
+
+def _scalar_pattern_search(f, lo, hi, x0, tol=1e-9, initial_step=None, max_sweeps=10_000):
+    """The one-search-at-a-time compass search, kept as the reference."""
+    ndim = len(lo)
+    x = [min(max(x0[i], lo[i]), hi[i]) for i in range(ndim)]
+    fx = f(x)
+    steps = [initial_step or (hi[i] - lo[i]) / 4.0 for i in range(ndim)]
+    for _ in range(max_sweeps):
+        if max(steps) <= tol:
+            break
+        improved = False
+        for i in range(ndim):
+            for d in (steps[i], -steps[i]):
+                xi = min(max(x[i] + d, lo[i]), hi[i])
+                if xi == x[i]:
+                    continue
+                cand = list(x)
+                cand[i] = xi
+                fc = f(cand)
+                if fc > fx:
+                    x, fx = cand, fc
+                    improved = True
+        if not improved:
+            steps = [s / 2.0 for s in steps]
+    return fx, x
+
+
+def _scalar_maximize_with_restarts(f, lo, hi, n_restarts=16, coarse_tol=1e-5):
+    if all(h - l <= 0 for l, h in zip(lo, hi)):
+        x = list(lo)
+        return f(x), x
+    results = [_scalar_pattern_search(f, lo, hi, x0, tol=coarse_tol)
+               for x0 in _restart_points(lo, hi, n_restarts)]
+    best_f, best_x = results[0]
+    for fv, xv in results[1:]:  # strict > keeps the lowest restart index on ties
+        if fv > best_f:
+            best_f, best_x = fv, xv
+    fp, xp_ = _scalar_pattern_search(f, lo, hi, best_x, tol=1e-9,
+                                     initial_step=100 * coarse_tol)
+    return (fp, xp_) if fp >= best_f else (best_f, best_x)
+
+
+def _scalar_maximize_on(preset, f_a, objective):
+    """One sign branch after the other, one point per objective call."""
+    n = len(preset.e) - 1
+    lo, hi = [-math.pi / 2] * n, [math.pi / 2] * n
+    best, best_amps = _INFEASIBLE, None
+    for sign in (1.0, -1.0):
+        def f(u, sign=sign):
+            amps = preset.chart(f_a, u, sign)
+            return _INFEASIBLE if amps[0] == _INFEASIBLE else float(objective(*amps))
+        fv, u = _scalar_maximize_with_restarts(f, lo, hi)
+        if fv > best:
+            best, best_amps = fv, tuple(float(a) for a in preset.chart(f_a, u, sign))
+    return best, best_amps
+
+
+@pytest.mark.parametrize("name,f_a", [
+    *[("3deb", f) for f in (1 / 3 + 1e-9, 0.5, 0.7, 0.7752755323, 0.85, 0.9, 0.95,
+                            1 - 1e-9)],
+    *[("2mub", f) for f in (1 / 3 + 1e-9, 0.45, 0.6, 0.7886751346, 0.85, 0.889, 0.92,
+                            1 - 1e-9)],
+    *[("qubit", f) for f in (0.5 + 1e-9, 0.6, 0.7, 0.8, 0.8535533906, 0.9, 0.95,
+                             1 - 1e-9)],
+])
+def test_lockstep_inner_maximum_equals_the_scalar_search(name, f_a):
+    preset = PRESETS[name]
+    best, vals = _max_iae_at(preset, f_a)
+    ref, amps = _scalar_maximize_on(preset, f_a,
+                                    lambda *a: _mean_information(preset, a)[1])
+    assert best == ref
+    assert vals == dict(zip(preset.free_params, amps))
+
+
+def _plateaus(u):
+    # piecewise constant in u_0 (moves inside a step tie and are refused),
+    # smooth in u_1; both maxima of +-g lie on faces of the box [-1, 1]^2
+    return np.floor(3.0 * u[..., 0]) / 3.0 + np.sin(2.0 * u[..., -1])
+
+
+@pytest.mark.parametrize("k", [1, 2, 32])
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("tol,initial_step", [(1e-5, None), (1e-9, 1e-3)])
+def test_lockstep_pattern_search_moves_as_each_search_alone(k, ndim, tol, initial_step):
+    rng = np.random.default_rng(5)
+    lo, hi = [-1.0] * ndim, [1.0] * ndim
+    x0 = rng.uniform(-1.2, 1.2, (k, ndim))  # some starts outside the box
+    x0[3::3] = 0.5  # searches tied from the start
+    x0[0] = 0.9995  # one step from the face u_0 = 1, where +g is largest
+    weight = np.where(np.arange(k) % 2 == 0, 1.0, -1.0)
+    fx, x = _pattern_search(lambda u, idx: weight[idx] * _plateaus(u), lo, hi, x0,
+                            tol=tol, initial_step=initial_step)
+    assert fx.shape == (k,) and x.shape == (k, ndim)
+    for j in range(k):
+        ref_f, ref_x = _scalar_pattern_search(
+            lambda u: float(weight[j] * _plateaus(np.array(u))), lo, hi, list(x0[j]),
+            tol=tol, initial_step=initial_step)
+        assert fx[j] == ref_f and list(x[j]) == ref_x, j
+    assert x[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_lockstep_restart_ties_keep_the_lowest_restart(name):
+    # a step function of the amplitudes: many restarts tie, and the first
+    # among equals must win as in the scalar search
+    preset = PRESETS[name]
+    f_a = 0.8
+    scale = math.sqrt((1 - f_a) / preset.e[-1])
+
+    def steps(*amps):
+        return np.floor(4.0 * amps[-1] / scale) + np.floor(2.0 * amps[1] / scale)
+
+    best, amps = _maximize_on(preset, f_a, steps)
+    assert (best, amps) == _scalar_maximize_on(preset, f_a, steps)
+
+
+def test_batched_objective_lanes_equal_each_point_alone():
+    # live points, F_A = 1 points (x = x' = y = 0: rows of weight 0) and
+    # infeasible chart points (v^2 < 0 below F_A = 1/2) in one stack
+    preset = PRESETS["2mub"]
+    rng = np.random.default_rng(11)
+    angles = rng.uniform(-math.pi / 2, math.pi / 2, (6, 2))
+    angles[:2] = 0.0  # x = sqrt(1 - F): infeasible at F = 0.3
+    signs = np.where(np.arange(6) % 2 == 0, 1.0, -1.0)
+    stacks = [preset.chart(f, angles, signs) for f in (0.8, 1.0, 0.3)]
+    amps = tuple(np.concatenate(a) for a in zip(*stacks))
+    infeasible = amps[0] == _INFEASIBLE
+    assert infeasible.sum() >= 2 and np.all(amps[0][6:12] == 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        i_ab, i_ae = _mean_information(preset, amps)
+        for lane in range(len(amps[0])):
+            for alone in (tuple(a[lane:lane + 1] for a in amps),
+                          tuple(a[lane] for a in amps)):
+                ab, ae = _mean_information(preset, alone)
+                assert (ab, ae) == (i_ab[lane], i_ae[lane]), lane
+        assert np.all(np.isfinite(i_ab)) and np.all(np.isfinite(i_ae))
+        # at F_A = 1 only row m = 0 is live: the other rows add exactly 0
+        row0 = math.log(3) - float(_entropy_nats([1 / 3] * 3))
+        assert np.all(i_ae[6:12] == row0) and np.all(i_ab[6:12] == math.log(3))
+        # rows of weight in (0, 1e-15] add exactly what empty rows add
+        tiny = coefficient_rows(0.8, 0.2, 1e-8, 1e-8)
+        empty = coefficient_rows(0.8, 0.2, 0.0, 0.0)
+        pair = _iab_iae_rows(np.stack([tiny, empty], axis=-1), 3)
+        assert 0.0 < sum(c * c for c in tiny[1]) <= 1e-15
+        assert pair[0][0] == pair[0][1] and pair[1][0] == pair[1][1]
+        values = _charted(preset, 0.3, lambda *a: _mean_information(preset, a)[1])(
+            angles, signs)
+        assert np.all(values[infeasible[12:]] == _INFEASIBLE)
+        assert np.all(values[~infeasible[12:]] == i_ae[12:][~infeasible[12:]])
