@@ -46,14 +46,20 @@ The crossing solver follows a two-level strategy: an outer scalar
 root-find on F_A of g(F) = [max I_AE over the constraint surface at fixed
 F] - I_AB(F), with the inner maximization done by a deterministic
 derivative-free pattern search from 16 fixed-seed restarts on each sign
-branch.  The 32 searches run in lockstep (``_pattern_search``): every
+branch.  The searches run in lockstep (``_pattern_search``): every
 compass move evaluates the objective once, on the stacked candidates of
 the searches still active, so the chart, the coefficient rows and the
-entropy helper all take arrays of points.  Each search still makes the
-moves it would make alone, and every lane of a batch is bit-equal to its
-point evaluated on its own.  The crossing condition is invariant under
-the choice of log base, so the base only affects reported information
-values.
+entropy helper all take arrays of points.  One batch may hold several
+fidelities, laid out fidelity x sign x restart with each lane carrying
+its own F_A; ``_maximize_on`` takes one fidelity or an array of them and
+searches at most ``_FIDELITY_BLOCK`` fidelities per batch, so the
+13-point bracket grid of the crossing solver is one batch and a sweep's
+memory does not grow with its length.  Brent's steps and the symmetric
+point are sequential and use the one-fidelity form.  Each search still
+makes the moves it would make alone, and every lane of a batch is
+bit-equal to its point evaluated on its own.  The crossing condition is
+invariant under the choice of log base, so the base only affects
+reported information values.
 """
 
 from __future__ import annotations
@@ -75,6 +81,9 @@ PARAM_TOL = 1e-9
 N_RESTARTS = 16
 _COARSE_TOL = 1e-5
 _RESTART_SEED = 0x3DEB
+#: fidelities per lockstep batch of the inner maximizer: at least the 13
+#: of the crossing solver's bracket grid, and a bound on a sweep's memory
+_FIDELITY_BLOCK = 32
 _INFEASIBLE = -1e18
 
 #: Published reference values the computed results are compared against.
@@ -235,12 +244,13 @@ class ProtocolPreset:
     def amplitudes_of(self, values: dict[str, float]) -> tuple[float, ...]:
         return tuple(values[p] for p in self.free_params)
 
-    def chart(self, f_a: float, angles, signs):
+    def chart(self, f_a, angles, signs):
         """The amplitudes (v, a_1, ..., a_k) at pinned F_A, one array each.
 
         ``angles`` has shape (K, k - 1) and ``signs`` shape (K,), or
         (k - 1,) and a scalar for one point; each amplitude then has shape
-        (K,), or is 0-d.  a_i = sqrt((1 - F_A) / e_i) s_i, with s the
+        (K,), or is 0-d.  ``f_a`` is one fidelity for every point or one
+        per point, shape (K,).  a_i = sqrt((1 - F_A) / e_i) s_i, with s the
         hyperspherical unit vector s_1 = sign cos t_1,
         s_2 = sin t_1 cos t_2, ..., s_k = sin t_1 ... sin t_{k-1}.  With
         every angle in [-pi/2, pi/2] the two signs cover the ellipsoid, and
@@ -252,8 +262,9 @@ class ProtocolPreset:
         # r starts with the batch shape, so that amplitudes have it even
         # with no angle at all (universal)
         amps, v2, r = [], f_a, np.ones(np.shape(signs))
-        for i, (e, g) in enumerate(zip(self.e, self.g)):
-            a = math.sqrt((1.0 - f_a) / e) * r
+        radii = np.sqrt(np.divide.outer(1.0 - np.asarray(f_a), self.e))
+        for i, g in enumerate(self.g):
+            a = radii[..., i] * r
             if i < angles.shape[-1]:
                 a, r = a * cos[..., i], r * sin[..., i]
             if g:
@@ -395,60 +406,84 @@ def _restart_points(lo, hi, n_restarts: int) -> list[list[float]]:
     return pts
 
 
-def _charted(preset: ProtocolPreset, f_a: float, objective):
-    """``objective`` as a function of chart points at pinned F_A: it maps
-    angles (K, n) and signs (K,) to the K values, ``_INFEASIBLE`` where
-    v^2 < 0."""
+def _charted(preset: ProtocolPreset, f_a, objective):
+    """``objective`` as a function of chart points at pinned F_A (one value,
+    or one per point): it maps angles (K, n) and signs (K,) to the K
+    values, ``_INFEASIBLE`` where v^2 < 0."""
     def f(angles, signs):
         amps = preset.chart(f_a, angles, signs)
         return np.where(amps[0] == _INFEASIBLE, _INFEASIBLE, objective(*amps))
     return f
 
 
-def _maximize_on(preset: ProtocolPreset, f_a: float, objective):
+def _maximize_on(preset: ProtocolPreset, f_a, objective):
     """Maximize objective(*amplitudes) over the preset manifold at pinned F_A.
 
     The manifold is the preset's ellipsoid, searched through its angle
     chart on the box [-pi/2, pi/2]^(k-1) on both sign branches; the seam
     between the branches is a face of that box.  ``objective`` takes one
     amplitude array per free parameter, shape (K,), and returns the K
-    values as an array.  The 16 restarts of both branches run as one
-    lockstep batch of 32 searches to ``_COARSE_TOL``; each branch's best
-    restart (the lowest index among equals) is then polished from step
-    100 * ``_COARSE_TOL`` down to ``PARAM_TOL``, the two polishes again in
-    lockstep.  Returns (best, amplitudes), with amplitudes None when no
-    point is feasible.
+    values as an array.
+
+    ``f_a`` is one fidelity, or a 1-D array of them searched together in
+    blocks of at most ``_FIDELITY_BLOCK``.  For the M fidelities of a
+    block, the 16 restarts of both branches run as one lockstep batch of
+    M x 2 x 16 searches (lane (m * 2 + s) * 16 + r: fidelity m, sign s,
+    restart r) to ``_COARSE_TOL``.  Each (fidelity, sign) pair's best
+    restart, the lowest index among equals, is then polished from step
+    100 * ``_COARSE_TOL`` down to ``PARAM_TOL``, the M x 2 polishes again
+    in lockstep.  Each lane carries its own F_A and sign and makes the
+    moves it would make alone.  Returns (best, amplitudes) for one
+    fidelity, with amplitudes None when no point is feasible, and a list
+    of such pairs for an array.
     """
     n = len(preset.e) - 1
     lo, hi = [-math.pi / 2] * n, [math.pi / 2] * n
     branches = np.array([1.0, -1.0])
-    f = _charted(preset, f_a, objective)
-    if n == 0:
-        u = np.empty((2, 0))
-        fv = f(u, branches)
-    else:
-        signs = np.repeat(branches, N_RESTARTS)
-        fc, uc = _pattern_search(lambda u, k: f(u, signs[k]), lo, hi,
-                                 np.tile(_restart_points(lo, hi, N_RESTARTS), (2, 1)),
-                                 tol=_COARSE_TOL)
-        win = fc.reshape(2, N_RESTARTS).argmax(axis=1) + [0, N_RESTARTS]
-        fp, up = _pattern_search(lambda u, k: f(u, branches[k]), lo, hi, uc[win],
-                                 tol=PARAM_TOL, initial_step=100 * _COARSE_TOL)
-        keep = fp >= fc[win]
-        fv, u = np.where(keep, fp, fc[win]), np.where(keep[:, None], up, uc[win])
-    best, best_amps = _INFEASIBLE, None
-    for sign, fs, us in zip(branches, fv, u):
-        if fs > best:
-            best = float(fs)
-            best_amps = tuple(float(a) for a in preset.chart(f_a, us, sign))
-    return best, best_amps
+
+    def lanes(f_lane, s_lane):
+        return lambda u, k: _charted(preset, f_lane[k], objective)(u, s_lane[k])
+
+    fids = np.atleast_1d(np.asarray(f_a, dtype=float))
+    found = []
+    for start in range(0, len(fids), _FIDELITY_BLOCK):
+        block = fids[start:start + _FIDELITY_BLOCK]
+        pairs = 2 * len(block)  # (fidelity, sign) lanes m * 2 + s
+        f_pair, s_pair = np.repeat(block, 2), np.tile(branches, len(block))
+        if n == 0:
+            u = np.empty((pairs, 0))
+            fv = _charted(preset, f_pair, objective)(u, s_pair)
+        else:
+            starts = np.tile(_restart_points(lo, hi, N_RESTARTS), (pairs, 1))
+            fc, uc = _pattern_search(
+                lanes(np.repeat(block, 2 * N_RESTARTS), np.repeat(s_pair, N_RESTARTS)),
+                lo, hi, starts, tol=_COARSE_TOL)
+            win = (fc.reshape(pairs, N_RESTARTS).argmax(axis=1)
+                   + N_RESTARTS * np.arange(pairs))
+            fp, up = _pattern_search(lanes(f_pair, s_pair), lo, hi, uc[win],
+                                     tol=PARAM_TOL, initial_step=100 * _COARSE_TOL)
+            keep = fp >= fc[win]
+            fv, u = np.where(keep, fp, fc[win]), np.where(keep[:, None], up, uc[win])
+        for m, fid in enumerate(block):
+            best, best_amps = _INFEASIBLE, None
+            for lane in (2 * m, 2 * m + 1):
+                if fv[lane] > best:
+                    best = float(fv[lane])
+                    best_amps = tuple(float(a) for a in
+                                      preset.chart(fid, u[lane], s_pair[lane]))
+            found.append((best, best_amps))
+    return found if np.ndim(f_a) else found[0]
 
 
-def _max_iae_at(preset: ProtocolPreset, f_a: float) -> tuple[float, dict[str, float]]:
+def _max_iae_at(preset: ProtocolPreset, f_a):
     """Maximize I_AE (nats), averaged over the protocol bases, with the
-    fidelity pinned; returns the maximum and its parameter assignment."""
-    best, amps = _maximize_on(preset, f_a, lambda *amps: _mean_information(preset, amps)[1])
-    return best, ({} if amps is None else dict(zip(preset.free_params, amps)))
+    fidelity pinned; returns the maximum and its parameter assignment, or
+    a list of such pairs for a 1-D array of fidelities."""
+    def named(best, amps):
+        return best, ({} if amps is None else dict(zip(preset.free_params, amps)))
+
+    found = _maximize_on(preset, f_a, lambda *amps: _mean_information(preset, amps)[1])
+    return [named(*pair) for pair in found] if np.ndim(f_a) else named(*found)
 
 
 def _iab_nats(f_a: float, dim: int) -> float:
@@ -489,16 +524,17 @@ def _crossing_core(preset_name: str) -> tuple[float, tuple, float, int]:
     preset = PRESETS[preset_name]
     d = preset.dimension
     lo, hi = 1.0 / d + 1e-9, 1.0 - 1e-9
-    evals = 0
+    grid = np.linspace(lo, hi, 13)
+    gv = [best - _iab_nats(f, d) for f, (best, _) in zip(grid, _max_iae_at(preset, grid))]
+    evals = len(grid)
+    solved = {}
 
     def g(f_a: float) -> float:
         nonlocal evals
         evals += 1
-        best, _ = _max_iae_at(preset, f_a)
-        return best - _iab_nats(f_a, d)
+        solved[f_a] = _max_iae_at(preset, f_a)
+        return solved[f_a][0] - _iab_nats(f_a, d)
 
-    grid = np.linspace(lo, hi, 13)
-    gv = [g(f) for f in grid]
     bracket = None
     for i in range(len(grid) - 1):
         if gv[i] > 0.0 >= gv[i + 1]:
@@ -509,7 +545,7 @@ def _crossing_core(preset_name: str) -> tuple[float, tuple, float, int]:
             f"[{lo:.4f}, {hi:.4f}]")
 
     f_star = brentq(g, bracket[0], bracket[1], xtol=1e-13, rtol=8.9e-16, maxiter=200)
-    best, vals = _max_iae_at(preset, f_star)
+    best, vals = solved[f_star]  # brentq returns a point it has evaluated
     residual = abs(best - _iab_nats(f_star, d))
     # the 1e-8 budget must survive conversion into any supported log base;
     # base 2 has the smallest divisor
@@ -697,9 +733,9 @@ def information_sweep(preset="3deb", start=0.70, stop=0.85, points=151, base=2):
         raise ValueError(f"fidelity grid [{start}, {stop}] outside [1/{d}, 1]")
     lb = _log_of_base(base)
     rows = []
-    for f_a in np.linspace(start, stop, points):
+    grid = np.linspace(start, stop, points)
+    for f_a, (best, vals) in zip(grid, _max_iae_at(preset, grid)):
         f_a = float(f_a)
-        best, vals = _max_iae_at(preset, f_a)
         if best <= _INFEASIBLE / 2:
             continue
         i_ab = _iab_nats(f_a, d) / lb

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdlab.cloner import ClonerParams, closed_form_report, coefficient_rows
-from qkdlab.security import (CrossingError, _INFEASIBLE, _charted, _crossing_core,
+from qkdlab.security import (CrossingError, _FIDELITY_BLOCK, _INFEASIBLE, _charted,
+                             _crossing_core,
                              _entropy_nats, _iab_iae_rows, _iab_nats, _max_iae_at,
                              _maximize_on, _mean_information, _pattern_search,
                              _restart_points, bob_information,
@@ -557,3 +559,61 @@ def test_batched_objective_lanes_equal_each_point_alone():
             angles, signs)
         assert np.all(values[infeasible[12:]] == _INFEASIBLE)
         assert np.all(values[~infeasible[12:]] == i_ae[12:][~infeasible[12:]])
+
+
+# --- fidelity batches against one fidelity at a time ---------------------------
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_fidelity_batch_equals_one_fidelity_at_a_time(name):
+    # the crossing solver's bracket grid: 2mub lanes below F = 1/2 are partly
+    # infeasible, universal has no angle, the last lane is F = 1 - 1e-9
+    preset = PRESETS[name]
+    grid = np.linspace(1 / preset.dimension + 1e-9, 1 - 1e-9, 13)
+    assert len(grid) <= _FIDELITY_BLOCK
+
+    def objective(*amps):
+        return _mean_information(preset, amps)[1]
+
+    batch = _maximize_on(preset, grid, objective)
+    assert batch == [_maximize_on(preset, f, objective) for f in grid]
+    assert all(amps is not None for _, amps in batch)
+
+
+@pytest.mark.parametrize("name", ["3deb", "2mub"])
+def test_sweep_across_fidelity_blocks_equals_each_point_alone(name):
+    points = _FIDELITY_BLOCK + 3
+    rows = information_sweep(name, 0.70, 0.85, points, base="e")
+    assert len(rows) == points
+    for row, f_a in zip(rows, np.linspace(0.70, 0.85, points)):
+        best, vals = _max_iae_at(PRESETS[name], float(f_a))
+        assert (row["f_a"], row["i_ae"], row["params"]) == (f_a, best, vals)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_chart_with_a_fidelity_per_lane_equals_each_fidelity_alone(name):
+    preset = PRESETS[name]
+    rng = np.random.default_rng(3)
+    f_a = np.array([0.3, 0.45, 0.5, 0.7752755323, 0.9, 1.0, 1 - 1e-9, 0.6])
+    angles = rng.uniform(-math.pi / 2, math.pi / 2, (len(f_a), len(preset.e) - 1))
+    signs = np.where(np.arange(len(f_a)) % 3 == 0, -1.0, 1.0)
+    lanes = preset.chart(f_a, angles, signs)
+    for k, f in enumerate(f_a):
+        alone = preset.chart(float(f), angles[k:k + 1], signs[k:k + 1])
+        assert [a[k] for a in lanes] == [a[0] for a in alone], k
+
+
+def test_sweep_memory_does_not_grow_with_points():
+    def traced_peak(points):
+        tracemalloc.start()
+        try:
+            information_sweep("3deb", 0.70, 0.85, points)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_block, eight_blocks = traced_peak(_FIDELITY_BLOCK), traced_peak(8 * _FIDELITY_BLOCK)
+    # the returned rows grow with the points (about 250 B each); the search
+    # state must not: one unbounded batch of 256 fidelities peaks near 5 MB
+    row_budget = 1024 * 7 * _FIDELITY_BLOCK
+    assert eight_blocks <= one_block + row_budget
