@@ -52,14 +52,24 @@ the searches still active, so the chart, the coefficient rows and the
 entropy helper all take arrays of points.  One batch may hold several
 fidelities, laid out fidelity x sign x restart with each lane carrying
 its own F_A; ``_maximize_on`` takes one fidelity or an array of them and
-searches at most ``_FIDELITY_BLOCK`` fidelities per batch, so the
-13-point bracket grid of the crossing solver is one batch and a sweep's
-memory does not grow with its length.  Brent's steps and the symmetric
-point are sequential and use the one-fidelity form.  Each search still
-makes the moves it would make alone, and every lane of a batch is
-bit-equal to its point evaluated on its own.  The crossing condition is
-invariant under the choice of log base, so the base only affects
-reported information values.
+searches at most ``_FIDELITY_BLOCK`` fidelities per batch, so a sweep's
+memory does not grow with its length.  It runs in two stages: a coarse
+lockstep batch of all restarts (``_coarse_stage``), then a lockstep
+polish of each (fidelity, sign) winner (``_polish_stage``).  Each search
+still makes the moves it would make alone, and every lane of a batch is
+bit-equal to its point evaluated on its own.
+
+The crossing solver's 13-point bracket grid needs only the sign of g, so
+it runs the coarse stage alone, as one batch.  That is safe because the
+polish never lowers a value: a positive coarse sign stays positive, and
+the non-positive grid values lie at least 9e-3 nats below zero while the
+polish gains at most about 1e-9.  Only the two bracket endpoints are
+polished, in one batch, and handed to Brent, whose first two steps read
+them instead of maximizing again.  Brent's further steps and the
+symmetric point are sequential and use the one-fidelity form.
+
+The crossing condition is invariant under the choice of log base, so the
+base only affects reported information values.
 """
 
 from __future__ import annotations
@@ -85,6 +95,7 @@ _RESTART_SEED = 0x3DEB
 #: of the crossing solver's bracket grid, and a bound on a sweep's memory
 _FIDELITY_BLOCK = 32
 _INFEASIBLE = -1e18
+_BRANCHES = np.array([1.0, -1.0])
 
 #: Published reference values the computed results are compared against.
 REFERENCE_ERROR_RATES = {
@@ -416,6 +427,65 @@ def _charted(preset: ProtocolPreset, f_a, objective):
     return f
 
 
+def _lanes(preset: ProtocolPreset, objective, f_lane, s_lane):
+    """``objective`` on the chart as ``_pattern_search`` calls it: search k
+    runs at fidelity ``f_lane[k]`` on sign branch ``s_lane[k]``."""
+    return lambda u, k: _charted(preset, f_lane[k], objective)(u, s_lane[k])
+
+
+def _coarse_stage(preset: ProtocolPreset, block, objective):
+    """First stage of ``_maximize_on`` on a block of M fidelities.
+
+    The 16 restarts of both sign branches run as one lockstep batch of
+    M x 2 x 16 searches (lane (m * 2 + s) * 16 + r: fidelity m, sign s,
+    restart r) to ``_COARSE_TOL``.  Returns the value, shape (2M,), and the
+    angles, shape (2M, n), of each (fidelity, sign) pair's winning restart,
+    the lowest index among equals; pair m * 2 + s.  With no angle
+    (universal) each pair is its one point.
+    """
+    n = len(preset.e) - 1
+    f_pair, s_pair = np.repeat(block, 2), np.tile(_BRANCHES, len(block))
+    if n == 0:
+        u = np.empty((len(f_pair), 0))
+        return _charted(preset, f_pair, objective)(u, s_pair), u
+    lo, hi = [-math.pi / 2] * n, [math.pi / 2] * n
+    fc, uc = _pattern_search(
+        _lanes(preset, objective, np.repeat(f_pair, N_RESTARTS), np.repeat(s_pair, N_RESTARTS)),
+        lo, hi, np.tile(_restart_points(lo, hi, N_RESTARTS), (len(f_pair), 1)),
+        tol=_COARSE_TOL)
+    win = fc.reshape(len(f_pair), N_RESTARTS).argmax(axis=1) + N_RESTARTS * np.arange(len(f_pair))
+    return fc[win], uc[win]
+
+
+def _polish_stage(preset: ProtocolPreset, block, objective, fc, uc):
+    """Second stage of ``_maximize_on``: the coarse winners ``fc``, ``uc`` of
+    the block's (fidelity, sign) pairs, as ``_coarse_stage`` returns them,
+    are polished in lockstep from step 100 * ``_COARSE_TOL`` down to
+    ``PARAM_TOL``.  A polish is kept when it is no worse (it starts at the
+    winner and accepts only strict gains, so it never lowers a value), and
+    the sign branch with the strictly larger value wins.  Returns one
+    (best, amplitudes) pair per fidelity, amplitudes None when no point is
+    feasible.
+    """
+    n = uc.shape[1]
+    f_pair, s_pair = np.repeat(block, 2), np.tile(_BRANCHES, len(block))
+    if n:
+        lo, hi = [-math.pi / 2] * n, [math.pi / 2] * n
+        fp, up = _pattern_search(_lanes(preset, objective, f_pair, s_pair), lo, hi, uc,
+                                 tol=PARAM_TOL, initial_step=100 * _COARSE_TOL)
+        keep = fp >= fc
+        fc, uc = np.where(keep, fp, fc), np.where(keep[:, None], up, uc)
+    found = []
+    for m, fid in enumerate(block):
+        best, best_amps = _INFEASIBLE, None
+        for lane in (2 * m, 2 * m + 1):
+            if fc[lane] > best:
+                best = float(fc[lane])
+                best_amps = tuple(float(a) for a in preset.chart(fid, uc[lane], s_pair[lane]))
+        found.append((best, best_amps))
+    return found
+
+
 def _maximize_on(preset: ProtocolPreset, f_a, objective):
     """Maximize objective(*amplitudes) over the preset manifold at pinned F_A.
 
@@ -426,64 +496,39 @@ def _maximize_on(preset: ProtocolPreset, f_a, objective):
     values as an array.
 
     ``f_a`` is one fidelity, or a 1-D array of them searched together in
-    blocks of at most ``_FIDELITY_BLOCK``.  For the M fidelities of a
-    block, the 16 restarts of both branches run as one lockstep batch of
-    M x 2 x 16 searches (lane (m * 2 + s) * 16 + r: fidelity m, sign s,
-    restart r) to ``_COARSE_TOL``.  Each (fidelity, sign) pair's best
-    restart, the lowest index among equals, is then polished from step
-    100 * ``_COARSE_TOL`` down to ``PARAM_TOL``, the M x 2 polishes again
-    in lockstep.  Each lane carries its own F_A and sign and makes the
+    blocks of at most ``_FIDELITY_BLOCK``.  Each block runs
+    ``_coarse_stage`` (M x 2 x 16 lockstep restarts to ``_COARSE_TOL``)
+    and then ``_polish_stage`` (the M x 2 pair winners, in lockstep, to
+    ``PARAM_TOL``).  Each lane carries its own F_A and sign and makes the
     moves it would make alone.  Returns (best, amplitudes) for one
     fidelity, with amplitudes None when no point is feasible, and a list
     of such pairs for an array.
     """
-    n = len(preset.e) - 1
-    lo, hi = [-math.pi / 2] * n, [math.pi / 2] * n
-    branches = np.array([1.0, -1.0])
-
-    def lanes(f_lane, s_lane):
-        return lambda u, k: _charted(preset, f_lane[k], objective)(u, s_lane[k])
-
     fids = np.atleast_1d(np.asarray(f_a, dtype=float))
     found = []
     for start in range(0, len(fids), _FIDELITY_BLOCK):
         block = fids[start:start + _FIDELITY_BLOCK]
-        pairs = 2 * len(block)  # (fidelity, sign) lanes m * 2 + s
-        f_pair, s_pair = np.repeat(block, 2), np.tile(branches, len(block))
-        if n == 0:
-            u = np.empty((pairs, 0))
-            fv = _charted(preset, f_pair, objective)(u, s_pair)
-        else:
-            starts = np.tile(_restart_points(lo, hi, N_RESTARTS), (pairs, 1))
-            fc, uc = _pattern_search(
-                lanes(np.repeat(block, 2 * N_RESTARTS), np.repeat(s_pair, N_RESTARTS)),
-                lo, hi, starts, tol=_COARSE_TOL)
-            win = (fc.reshape(pairs, N_RESTARTS).argmax(axis=1)
-                   + N_RESTARTS * np.arange(pairs))
-            fp, up = _pattern_search(lanes(f_pair, s_pair), lo, hi, uc[win],
-                                     tol=PARAM_TOL, initial_step=100 * _COARSE_TOL)
-            keep = fp >= fc[win]
-            fv, u = np.where(keep, fp, fc[win]), np.where(keep[:, None], up, uc[win])
-        for m, fid in enumerate(block):
-            best, best_amps = _INFEASIBLE, None
-            for lane in (2 * m, 2 * m + 1):
-                if fv[lane] > best:
-                    best = float(fv[lane])
-                    best_amps = tuple(float(a) for a in
-                                      preset.chart(fid, u[lane], s_pair[lane]))
-            found.append((best, best_amps))
+        found += _polish_stage(preset, block, objective, *_coarse_stage(preset, block, objective))
     return found if np.ndim(f_a) else found[0]
+
+
+def _iae(preset: ProtocolPreset):
+    """I_AE in nats, averaged over the protocol bases, as an objective of
+    amplitude arrays."""
+    return lambda *amps: _mean_information(preset, amps)[1]
+
+
+def _named(preset: ProtocolPreset, best, amps):
+    """A maximizer's (best, amplitudes) as (best, {parameter: value})."""
+    return best, ({} if amps is None else dict(zip(preset.free_params, amps)))
 
 
 def _max_iae_at(preset: ProtocolPreset, f_a):
     """Maximize I_AE (nats), averaged over the protocol bases, with the
     fidelity pinned; returns the maximum and its parameter assignment, or
     a list of such pairs for a 1-D array of fidelities."""
-    def named(best, amps):
-        return best, ({} if amps is None else dict(zip(preset.free_params, amps)))
-
-    found = _maximize_on(preset, f_a, lambda *amps: _mean_information(preset, amps)[1])
-    return [named(*pair) for pair in found] if np.ndim(f_a) else named(*found)
+    found = _maximize_on(preset, f_a, _iae(preset))
+    return [_named(preset, *pair) for pair in found] if np.ndim(f_a) else _named(preset, *found)
 
 
 def _iab_nats(f_a: float, dim: int) -> float:
@@ -520,31 +565,57 @@ class CrossingResult:
 
 @lru_cache(maxsize=None)
 def _crossing_core(preset_name: str) -> tuple[float, tuple, float, int]:
-    """Base-independent crossing solve; returns (F*, params items, residual nats, iters)."""
+    """Base-independent crossing solve; returns (F*, params items, residual nats, iters).
+
+    Brent's method finds the root of g(F) = max I_AE(F) - I_AB(F) inside
+    the rightmost sign change of g on a 13-point grid.  The grid runs only
+    the coarse stage of ``_maximize_on``, as one batch, and reads only
+    signs from it: its value at F is the larger of the two sign branches'
+    coarse maxima, minus I_AB(F).  The polish never lowers a value, so a
+    positive coarse sign stays positive; the non-positive ones lie at
+    least 9e-3 nats below zero on every preset's grid, while the polish
+    gains at most about 1e-9.  Only the two bracket endpoints' four
+    (fidelity, sign) winners are polished, as one batch, giving exactly
+    what ``_max_iae_at`` gives there; ``g`` reads them before it
+    maximizes.  ``iters`` counts every g request, the 13 grid points
+    included.  A bracket whose polished signs agree, or a Brent run that
+    does not converge, raises ``CrossingError``.
+    """
     preset = PRESETS[preset_name]
     d = preset.dimension
     lo, hi = 1.0 / d + 1e-9, 1.0 - 1e-9
     grid = np.linspace(lo, hi, 13)
-    gv = [best - _iab_nats(f, d) for f, (best, _) in zip(grid, _max_iae_at(preset, grid))]
+    iae = _iae(preset)
+    fc, uc = _coarse_stage(preset, grid, iae)
+    gv = [max(fc[2 * i], fc[2 * i + 1]) - _iab_nats(f, d) for i, f in enumerate(grid)]
     evals = len(grid)
-    solved = {}
-
-    def g(f_a: float) -> float:
-        nonlocal evals
-        evals += 1
-        solved[f_a] = _max_iae_at(preset, f_a)
-        return solved[f_a][0] - _iab_nats(f_a, d)
 
     bracket = None
     for i in range(len(grid) - 1):
         if gv[i] > 0.0 >= gv[i + 1]:
-            bracket = (grid[i], grid[i + 1])  # rightmost sign change wins
+            bracket = i  # rightmost sign change wins
     if bracket is None:
         raise CrossingError(
             f"no information crossing found for preset {preset_name!r} in "
             f"[{lo:.4f}, {hi:.4f}]")
+    ends = grid[bracket:bracket + 2]
+    pairs = slice(2 * bracket, 2 * bracket + 4)
+    solved = {float(f): _named(preset, *found) for f, found in
+              zip(ends, _polish_stage(preset, ends, iae, fc[pairs], uc[pairs]))}
 
-    f_star = brentq(g, bracket[0], bracket[1], xtol=1e-13, rtol=8.9e-16, maxiter=200)
+    def g(f_a: float) -> float:
+        nonlocal evals
+        evals += 1
+        if f_a not in solved:
+            solved[f_a] = _max_iae_at(preset, f_a)
+        return solved[f_a][0] - _iab_nats(f_a, d)
+
+    try:
+        f_star = brentq(g, ends[0], ends[1], xtol=1e-13, rtol=8.9e-16, maxiter=200)
+    except (ValueError, RuntimeError) as exc:  # same-sign bracket, or maxiter reached
+        raise CrossingError(
+            f"crossing solver failed for preset {preset_name!r} on the bracket "
+            f"[{ends[0]:.10f}, {ends[1]:.10f}]: {exc}") from exc
     best, vals = solved[f_star]  # brentq returns a point it has evaluated
     residual = abs(best - _iab_nats(f_star, d))
     # the 1e-8 budget must survive conversion into any supported log base;
@@ -598,12 +669,16 @@ def symmetric_point(preset="3deb") -> SymmetricResult:
     if preset.name != "3deb":
         raise ValueError("symmetric point is defined for the 3deb preset")
 
+    solved = {}
+
     def max_fb(f_a: float):
-        return _maximize_on(preset, f_a, lambda v, x, y:
-                            (1.0 + 6.0 * y * y + 8.0 * x * y + 4.0 * v * y) / 3.0)
+        if f_a not in solved:
+            solved[f_a] = _maximize_on(preset, f_a, lambda v, x, y:
+                                       (1.0 + 6.0 * y * y + 8.0 * x * y + 4.0 * v * y) / 3.0)
+        return solved[f_a]
 
     f_sym = brentq(lambda f: max_fb(f)[0] - f, 0.40, 0.95, xtol=1e-13, rtol=8.9e-16)
-    params = preset.cloner(*max_fb(f_sym)[1]).normalized()
+    params = preset.cloner(*solved[f_sym][1]).normalized()  # a point brentq evaluated
     rep = closed_form_report(params)
     gap = abs(rep.f_a - rep.f_b)
     if gap > RESIDUAL_TOL:

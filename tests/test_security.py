@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from click.testing import CliRunner
+
+from qkdlab import security
+from qkdlab.cli import main
 from qkdlab.cloner import ClonerParams, closed_form_report, coefficient_rows
 from qkdlab.security import (CrossingError, _FIDELITY_BLOCK, _INFEASIBLE, _charted,
-                             _crossing_core,
+                             _coarse_stage, _crossing_core, _iae,
                              _entropy_nats, _iab_iae_rows, _iab_nats, _max_iae_at,
                              _maximize_on, _mean_information, _pattern_search,
                              _restart_points, bob_information,
@@ -274,6 +278,136 @@ def test_crossing_deterministic_on_cold_resolve():
     assert cold == base
 
 
+# --- the crossing solver's sign-only grid and endpoint handoff -----------------
+
+
+def _bracket_grid(preset):
+    return np.linspace(1 / preset.dimension + 1e-9, 1 - 1e-9, 13)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_coarse_grid_signs_match_the_polished_maxima(name):
+    # the grid reads g's sign from the coarse stage; the polish may only
+    # raise a value, and by far less than the grid's distance from zero
+    preset = PRESETS[name]
+    grid = _bracket_grid(preset)
+    fc, _ = _coarse_stage(preset, grid, _iae(preset))
+    for i, (f, (best, _)) in enumerate(zip(grid, _max_iae_at(preset, grid))):
+        coarse = max(fc[2 * i], fc[2 * i + 1])
+        g = best - _iab_nats(f, preset.dimension)
+        assert (coarse - _iab_nats(f, preset.dimension) > 0) == (g > 0), f
+        assert 0.0 <= best - coarse <= 1e-6 * abs(g), f
+
+
+@pytest.fixture(scope="module", params=sorted(PRESETS))
+def recorded_cold_solve(request):
+    """A cold crossing solve with every polish block and every one-fidelity
+    I_AE maximization recorded."""
+    polish, max_iae_at = security._polish_stage, security._max_iae_at
+    polished, single = [], []
+
+    def polish_spy(preset, block, objective, fc, uc):
+        found = polish(preset, block, objective, fc, uc)
+        polished.append((list(block), found))
+        return found
+
+    def max_iae_spy(preset, f_a):
+        single.append(f_a)
+        return max_iae_at(preset, f_a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(security, "_polish_stage", polish_spy)
+        mp.setattr(security, "_max_iae_at", max_iae_spy)
+        result = _crossing_core.__wrapped__(request.param)
+    return PRESETS[request.param], result, polished, single
+
+
+def test_bracket_endpoints_are_polished_once_and_equal_the_point_maxima(recorded_cold_solve):
+    preset, result, polished, _ = recorded_cold_solve
+    assert result == _crossing_core(preset.name)
+    grid = list(_bracket_grid(preset))
+    on_grid = [(block, found) for block, found in polished if set(block) & set(grid)]
+    assert len(on_grid) == 1  # no polish runs over the other 11 grid points
+    ends, found = on_grid[0]
+    i = grid.index(ends[0])
+    assert ends == grid[i:i + 2]
+    for f, (best, amps) in zip(ends, found):
+        assert (best, dict(zip(preset.free_params, amps))) == _max_iae_at(preset, float(f))
+
+
+def test_brent_maximizes_only_away_from_the_bracket_endpoints(recorded_cold_solve):
+    # 13 grid values and Brent's two endpoint values come from the grid batch
+    preset, (_, _, _, iterations), polished, single = recorded_cold_solve
+    assert all(np.ndim(f) == 0 for f in single)
+    assert len(single) == len(set(single)) == iterations - 15
+    assert [block for block, _ in polished if len(block) == 1] == [[f] for f in single]
+
+
+@pytest.mark.parametrize("lane", [0, 1])
+def test_grid_signs_read_both_sign_branches(monkeypatch, lane):
+    # qubit's I_AE is even in x, so its two branches are mirror images and
+    # either alone brackets the crossing; a coarse value pushed far down
+    # must not move the solve, as the polish starts from the same point
+    expected = _crossing_core("qubit")
+    coarse = security._coarse_stage
+
+    def one_branch_low(preset, block, objective):
+        fc, uc = coarse(preset, block, objective)
+        fc = fc.copy()
+        fc[lane::2] -= 10.0
+        return fc, uc
+
+    monkeypatch.setattr(security, "_coarse_stage", one_branch_low)
+    assert _crossing_core.__wrapped__("qubit") == expected
+
+
+def _lift_right_endpoint(monkeypatch):
+    # a polish that lifts the right bracket endpoint above I_AB
+    polish = security._polish_stage
+
+    def lifted(preset, block, objective, fc, uc):
+        found = polish(preset, block, objective, fc, uc)
+        if len(block) == 2:
+            found[1] = (found[1][0] + 1.0, found[1][1])
+        return found
+
+    monkeypatch.setattr(security, "_polish_stage", lifted)
+
+
+def _cap_brent_iterations(monkeypatch):
+    brentq = security.brentq
+    monkeypatch.setattr(security, "brentq", lambda *a, **k: brentq(*a, **{**k, "maxiter": 2}))
+
+
+def _sink_the_grid(monkeypatch):
+    coarse = security._coarse_stage
+
+    def sunk(preset, block, objective):
+        fc, uc = coarse(preset, block, objective)
+        return fc - 10.0, uc
+
+    monkeypatch.setattr(security, "_coarse_stage", sunk)
+
+
+@pytest.mark.parametrize("break_solver,message", [
+    (_lift_right_endpoint, r"failed for preset 'qubit' on the bracket \[0\.\d{10}, "
+                           r"0\.\d{10}\]: f\(a\) and f\(b\) must have different signs"),
+    (_cap_brent_iterations, r"failed for preset 'qubit' on the bracket \[0\.\d{10}, "
+                            r"0\.\d{10}\]: Failed to converge after 2 iterations"),
+    (_sink_the_grid, r"no information crossing found for preset 'qubit'"),
+], ids=["same-sign", "maxiter", "no-crossing"])
+def test_crossing_failures_are_non_convergence(monkeypatch, break_solver, message):
+    break_solver(monkeypatch)
+    with pytest.raises(CrossingError, match=message):
+        _crossing_core.__wrapped__("qubit")
+    monkeypatch.setattr(security, "_crossing_core", _crossing_core.__wrapped__)
+    result = CliRunner().invoke(main, ["crossing", "--preset", "qubit"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert "Traceback" not in result.output and result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
 # --- symmetric point -----------------------------------------------------------
 
 
@@ -285,6 +419,20 @@ def test_symmetric_point_closed_form():
 
 def test_symmetric_point_below_crossing():
     assert symmetric_point("3deb").fidelity < crossing_point("3deb").f_a_star
+
+
+def test_symmetric_point_maximizes_each_fidelity_once(monkeypatch):
+    # the root is a point brentq evaluated: it is read back, not re-solved
+    expected = symmetric_point()
+    maximize_on, fidelities = security._maximize_on, []
+
+    def spy(preset, f_a, objective):
+        fidelities.append(f_a)
+        return maximize_on(preset, f_a, objective)
+
+    monkeypatch.setattr(security, "_maximize_on", spy)
+    assert symmetric_point() == expected
+    assert len(fidelities) == len(set(fidelities))
 
 
 def test_symmetric_point_only_3deb():
