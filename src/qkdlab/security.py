@@ -68,6 +68,12 @@ polished, in one batch, and handed to Brent, whose first two steps read
 them instead of maximizing again.  Brent's further steps and the
 symmetric point are sequential and use the one-fidelity form.
 
+Brent's method is ``_brentq``, a port of scipy's ``brentq.c`` that the
+tests check ``==`` against ``scipy.optimize.brentq``, so scipy is not a
+runtime dependency.  Both root-finds call it through ``_root``, which
+turns a same-sign bracket, a NaN or running out of iterations into
+``CrossingError``.
+
 The crossing condition is invariant under the choice of log base, so the
 base only affects reported information values.
 """
@@ -80,7 +86,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .cloner import ClonerParams, FidelityReport, closed_form_report, coefficient_rows
 
@@ -537,6 +542,78 @@ def _iab_nats(f_a: float, dim: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Brent's method
+
+
+def _brentq(f, a, b, xtol, rtol, maxiter):
+    """Root of f in [a, b] by Brent's method: a port of scipy's ``brentq.c``.
+
+    Step for step the same floating-point operations as scipy's C routine
+    and its Python wrapper: f is called at a, then b; an exact zero there
+    is returned; the bracket is tested by sign bit; each step interpolates
+    (secant), extrapolates (inverse quadratic) or bisects, and moves at
+    least delta = (xtol + rtol |x|) / 2.  A NaN from f, a same-sign
+    bracket or ``maxiter`` steps raise scipy's errors with its messages.
+    """
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C gives inf or nan here, which bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def _root(g, lo, hi, what, maxiter):
+    """Root of g in [lo, hi]; any failure of ``_brentq`` raises ``CrossingError``."""
+    try:
+        return _brentq(g, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=maxiter)
+    except (ValueError, RuntimeError) as exc:
+        raise CrossingError(f"Brent's method failed for {what} on the bracket "
+                            f"[{lo:.10f}, {hi:.10f}]: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
 # crossing point
 
 
@@ -610,13 +687,8 @@ def _crossing_core(preset_name: str) -> tuple[float, tuple, float, int]:
             solved[f_a] = _max_iae_at(preset, f_a)
         return solved[f_a][0] - _iab_nats(f_a, d)
 
-    try:
-        f_star = brentq(g, ends[0], ends[1], xtol=1e-13, rtol=8.9e-16, maxiter=200)
-    except (ValueError, RuntimeError) as exc:  # same-sign bracket, or maxiter reached
-        raise CrossingError(
-            f"crossing solver failed for preset {preset_name!r} on the bracket "
-            f"[{ends[0]:.10f}, {ends[1]:.10f}]: {exc}") from exc
-    best, vals = solved[f_star]  # brentq returns a point it has evaluated
+    f_star = _root(g, ends[0], ends[1], f"preset {preset_name!r}", maxiter=200)
+    best, vals = solved[f_star]  # _brentq returns a point it has evaluated
     residual = abs(best - _iab_nats(f_star, d))
     # the 1e-8 budget must survive conversion into any supported log base;
     # base 2 has the smallest divisor
@@ -663,7 +735,8 @@ def symmetric_point(preset="3deb") -> SymmetricResult:
 
     Solved as a root-find on h(F) = [max F_B over the F_A = F manifold] - F:
     below the symmetric point the attacker-side clone can still beat F,
-    above it it cannot, so the root is the maximal common value.
+    above it it cannot, so the root is the maximal common value.  A Brent
+    run that does not converge raises ``CrossingError``.
     """
     preset = resolve_preset(preset)
     if preset.name != "3deb":
@@ -677,8 +750,8 @@ def symmetric_point(preset="3deb") -> SymmetricResult:
                                        (1.0 + 6.0 * y * y + 8.0 * x * y + 4.0 * v * y) / 3.0)
         return solved[f_a]
 
-    f_sym = brentq(lambda f: max_fb(f)[0] - f, 0.40, 0.95, xtol=1e-13, rtol=8.9e-16)
-    params = preset.cloner(*solved[f_sym][1]).normalized()  # a point brentq evaluated
+    f_sym = _root(lambda f: max_fb(f)[0] - f, 0.40, 0.95, "the symmetric point", maxiter=100)
+    params = preset.cloner(*solved[f_sym][1]).normalized()  # a point _brentq evaluated
     rep = closed_form_report(params)
     gap = abs(rep.f_a - rep.f_b)
     if gap > RESIDUAL_TOL:

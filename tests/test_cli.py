@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -197,6 +200,31 @@ def test_analysis_outputs_byte_identical(runner, args):
     result = runner.invoke(main, args.split() + ["--no-timestamp"])
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == ANALYSIS_SHA256[args]
+
+
+def _fresh_python(code):
+    """Run ``code`` in a new interpreter that imports this checkout's qkdlab."""
+    path = [str(Path(security.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          check=True, timeout=120)
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, qkdlab.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh_python(code).stdout == b"[]\n"
+
+
+@pytest.mark.parametrize("args", ["table --format json", "symmetric"])
+def test_analysis_outputs_byte_identical_without_scipy(args):
+    # with sys.modules['scipy'] = None, any import of scipy raises ImportError
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from qkdlab.cli import main\n"
+            f"main({args.split() + ['--no-timestamp']!r}, prog_name='qkdlab')")
+    stdout = _fresh_python(code).stdout
+    assert hashlib.sha256(stdout).hexdigest() == ANALYSIS_SHA256[args]
 
 
 # the same seven outputs as printed by the compass search over Cartesian

@@ -375,8 +375,8 @@ def _lift_right_endpoint(monkeypatch):
 
 
 def _cap_brent_iterations(monkeypatch):
-    brentq = security.brentq
-    monkeypatch.setattr(security, "brentq", lambda *a, **k: brentq(*a, **{**k, "maxiter": 2}))
+    brentq = security._brentq
+    monkeypatch.setattr(security, "_brentq", lambda *a, **k: brentq(*a, **{**k, "maxiter": 2}))
 
 
 def _sink_the_grid(monkeypatch):
@@ -433,6 +433,34 @@ def test_symmetric_point_maximizes_each_fidelity_once(monkeypatch):
     monkeypatch.setattr(security, "_maximize_on", spy)
     assert symmetric_point() == expected
     assert len(fidelities) == len(set(fidelities))
+
+
+def _lift_max_fb(monkeypatch):
+    # max F_B lifted by 1 beats F over the whole bracket: no sign change
+    maximize_on = security._maximize_on
+
+    def lifted(preset, f_a, objective):
+        best, amps = maximize_on(preset, f_a, objective)
+        return best + 1.0, amps
+
+    monkeypatch.setattr(security, "_maximize_on", lifted)
+
+
+@pytest.mark.parametrize("break_solver,message", [
+    (_lift_max_fb, r"failed for the symmetric point on the bracket \[0\.4000000000, "
+                   r"0\.9500000000\]: f\(a\) and f\(b\) must have different signs"),
+    (_cap_brent_iterations, r"failed for the symmetric point on the bracket \[0\.4000000000, "
+                            r"0\.9500000000\]: Failed to converge after 2 iterations"),
+], ids=["same-sign", "maxiter"])
+def test_symmetric_failures_are_non_convergence(monkeypatch, break_solver, message):
+    break_solver(monkeypatch)
+    with pytest.raises(CrossingError, match=message):
+        symmetric_point()
+    result = CliRunner().invoke(main, ["symmetric"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert "Traceback" not in result.output and result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 
 def test_symmetric_point_only_3deb():
