@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -169,6 +170,29 @@ class CloneOutputs:
     mixture_dev_b: float
 
 
+@lru_cache(maxsize=None)
+def _cloner_terms(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(U_{m,nn} matrix, |B_{m,-nn}> amplitudes) of each term, nn fastest.
+
+    Both arrays are read-only, so every caller can share them.
+    """
+    return tuple((error_operator(m, nn, n).entries, bell_state(m, (-nn) % n, n).amps)
+                 for m in range(n) for nn in range(n))
+
+
+def clone_amplitudes(mat: AmplitudeMatrix, amps: np.ndarray) -> np.ndarray:
+    """Amplitudes of the (A, B, C) output for the input amplitudes ``amps``.
+
+    The joint state of :func:`clone_state`, with neither its input checks
+    nor its reduced states.
+    """
+    n = mat.dim
+    joint = np.zeros(n**3, dtype=complex)
+    for (shift, bell), weight in zip(_cloner_terms(n), mat.a.reshape(-1)):
+        joint += weight * np.outer(shift @ amps, bell).reshape(-1)
+    return joint
+
+
 def clone_state(mat: AmplitudeMatrix, input_state: StateVector) -> CloneOutputs:
     """Apply the cloning map to a single-qutrit input.
 
@@ -181,27 +205,19 @@ def clone_state(mat: AmplitudeMatrix, input_state: StateVector) -> CloneOutputs:
     if abs(np.linalg.norm(input_state.amps) - 1.0) > 1e-9:
         raise ValueError("input state must be normalized")
 
-    joint = np.zeros(n**3, dtype=complex)
-    for m in range(n):
-        for nn in range(n):
-            va = error_operator(m, nn, n).entries @ input_state.amps
-            vbc = bell_state(m, (-nn) % n, n).amps
-            joint += mat.a[m, nn] * np.kron(va, vbc)
-    joint_state = StateVector(joint, (n, n, n))
-
+    joint_state = StateVector(clone_amplitudes(mat, input_state.amps), (n, n, n))
     rho_a = partial_trace(joint_state, keep=(0,))
     rho_b = partial_trace(joint_state, keep=(1,))
 
-    p = mat.weights()
-    q = fourier_dual(mat).weights()
+    p = mat.weights().reshape(-1)
+    q = fourier_dual(mat).weights().reshape(-1)
     mix_a = np.zeros((n, n), dtype=complex)
     mix_b = np.zeros((n, n), dtype=complex)
-    for m in range(n):
-        for nn in range(n):
-            shifted = error_operator(m, nn, n).entries @ input_state.amps
-            proj = np.outer(shifted, shifted.conj())
-            mix_a += p[m, nn] * proj
-            mix_b += q[m, nn] * proj
+    for (shift, _), pw, qw in zip(_cloner_terms(n), p, q):
+        shifted = shift @ input_state.amps
+        proj = np.outer(shifted, shifted.conj())
+        mix_a += pw * proj
+        mix_b += qw * proj
     dev_a = float(np.max(np.abs(mix_a - rho_a.entries)))
     dev_b = float(np.max(np.abs(mix_b - rho_b.entries)))
 
@@ -357,7 +373,17 @@ def outcome_table(mat: AmplitudeMatrix, input_state: StateVector,
     Both clones (registers A and B) are read in ``basis``, the machine
     (register C) in the conjugate basis.
     """
-    cols = basis.matrix()
-    t = clone_state(mat, input_state).joint.amps.reshape(3, 3, 3)
+    if input_state.dim != mat.dim:
+        raise ValueError("input dimension does not match the cloner")
+    return readout_table(clone_amplitudes(mat, input_state.amps), basis.matrix())
+
+
+def readout_table(joint: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """P[alpha, beta, gamma] of the joint amplitudes of one cloned qutrit.
+
+    ``cols`` holds the basis states of registers A and B as columns; the
+    machine (register C) is read in their complex conjugates.
+    """
+    t = joint.reshape(3, 3, 3)
     amps = np.einsum("abc,ai,bj,ck->ijk", t, cols.conj(), cols.conj(), cols)
     return np.abs(amps) ** 2

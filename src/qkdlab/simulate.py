@@ -11,13 +11,17 @@ Sampling is distribution-exact: per basis pair the round outcomes are
 drawn by inverse CDF from a precomputed probability table (9 entries for
 the noise channels, 81 for the cloning attack, where the attacker's two
 measurement outcomes are part of the record).  All randomness for a
-session comes from one Philox stream keyed by the seed, drawn in chunks
-of rounds one after another with three uniforms per round, so round r
-consumes exactly the numbers it would take from a single (rounds, 3)
-table; any chunk size or partitioning of rounds therefore reproduces
-identical results.  A session keeps only the histogram of (basis pair,
-outcome cell) counts, from which every statistic is derived, so its
-memory use does not grow with the number of rounds.
+session comes from one Philox stream keyed by the seed, three raw 64-bit
+outputs per round, drawn in chunks of rounds one after another.  Each
+output's top 53 bits are the integer k behind the uniform k * 2**-53 that
+``Generator.random`` would make of it, and every comparison with a
+cumulative probability is made exactly on k.  Round r consumes outputs
+3r to 3r + 2 whatever the chunk size, so any partitioning of rounds
+reproduces identical results, equal to sampling from the single
+(rounds, 3) table ``Generator.random`` returns.  A session keeps only the
+histogram of (basis pair, outcome cell) counts, from which every
+statistic is derived, so its memory use does not grow with the number of
+rounds.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ from typing import Union
 
 import numpy as np
 
-from .cloner import ClonerParams, closed_form_report, outcome_table, phi_cloner_matrix
+from .cloner import (ClonerParams, clone_amplitudes, closed_form_report, phi_cloner_matrix,
+                     readout_table)
 from .qudit import (BasisSpec, conjugate_phi_basis_state, max_entangled,
                     optimal_bases, phi_basis_state)
 from .security import _entropy_nats, eve_information
@@ -174,18 +179,27 @@ def round_distribution(channel: Channel, alice_basis: int, bob_basis: int) -> np
     """
     if not (0 <= alice_basis < 4 and 0 <= bob_basis < 4):
         raise ValueError(f"basis indices ({alice_basis},{bob_basis}) out of range")
+    return _round_tables(channel, [(alice_basis, bob_basis)])[0]
+
+
+_PAIRS = tuple((i, j) for i in range(4) for j in range(4))
+
+
+def _round_tables(channel: Channel, pairs) -> list[np.ndarray]:
+    """:func:`round_distribution` of each basis pair in ``pairs``."""
     if isinstance(channel, IdealChannel):
-        table = _ideal_table(alice_basis, bob_basis)
+        tables = [_ideal_table(i, j) for i, j in pairs]
     elif isinstance(channel, DepolarizingChannel):
-        table = (channel.visibility * _ideal_table(alice_basis, bob_basis)
-                 + (1.0 - channel.visibility) / 9.0)
+        tables = [channel.visibility * _ideal_table(i, j) + (1.0 - channel.visibility) / 9.0
+                  for i, j in pairs]
     elif isinstance(channel, CloningAttackChannel):
-        table = _attack_table(channel.params, alice_basis, bob_basis)
+        tables = _attack_tables(channel.params, pairs)
     else:
         raise ValueError(f"unsupported channel {channel!r}")
-    if abs(table.sum() - 1.0) > TABLE_TOL:
-        raise AssertionError("round distribution does not sum to 1")
-    return table
+    for table in tables:
+        if abs(table.sum() - 1.0) > TABLE_TOL:
+            raise AssertionError("round distribution does not sum to 1")
+    return tables
 
 
 def _ideal_table(i: int, j: int) -> np.ndarray:
@@ -199,14 +213,21 @@ def _ideal_table(i: int, j: int) -> np.ndarray:
     return p
 
 
-def _attack_table(params: ClonerParams, i: int, j: int) -> np.ndarray:
-    """P[a, b, e_b, e_c]: sender outcome uniform; her measurement leaves the
-    flying qutrit in the matching conjugate-basis state, which is cloned and
-    then read out in the receiver's basis pair."""
+def _attack_tables(params: ClonerParams, pairs) -> list[np.ndarray]:
+    """P[a, b, e_b, e_c] of each pair (i, j): sender outcome uniform; her
+    measurement leaves the flying qutrit in the matching conjugate-basis
+    state, which is cloned and then read out in the receiver's basis pair.
+    Each of the three flying states of basis i is cloned once, however many
+    pairs read it out."""
     mat = phi_cloner_matrix(params)
-    flying = BasisSpec(_PHIS[i], conjugated=True)
-    bob = BasisSpec(_PHIS[j], conjugated=True)
-    return np.array([outcome_table(mat, flying.state(a), bob) for a in range(3)]) / 3.0
+    joints = {i: [clone_amplitudes(mat, conjugate_phi_basis_state(_PHIS[i], a).amps)
+                  for a in range(3)]
+              for i in {i for i, _ in pairs}}
+    tables = []
+    for i, j in pairs:
+        cols = BasisSpec(_PHIS[j], conjugated=True).matrix()
+        tables.append(np.array([readout_table(joint, cols) for joint in joints[i]]) / 3.0)
+    return tables
 
 
 @dataclass
@@ -233,12 +254,14 @@ class SimResult:
     attack_counts: np.ndarray | None = None
 
 
-# Rounds drawn per step.  It bounds a session's working memory (about
-# 110 bytes per round of the chunk) and changes no result.
-_CHUNK = 1 << 18
+# Rounds drawn per step.  It bounds a session's working memory (a traced
+# peak of about 110 bytes per round of the chunk, measured with tracemalloc)
+# and changes no result; at 2**15 rounds a chunk's arrays stay cache-sized.
+_CHUNK = 1 << 15
 
-# Generator.random returns k * 2**-53 with an integer k in [0, 2**53), so
-# u * _GRID is exact and cells can be found by integer comparison.
+# Generator.random returns k * 2**-53, where k is the top 53 bits of one
+# raw 64-bit output of the bit generator.  The engine draws the integers k
+# and compares them with thresholds scaled by _GRID, which is exact.
 _GRID = 1 << 53
 
 # Each table row's key range is cut into 2**_GUIDE_BITS equal buckets.  A
@@ -252,43 +275,38 @@ def _cell_search(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Row p of ``cum`` is the cumulative distribution of table p.  It
     contributes the keys (p << 53) + min(ceil(cum[p, k] * 2**53), 2**53) for
-    its first K - 1 cells; for u on the 2**-53 grid, ceil(c * 2**53) <=
-    u * 2**53 holds exactly when c <= u.  The last cell needs no key: a u
-    past every other threshold lands there, as the clipped float
-    ``searchsorted`` puts it.  ``guide[g]`` counts the keys below the start
-    of bucket g, the key range [g, g + 1) << (53 - _GUIDE_BITS).
+    its first K - 1 cells; for a draw u = k * 2**-53, ceil(c * 2**53) <= k
+    holds exactly when c <= u.  The last cell needs no key: a u past every
+    other threshold lands there, as the clipped float ``searchsorted`` puts
+    it.  Bucket g is the key range [g, g + 1) << (53 - _GUIDE_BITS);
+    ``guide[g]`` is the flat index p * K + cell that every key in it maps
+    to, or -1 where a key splits the bucket.
     """
     scaled = np.minimum(np.ceil(cum[:, :-1] * _GRID), _GRID).astype(np.int64)
     rows = np.arange(len(cum), dtype=np.int64)[:, None] << 53
     keys = (scaled + rows).reshape(-1)
     starts = np.arange((len(cum) << _GUIDE_BITS) + 1, dtype=np.int64) << (53 - _GUIDE_BITS)
-    return keys, np.searchsorted(keys, starts)
+    below = np.searchsorted(keys, starts[:-1], side="right")
+    whole = below == np.searchsorted(keys, starts[1:])
+    return keys, np.where(whole, below + (np.arange(len(below)) >> _GUIDE_BITS), -1)
 
 
-def _cell_index(search: tuple[np.ndarray, np.ndarray], row: np.ndarray,
-                u: np.ndarray) -> np.ndarray:
-    """Flat index row * K + cell of each draw.
+def _cell_index(search: tuple[np.ndarray, np.ndarray], key: np.ndarray) -> np.ndarray:
+    """Flat index p * K + cell of each draw key (p << 53) + k.
 
-    Equal to row * K + min(searchsorted(cum[row], u, side="right"), K - 1)
-    for every u that ``Generator.random`` returns.  The keys of earlier rows
-    all lie at or below a draw's key (row << 53) + u * 2**53 and those of
-    later rows above it, so counting the keys at or below it counts
-    row * (K - 1) keys before the draw's own row.  Where the draw's bucket
-    holds no key the guide gives that count; elsewhere a binary search does.
+    Equal to p * K + min(searchsorted(cum[p], k * 2**-53, side="right"), K - 1)
+    for every integer k in [0, 2**53).  The keys of earlier rows all lie at
+    or below a draw's key and those of later rows above it, so counting the
+    keys at or below it counts p * (K - 1) keys before the draw's own row.
+    Where the draw's bucket holds no key the guide gives the index;
+    elsewhere a binary search does.
     """
     keys, guide = search
-    key = (u * _GRID).astype(np.int64)
-    key += row << 53
-    bucket = key >> (53 - _GUIDE_BITS)
-    index = guide[bucket]
-    split = np.flatnonzero(index != guide[bucket + 1])
-    index[split] = np.searchsorted(keys, key[split], side="right")
-    return index + row
-
-
-def _basis_index(cum_weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """min(searchsorted(cum_weights, u, side="right"), 3), by three comparisons."""
-    return sum(u >= c for c in cum_weights[:3].tolist())
+    index = guide[key >> (53 - _GUIDE_BITS)]
+    split = np.flatnonzero(index < 0)
+    key = key[split]
+    index[split] = np.searchsorted(keys, key, side="right") + (key >> 53)
+    return index
 
 
 def _sample_outcomes(config: SimConfig, cum: np.ndarray):
@@ -297,17 +315,23 @@ def _sample_outcomes(config: SimConfig, cum: np.ndarray):
     ``cum`` holds the cumulative outcome table of basis pair (i, j) in row
     4 * i + j.  Yields, per chunk and in round order, the first round
     number, the two basis indices and each round's flat histogram index
-    pair * K + cell.
+    pair * K + cell.  Round r reads raw outputs 3r to 3r + 2, the ones
+    behind row r of ``Generator.random((rounds, 3))``.
     """
-    search = _cell_search(cum)
-    alice_cum = np.cumsum(config.alice_weights)
-    bob_cum = np.cumsum(config.bob_weights)
-    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed)))
+    cells = _cell_search(cum)
+    # a basis index is the cell of a one-row table of the weights
+    alice = _cell_search(np.cumsum(config.alice_weights)[None, :])
+    bob = _cell_search(np.cumsum(config.bob_weights)[None, :])
+    bitgen = np.random.Philox(np.random.SeedSequence(config.seed))
     for start in range(0, config.rounds, _CHUNK):
-        u = gen.random((min(_CHUNK, config.rounds - start), 3))
-        ai = _basis_index(alice_cum, u[:, 0])
-        bj = _basis_index(bob_cum, u[:, 1])
-        yield start, ai, bj, _cell_index(search, 4 * ai + bj, u[:, 2])
+        n = min(_CHUNK, config.rounds - start)
+        k = (bitgen.random_raw(3 * n) >> 11).view(np.int64).reshape(n, 3)
+        ai = _cell_index(alice, k[:, 0])
+        bj = _cell_index(bob, k[:, 1])
+        key = 4 * ai + bj
+        key <<= 53
+        key += k[:, 2]
+        yield start, ai, bj, _cell_index(cells, key)
 
 
 def run_session(config: SimConfig, on_rounds=None) -> SimResult:
@@ -321,8 +345,7 @@ def run_session(config: SimConfig, on_rounds=None) -> SimResult:
     """
     if config.rounds < 1:
         raise ValueError("need at least one round")
-    tables = np.array([round_distribution(config.channel, i, j).reshape(-1)
-                       for i in range(4) for j in range(4)])
+    tables = np.array([t.reshape(-1) for t in _round_tables(config.channel, _PAIRS)])
     cells = tables.shape[1]
     hist = np.zeros(16 * cells, dtype=np.int64)
     for start, ai, bj, index in _sample_outcomes(config, np.cumsum(tables, axis=1)):

@@ -152,7 +152,7 @@ def test_simulate_readme_examples_byte_identical(runner, channel):
 
 
 def test_simulate_dump_csv_longer_than_a_chunk_byte_identical(runner, tmp_path):
-    # 300000 rounds span two chunks and part of a third
+    # 300000 rounds span several chunks and end partway through one
     out = tmp_path / "rounds.csv"
     result = runner.invoke(main, [
         "simulate", "--rounds", "300000", "--seed", "3", "--channel", "depol:0.6962",

@@ -6,7 +6,9 @@ import pytest
 from scipy.stats import chisquare
 
 from qkdlab import simulate
-from qkdlab.cloner import ClonerParams, closed_form_report, eve_joint_distribution
+from qkdlab.cloner import (ClonerParams, clone_state, closed_form_report,
+                           eve_joint_distribution, phi_cloner_matrix)
+from qkdlab.qudit import BasisSpec
 from qkdlab.security import crossing_point, eve_information
 from qkdlab.simulate import (CloningAttackChannel, DepolarizingChannel,
                              IdealChannel, PairedIndexSifting, SameIndexSifting,
@@ -101,6 +103,36 @@ def test_attack_tables_equal_the_closed_form_outcome_tables():
             for a in range(3):
                 closed = eve_joint_distribution(params, a, verify_phi=phi)
                 assert np.max(np.abs(3 * table[a] - closed)) <= 1e-12
+
+
+def clone_state_table(params: ClonerParams, i: int, j: int) -> np.ndarray:
+    """The attack table of pair (i, j), each flying state through clone_state."""
+    mat = phi_cloner_matrix(params)
+    cols = BasisSpec(simulate._PHIS[j], conjugated=True).matrix()
+    flying = BasisSpec(simulate._PHIS[i], conjugated=True)
+    rows = []
+    for a in range(3):
+        t = clone_state(mat, flying.state(a)).joint.amps.reshape(3, 3, 3)
+        amps = np.einsum("abc,ai,bj,ck->ijk", t, cols.conj(), cols.conj(), cols)
+        rows.append(np.abs(amps) ** 2)
+    return np.array(rows) / 3.0
+
+
+def test_attack_tables_equal_the_clone_state_route_bitwise():
+    # the session clones each flying state once for all four receiver
+    # bases; neither that nor skipping clone_state's checks moves a bit
+    rng = np.random.default_rng(2718)
+    cloners = [ATTACK.params, ClonerParams.identity()]
+    for _ in range(3):
+        v, x, y = rng.normal(size=3)
+        cloners.append(ClonerParams(v, x, y, y).normalized())
+    for params in cloners:
+        channel = CloningAttackChannel(params)
+        session = simulate._round_tables(channel, simulate._PAIRS)
+        for (i, j), table in zip(simulate._PAIRS, session):
+            expected = clone_state_table(params, i, j)
+            assert np.array_equal(table, expected), (params, i, j)
+            assert np.array_equal(round_distribution(channel, i, j), expected), (params, i, j)
 
 
 def test_attack_table_receiver_marginal_off_diagonal_pairs():
@@ -418,9 +450,14 @@ CHANNELS = {
 }
 
 
+# the oracle compares whole sessions of at least this many rounds, whatever
+# the chunk size
+LONG_SESSION = 655_360
+
+
 @pytest.mark.parametrize("channel", list(CHANNELS), ids=list(CHANNELS))
-@pytest.mark.parametrize("rounds", [1, simulate._CHUNK, 5 * simulate._CHUNK // 2],
-                         ids=["one-round", "one-chunk", "2.5-chunks"])
+@pytest.mark.parametrize("rounds", [1, simulate._CHUNK, 5 * simulate._CHUNK // 2, LONG_SESSION],
+                         ids=["one-round", "one-chunk", "2.5-chunks", "long-session"])
 def test_streaming_engine_equals_reference(channel, rounds):
     config = SimConfig(rounds=rounds, seed=7, channel=CHANNELS[channel])
     assert_same_statistics(run_session(config), reference_session(config))
@@ -428,9 +465,10 @@ def test_streaming_engine_equals_reference(channel, rounds):
 
 @pytest.mark.parametrize("channel", list(CHANNELS), ids=list(CHANNELS))
 def test_streaming_engine_equals_reference_uneven_weights_paired_sifting(channel):
-    # basis 3 of the sender is never chosen; pair (1,3) mixes unequal bases
+    # basis 3 of the sender is never chosen; pair (1,3) mixes unequal bases;
+    # the session ends halfway through a chunk
     config = SimConfig(
-        rounds=5 * simulate._CHUNK // 2, seed=11, channel=CHANNELS[channel],
+        rounds=LONG_SESSION + simulate._CHUNK // 2, seed=11, channel=CHANNELS[channel],
         alice_weights=(0.5, 0.3, 0.2, 0.0), bob_weights=(0.1, 0.2, 0.3, 0.4),
         sifting=PairedIndexSifting(((0, 0), (1, 3), (2, 2), (3, 3))))
     assert_same_statistics(run_session(config), reference_session(config))
@@ -450,12 +488,26 @@ def test_round_rows_stream_in_order_for_any_chunk_size(monkeypatch):
     assert_same_statistics(res, ref)
 
 
-def test_cell_lookup_exact_at_cdf_boundaries():
+def boundary_draws(cum: np.ndarray) -> np.ndarray:
+    """53-bit draws k at and beside every threshold of ``cum`` and every
+    guide-bucket edge, followed by 100,000 draws of the generator."""
     grid = 2.0 ** -53
     u_gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(0))).random(100_000)
-    # the lookup relies on the generator returning multiples of 2**-53
-    assert np.array_equal(u_gen / grid, np.floor(u_gen / grid))
+    candidates = {0.0, 1.0 - grid}
+    candidates.update(k / 1024 for k in range(1024))
+    candidates.update(k / 1024 - grid for k in range(1, 1025))
+    for c in cum.ravel():
+        for v in (c, np.nextafter(c, 0.0), np.nextafter(c, 2.0)):
+            # snap down and up onto the values the generator can return
+            candidates.update((math.floor(v / grid) * grid, math.ceil(v / grid) * grid))
+    u = np.array(sorted(x for x in candidates if 0.0 <= x < 1.0))
+    u = np.concatenate([u, u_gen])
+    # the integer lookups rely on the generator returning multiples of 2**-53
+    assert np.array_equal(u / grid, np.floor(u / grid))
+    return u, (u / grid).astype(np.int64)
 
+
+def test_cell_lookup_exact_at_cdf_boundaries():
     # zero-probability cells repeat CDF values; dyadic entries put CDF
     # values (and guide-bucket starts) on the grid; the first row passes 1
     # before its last cell, so its keys must be capped below the next
@@ -472,23 +524,40 @@ def test_cell_lookup_exact_at_cdf_boundaries():
     rows[5, -1] = 1.0 - rows[5, :-1].sum()
     cum = np.cumsum(rows, axis=1)
     cells = cum.shape[1]
-
-    candidates = {0.0, 1.0 - grid}
-    candidates.update(k / 1024 for k in range(1024))
-    candidates.update(k / 1024 - grid for k in range(1, 1025))
-    for c in cum.ravel():
-        for v in (c, np.nextafter(c, 0.0), np.nextafter(c, 2.0)):
-            # snap down and up onto the values the generator can return
-            candidates.update((math.floor(v / grid) * grid, math.ceil(v / grid) * grid))
-    u = np.array(sorted(x for x in candidates if 0.0 <= x < 1.0))
-    u = np.concatenate([u, u_gen])
-    assert np.array_equal(u / grid, np.floor(u / grid))
+    u, k = boundary_draws(cum)
 
     search = simulate._cell_search(cum)
     for p, row_cum in enumerate(cum):
         expected = np.clip(np.searchsorted(row_cum, u, side="right"), 0, cells - 1)
-        row = np.full(len(u), p, dtype=np.int64)
-        assert np.array_equal(simulate._cell_index(search, row, u), p * cells + expected), p
+        assert np.array_equal(simulate._cell_index(search, (p << 53) + k),
+                              p * cells + expected), p
+
+
+@pytest.mark.parametrize("weights", [
+    (0.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 0.0), (0.0, 0.5, 0.0, 0.5),
+    (0.25, 0.25, 0.25, 0.25), (0.125, 0.375, 0.25, 0.25), (2 ** -10, 0.5, 0.0, 0.5 - 2 ** -10),
+    (0.25 - 2 ** -53, 0.5 + 2 ** -53, 0.0, 0.25), (0.5, 0.5, 0.0, 0.0), (0.1, 0.2, 0.3, 0.4),
+    (0.3, 0.3, 0.4 - 1e-13, 0.0),
+], ids=["last-only", "first-only", "zeros-between", "uniform", "dyadic", "bucket-start",
+        "bucket-end", "one-before-last", "decimal", "under-one"])
+def test_basis_pick_exact_at_cdf_boundaries(weights):
+    # dyadic thresholds land on guide-bucket starts, and one grid step
+    # below a start is the last draw of a bucket; a cumulative sum can
+    # reach 1 before the last basis, or end just under 1
+    cum = np.cumsum(weights)
+    u, k = boundary_draws(cum)
+    expected = np.clip(np.searchsorted(cum, u, side="right"), 0, 3)
+    assert np.array_equal(simulate._cell_index(simulate._cell_search(cum[None, :]), k),
+                          expected)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 40])
+@pytest.mark.parametrize("rounds", [1, 999, 3 * simulate._CHUNK + 1])
+def test_raw_draws_are_the_integers_behind_generator_random(seed, rounds):
+    # the engine reads round r from raw outputs 3r to 3r + 2, shifted to 53 bits
+    raw = np.random.Philox(np.random.SeedSequence(seed)).random_raw(3 * rounds) >> 11
+    u = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).random((rounds, 3))
+    assert np.array_equal(raw.reshape(rounds, 3).astype(np.float64), u * 2.0 ** 53)
 
 
 def test_session_memory_does_not_grow_with_rounds():
