@@ -13,7 +13,7 @@ distribution |c[m, j]|^2 over the offset j between her outcome and the
 sender's trit.  For each supported protocol the coefficient rows c[m, :]
 have closed forms in the cloner parameters (``cloner.coefficient_rows``),
 so both I_AB and I_AE reduce to short entropy expressions; see
-``_iab_iae_rows``.
+``_rows_information``.
 
 Three cloner families tie slots of the amplitude matrix together; their
 masks are in the docstrings of ``_phase_covariant`` and next to the
@@ -46,18 +46,21 @@ The crossing solver follows a two-level strategy: an outer scalar
 root-find on F_A of g(F) = [max I_AE over the constraint surface at fixed
 F] - I_AB(F), with the inner maximization done by a deterministic
 derivative-free pattern search from 16 fixed-seed restarts on each sign
-branch.  The searches run in lockstep (``_pattern_search``): every
-compass move evaluates the objective once, on the stacked candidates of
-the searches still active, so the chart, the coefficient rows and the
-entropy helper all take arrays of points.  One batch may hold several
-fidelities, laid out fidelity x sign x restart with each lane carrying
-its own F_A; ``_maximize_on`` takes one fidelity or an array of them and
-searches at most ``_FIDELITY_BLOCK`` fidelities per batch, so a sweep's
-memory does not grow with its length.  It runs in two stages: a coarse
-lockstep batch of all restarts (``_coarse_stage``), then a lockstep
-polish of each (fidelity, sign) winner (``_polish_stage``).  Each search
-still makes the moves it would make alone, and every lane of a batch is
-bit-equal to its point evaluated on its own.
+branch.  The searches run in lockstep (``_pattern_search``): each
+coordinate of a compass sweep evaluates the objective once, on the
+stacked candidates of the searches still active -- every point that the
+coordinate's +step and -step moves can reach -- so the chart, the
+coefficient rows and the entropy helper all take arrays of points.  The
+objective computes I_AE alone; I_AB is a closed form in F_A.  One batch
+may hold several fidelities, laid out fidelity x sign x restart with each
+lane carrying its own F_A; ``_maximize_on`` takes one fidelity or an
+array of them and searches at most ``_FIDELITY_BLOCK`` fidelities per
+batch, so a sweep's memory does not grow with its length.  It runs in
+two stages: a coarse lockstep batch of all restarts (``_coarse_stage``),
+then a lockstep polish of each (fidelity, sign) winner
+(``_polish_stage``).  Each search still makes the moves it would make
+alone, and every lane of a batch is bit-equal to its point evaluated on
+its own.
 
 The crossing solver's 13-point bracket grid needs only the sign of g, so
 it runs the coarse stage alone, as one batch.  That is safe because the
@@ -176,15 +179,18 @@ def bob_information(f_a: float, base=2) -> float:
     return _iab_nats(f_a, 3) / _log_of_base(base)
 
 
-def _iab_iae_rows(rows, dim: int):
-    """(I_AB, I_AE) in nats from coefficient rows c[m, j].
+def _rows_information(rows, dim: int):
+    """(w, I_AE) from coefficient rows c[m, j]: the error distribution w and
+    the attacker's information in nats.
 
-    P(error = m) = sum_j c[m,j]^2 / dim; conditionally on m the offset
-    between the attacker's clone outcome and the sender's symbol is
+    P(error = m) = w[m] = sum_j c[m,j]^2 / dim; conditionally on m the
+    offset between the attacker's clone outcome and the sender's symbol is
     distributed as c[m,j]^2 / (dim P(m)).  Axes after m and j are a batch
-    (protocol bases, points): the result holds one (I_AB, I_AE) per batch
-    index, each bit-equal to that index's alone, as every sum runs in
-    index order and rows of weight <= 1e-15 add exactly 0.
+    (protocol bases, points): w has shape (dim, *batch) and I_AE one value
+    per batch index, each bit-equal to that index's alone, as every sum
+    runs in index order and rows of weight <= 1e-15 add exactly 0.  The
+    receiver's information, log(dim) - H(w), is left to the callers that
+    read it.
     """
     logd = math.log(dim)
     c2 = np.square(np.asarray(rows, dtype=float))
@@ -200,13 +206,12 @@ def _iab_iae_rows(rows, dim: int):
     bad = live & (np.abs(s - 1.0) > 1e-9)
     if np.count_nonzero(bad):
         raise ValueError(f"conditional distribution sums to {float(s[bad][0])!r}")
-    # one entropy call: h[0] is H(w), h[1 + m] is H(cond[m, :])
-    h = _entropy_nats(np.concatenate((w[:, None], cond.swapaxes(0, 1)), axis=1))
-    terms = np.where(live, w * (logd - h[1:]), 0.0)
+    # one entropy call gives H(cond[m, :]) for every m
+    terms = np.where(live, w * (logd - _entropy_nats(cond.swapaxes(0, 1))), 0.0)
     i_ae = 0.0
     for t in terms:
         i_ae = i_ae + t
-    return logd - h[0], i_ae
+    return w, i_ae
 
 
 def eve_information(params: ClonerParams, base=2) -> float:
@@ -219,7 +224,7 @@ def eve_information(params: ClonerParams, base=2) -> float:
     """
     params.require_normalized()
     params.require_symmetric()
-    _, i_ae = _iab_iae_rows(coefficient_rows(params.v, params.y, params.x, params.y), 3)
+    _, i_ae = _rows_information(coefficient_rows(params.v, params.y, params.x, params.y), 3)
     return float(i_ae) / _log_of_base(base)
 
 
@@ -339,11 +344,19 @@ def resolve_preset(name: str | ProtocolPreset) -> ProtocolPreset:
                          f"choose from {sorted(PRESETS)}") from None
 
 
+def _basis_information(preset: ProtocolPreset, amps):
+    """``_rows_information`` of each of the preset's protocol bases, stacked
+    into the batch after any point axes of the amplitudes: (w, I_AE) with
+    shapes (dim, bases, ...) and (bases, ...)."""
+    rowsets = np.asarray(preset.rows(*amps), dtype=float)  # [basis, m, j, ...]
+    return _rows_information(rowsets.swapaxes(0, 1).swapaxes(1, 2), preset.dimension)
+
+
 def _mean_information(preset: ProtocolPreset, amps):
     """(I_AB, I_AE) in nats, averaged over the preset's protocol bases;
     the amplitudes may be arrays of points."""
-    rowsets = np.asarray(preset.rows(*amps), dtype=float)  # [basis, m, j, ...]
-    i_ab, i_ae = _iab_iae_rows(rowsets.swapaxes(0, 1).swapaxes(1, 2), preset.dimension)
+    w, i_ae = _basis_information(preset, amps)
+    i_ab = math.log(preset.dimension) - _entropy_nats(w)
     return sum(i_ab) / len(i_ab), sum(i_ae) / len(i_ae)
 
 
@@ -378,12 +391,19 @@ def _pattern_search(f, lo, hi, x0, tol=PARAM_TOL, initial_step=None, max_sweeps=
 
     ``x0`` is a (K, n) array of starting points and ``lo``, ``hi`` the box
     corners, shape (n,).  ``f(u, k)`` returns the objective, shape (m,),
-    of searches ``k`` (an index array of length m) at the points ``u``,
-    shape (m, n).  At each (coordinate, +-step) move the searches still
-    active are evaluated together; each one accepts a strictly better
-    point, halves its own steps after a sweep with no gain and stops once
-    its steps are within ``tol``, so it makes the moves it would make
-    alone.  Returns the values (K,) and the points (K, n).
+    of searches ``k`` (an index array of length m, an index may repeat) at
+    the points ``u``, shape (m, n).  Each search tries, coordinate by
+    coordinate, the move +step and then the move -step from wherever the
+    first left it, accepts a strictly better point, halves its own steps
+    after a sweep with no gain and stops once its steps are within ``tol``.
+
+    A coordinate costs one call of ``f``: each active search sends every
+    point its two moves can reach, x+ = clip(x + s), x- = clip(x - s) (the
+    second move if x+ is refused) and x+- = clip(x+ - s) (the second move
+    if x+ is accepted), leaving out moves that stay put and an x+- that is
+    bitwise x, whose value fx is known and loses to x+.  The acceptances
+    are then read in the order of the moves, so each search makes the moves
+    it would make alone.  Returns the values (K,) and the points (K, n).
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     x = np.minimum(np.maximum(np.array(x0, dtype=float), lo), hi)
@@ -395,18 +415,28 @@ def _pattern_search(f, lo, hi, x0, tol=PARAM_TOL, initial_step=None, max_sweeps=
             break
         improved = np.zeros(len(x), dtype=bool)
         for i in range(x.shape[1]):
-            for d in (steps[:, i], -steps[:, i]):
-                xi = np.minimum(np.maximum(x[:, i] + d, lo[i]), hi[i])
-                k = (active & (xi != x[:, i])).nonzero()[0]
-                if k.size == 0:
-                    continue
-                cand = x[k]
-                cand[:, i] = xi[k]
-                fc = f(cand, k)
-                up = fc > fx[k]
-                if np.count_nonzero(up):
-                    k, cand, fc = k[up], cand[up], fc[up]
-                    x[k], fx[k], improved[k] = cand, fc, True
+            xi, step = x[:, i], steps[:, i]
+            plus = np.minimum(np.maximum(xi + step, lo[i]), hi[i])
+            minus = np.minimum(np.maximum(xi - step, lo[i]), hi[i])
+            back = np.minimum(np.maximum(plus - step, lo[i]), hi[i])
+            moves = np.array((plus, minus, back))
+            tried = active & (moves != xi)
+            tried[2] &= tried[0] & (back != plus)
+            which = tried.ravel().nonzero()[0]  # move-major: (move, search)
+            if which.size == 0:
+                continue
+            k = which % len(x)
+            cand = x[k]
+            cand[:, i] = moves.ravel()[which]
+            values = np.full(moves.shape, np.nan)  # a move not tried is never accepted
+            np.put(values, which, f(cand, k))
+            f_plus, f_minus, f_back = values
+            first = f_plus > fx
+            f1, x1 = np.where(first, f_plus, fx), np.where(first, plus, xi)
+            f2, x2 = np.where(first, f_back, f_minus), np.where(first, back, minus)
+            second = f2 > f1
+            x[:, i], fx = np.where(second, x2, x1), np.where(second, f2, f1)
+            improved |= first | second
         steps[active & ~improved] /= 2.0
     return fx, x
 
@@ -519,8 +549,11 @@ def _maximize_on(preset: ProtocolPreset, f_a, objective):
 
 def _iae(preset: ProtocolPreset):
     """I_AE in nats, averaged over the protocol bases, as an objective of
-    amplitude arrays."""
-    return lambda *amps: _mean_information(preset, amps)[1]
+    amplitude arrays; I_AB is not computed."""
+    def objective(*amps):
+        i_ae = _basis_information(preset, amps)[1]
+        return sum(i_ae) / len(i_ae)
+    return objective
 
 
 def _named(preset: ProtocolPreset, best, amps):

@@ -170,7 +170,8 @@ def test_simulate_dump_csv_longer_than_a_chunk_byte_identical(runner, tmp_path):
 # maximizer became one preset-driven routine and still reproduce every
 # byte.  The other seven were recorded when the search moved onto the angle
 # chart of each preset's fixed-fidelity ellipsoid; that changed their float
-# paths, and test_analysis_outputs_match_reference bounds the change.
+# paths, and test_analysis_outputs_match_reference bounds the change.  The
+# 2mub ridge sweep was recorded later, on the angle chart.
 ANALYSIS_SHA256 = {
     "table --format json":
         "4e833ed2b656ecb2801bf95045d70c8c5c8b5d5cbd2f9e17ee8832063d7ddbfe",
@@ -192,6 +193,9 @@ ANALYSIS_SHA256 = {
         "a886a7a10afd4e72c5a47ed8036bc3cba6338e06f15acdd59dfb3438b8389fca",
     "sweep --preset qubit --start 0.80 --stop 0.90 --points 7 --format csv":
         "6c7bf8c2cdafdc2b209fa4a5075585560699f41040c7c18e5e9e9a09c31155bc",
+    # across the flat 2mub ridge at F ~ 0.889, where the polish creeps
+    "sweep --preset 2mub --start 0.85 --stop 0.95 --points 11 --format csv":
+        "70aabffbd3a7fe2f82ebbb37abc59f1e0c2cc7f0bb8ad4a55eafd9f6a52f5655",
 }
 
 
@@ -228,7 +232,8 @@ def test_analysis_outputs_byte_identical_without_scipy(args):
 
 
 # the same seven outputs as printed by the compass search over Cartesian
-# amplitudes, before the angle chart
+# amplitudes, before the angle chart, and the 2mub ridge sweep as printed on
+# the angle chart
 ANALYSIS_REFERENCE = json.loads(
     (Path(__file__).resolve().parent / "data" / "analysis_reference.json").read_text())
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -14,9 +15,9 @@ from qkdlab.cli import main
 from qkdlab.cloner import ClonerParams, closed_form_report, coefficient_rows
 from qkdlab.security import (CrossingError, _FIDELITY_BLOCK, _INFEASIBLE, _charted,
                              _coarse_stage, _crossing_core, _iae,
-                             _entropy_nats, _iab_iae_rows, _iab_nats, _max_iae_at,
+                             _entropy_nats, _iab_nats, _max_iae_at,
                              _maximize_on, _mean_information, _pattern_search,
-                             _restart_points, bob_information,
+                             _restart_points, _rows_information, bob_information,
                              ck_rate_bound, crossing_point, error_rate_table,
                              eve_information,
                              fidelity_from_visibility, info_report,
@@ -665,8 +666,16 @@ def _plateaus(u):
     return np.floor(3.0 * u[..., 0]) / 3.0 + np.sin(2.0 * u[..., -1])
 
 
+def _low_bits(u):
+    # chaotic in the low bits: the 53-bit significand modulo a prime, so
+    # points one ulp apart have unrelated values, and whether x + s - s is
+    # x bitwise decides the moves
+    return sum(np.fmod(np.frexp(u[..., j])[0] * 2.0 ** 53, 997.0) / 997.0
+               for j in range(u.shape[-1]))
+
+
 @pytest.mark.parametrize("k", [1, 2, 32])
-@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("ndim", [1, 2, 3])
 @pytest.mark.parametrize("tol,initial_step", [(1e-5, None), (1e-9, 1e-3)])
 def test_lockstep_pattern_search_moves_as_each_search_alone(k, ndim, tol, initial_step):
     rng = np.random.default_rng(5)
@@ -675,15 +684,36 @@ def test_lockstep_pattern_search_moves_as_each_search_alone(k, ndim, tol, initia
     x0[3::3] = 0.5  # searches tied from the start
     x0[0] = 0.9995  # one step from the face u_0 = 1, where +g is largest
     weight = np.where(np.arange(k) % 2 == 0, 1.0, -1.0)
-    fx, x = _pattern_search(lambda u, idx: weight[idx] * _plateaus(u), lo, hi, x0,
-                            tol=tol, initial_step=initial_step)
-    assert fx.shape == (k,) and x.shape == (k, ndim)
-    for j in range(k):
-        ref_f, ref_x = _scalar_pattern_search(
-            lambda u: float(weight[j] * _plateaus(np.array(u))), lo, hi, list(x0[j]),
-            tol=tol, initial_step=initial_step)
-        assert fx[j] == ref_f and list(x[j]) == ref_x, j
-    assert x[0, 0] == 1.0
+    # cut after a few sweeps too: a move made a sweep late can still end
+    # at the same point
+    for objective, sweeps in itertools.product((_plateaus, _low_bits),
+                                               (1, 2, 3, 5, 8, 10_000)):
+        fx, x = _pattern_search(lambda u, idx: weight[idx] * objective(u), lo, hi, x0,
+                                tol=tol, initial_step=initial_step, max_sweeps=sweeps)
+        assert fx.shape == (k,) and x.shape == (k, ndim)
+        for j in range(k):
+            ref_f, ref_x = _scalar_pattern_search(
+                lambda u: float(weight[j] * objective(np.array(u))), lo, hi, list(x0[j]),
+                tol=tol, initial_step=initial_step, max_sweeps=sweeps)
+            assert fx[j] == ref_f and list(x[j]) == ref_x, (objective, sweeps, j)
+        if objective is _plateaus and sweeps == 10_000:
+            assert x[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("sweeps", [1, 2, 5])
+def test_pattern_search_calls_the_objective_once_per_coordinate(sweeps):
+    # both moves of every coordinate are tried in the first sweeps, yet a
+    # sweep makes one call per coordinate, after the call at the start
+    ndim, calls = 3, []
+    x0 = np.random.default_rng(2).uniform(-0.9, 0.9, (8, ndim))
+
+    def counted(u, idx):
+        calls.append(len(idx))
+        return _low_bits(u)
+
+    _pattern_search(counted, [-1.0] * ndim, [1.0] * ndim, x0, tol=1e-5, max_sweeps=sweeps)
+    assert calls[0] == len(x0)
+    assert len(calls) <= 1 + sweeps * ndim
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -728,9 +758,12 @@ def test_batched_objective_lanes_equal_each_point_alone():
         # rows of weight in (0, 1e-15] add exactly what empty rows add
         tiny = coefficient_rows(0.8, 0.2, 1e-8, 1e-8)
         empty = coefficient_rows(0.8, 0.2, 0.0, 0.0)
-        pair = _iab_iae_rows(np.stack([tiny, empty], axis=-1), 3)
+        w, pair = _rows_information(np.stack([tiny, empty], axis=-1), 3)
         assert 0.0 < sum(c * c for c in tiny[1]) <= 1e-15
-        assert pair[0][0] == pair[0][1] and pair[1][0] == pair[1][1]
+        h = _entropy_nats(w)
+        assert h[0] == h[1] and pair[0] == pair[1]
+        # the maximizer's objective computes I_AE alone, bit-equal
+        assert np.all(_iae(preset)(*amps) == i_ae)
         values = _charted(preset, 0.3, lambda *a: _mean_information(preset, a)[1])(
             angles, signs)
         assert np.all(values[infeasible[12:]] == _INFEASIBLE)
