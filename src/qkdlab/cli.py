@@ -46,11 +46,17 @@ def _emit(text: str, output: str | None) -> None:
         click.echo(text)
 
 
+def _csv_writer(fh, header: list[str]):
+    """A ``csv.writer`` on ``fh`` that has written the header row."""
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    return writer
+
+
 def _csv(header: list[str], rows) -> str:
     """CSV text; numbers to 10 significant digits, None as an empty field."""
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
+    writer = _csv_writer(buf, header)
     for row in rows:
         writer.writerow(v if isinstance(v, str) else "" if v is None else f"{v:.10g}"
                         for v in row)
@@ -280,10 +286,9 @@ def simulate_cmd(rounds, seed, channel_spec, sifting_spec, alice_weights, bob_we
             sifting=_parse_sifting(sifting_spec))
 
     if dump_csv:
-        # rows are written as each chunk of rounds is sampled
+        # integer rows, written as each chunk of rounds is sampled
         with _open_for_writing(dump_csv, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["round", "basis_i", "basis_j", "a", "b"])
+            writer = _csv_writer(fh, ["round", "basis_i", "basis_j", "a", "b"])
             result = simulate.run_session(
                 config, on_rounds=lambda rows: writer.writerows(rows.tolist()))
     else:

@@ -64,7 +64,7 @@ class ClonerParams:
     def require_normalized(self, tol: float = PARAM_NORM_TOL,
                            remedy: str = "call .normalized() first") -> None:
         dev = abs(self.norm_squared - 1.0)
-        if dev > tol:
+        if not dev <= tol:  # also true for NaN
             raise ValueError(
                 f"parameters off the normalization surface by {dev:.2e}; {remedy}")
 

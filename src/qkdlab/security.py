@@ -34,8 +34,7 @@ one set of coefficient rows per protocol basis (see ``ProtocolPreset``);
 one angle chart, ``ProtocolPreset.chart``, maps a point of the box
 [-pi/2, pi/2]^(k-1) and a sign branch onto the ellipsoid.  One maximizer,
 ``_maximize_on``, searches that box for the attacker's information, the
-symmetric point and the information sweep alike; the universal preset is
-the case with no angle at all.
+symmetric point and the information sweep alike.
 
 The 2mub and qubit masks are reconstructions validated against their
 published crossing fidelities ((1 + 1/sqrt(d))/2: 0.7887 and
@@ -48,19 +47,21 @@ F] - I_AB(F), with the inner maximization done by a deterministic
 derivative-free pattern search from 16 fixed-seed restarts on each sign
 branch.  The searches run in lockstep (``_pattern_search``): each
 coordinate of a compass sweep evaluates the objective once, on the
-stacked candidates of the searches still active -- every point that the
-coordinate's +step and -step moves can reach -- so the chart, the
-coefficient rows and the entropy helper all take arrays of points.  The
-objective computes I_AE alone; I_AB is a closed form in F_A.  One batch
-may hold several fidelities, laid out fidelity x sign x restart with each
-lane carrying its own F_A; ``_maximize_on`` takes one fidelity or an
-array of them and searches at most ``_FIDELITY_BLOCK`` fidelities per
-batch, so a sweep's memory does not grow with its length.  It runs in
-two stages: a coarse lockstep batch of all restarts (``_coarse_stage``),
-then a lockstep polish of each (fidelity, sign) winner
-(``_polish_stage``).  Each search still makes the moves it would make
-alone, and every lane of a batch is bit-equal to its point evaluated on
-its own.
+stacked candidates of the searches still active -- every point other
+than x that the coordinate's +step and -step moves can reach -- so the
+chart, the coefficient rows and the entropy helper all take arrays of
+points.  The objective computes I_AE alone; I_AB is a closed form in
+F_A.  One batch may hold several fidelities, laid out fidelity x sign x
+restart with each lane carrying its own F_A; ``_maximize_on`` takes one
+fidelity or an array of them and searches at most ``_FIDELITY_BLOCK``
+fidelities per batch, so a sweep's memory does not grow with its
+length.  It runs in two stages: a coarse lockstep batch of all restarts
+(``_coarse_stage``), then a lockstep polish of each (fidelity, sign)
+winner (``_polish_stage``).  Each search still makes the moves it would
+make alone, and every lane of a batch is bit-equal to its point
+evaluated on its own.  Every preset, stage and caller takes this one
+path; the universal preset, whose ellipsoid leaves no angle, is a search
+over zero coordinates that stops after evaluating its start points.
 
 The crossing solver's 13-point bracket grid needs only the sign of g, so
 it runs the coarse stage alone, as one batch.  That is safe because the
@@ -147,10 +148,10 @@ def shannon_entropy(p, base=2) -> float:
     p = tuple(p)  # read twice below; a one-pass iterable must still work
     total = 0.0
     for pi in p:
-        if pi < -1e-12:
-            raise ValueError(f"negative probability {pi!r}")
+        if not pi >= -1e-12:  # also true for NaN
+            raise ValueError(f"probability {pi!r} is negative or not a number")
         total += pi
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
     return float(_entropy_nats(p)) / lb
 
@@ -396,76 +397,67 @@ def _pattern_search(f, lo, hi, x0, tol=PARAM_TOL, initial_step=None, max_sweeps=
     coordinate, the move +step and then the move -step from wherever the
     first left it, accepts a strictly better point, halves its own steps
     after a sweep with no gain and stops once its steps are within ``tol``.
+    With no coordinate (n = 0) it stops at once, after the call at x0.
 
-    A coordinate costs one call of ``f``: each active search sends every
-    point its two moves can reach, x+ = clip(x + s), x- = clip(x - s) (the
-    second move if x+ is refused) and x+- = clip(x+ - s) (the second move
-    if x+ is accepted), leaving out moves that stay put and an x+- that is
-    bitwise x, whose value fx is known and loses to x+.  The acceptances
-    are then read in the order of the moves, so each search makes the moves
-    it would make alone.  Returns the values (K,) and the points (K, n).
+    A coordinate costs one call of ``f`` on the searches still active:
+    each sends the points its two moves can reach, x+ = clip(x + s),
+    x- = clip(x - s) (the second move if x+ is refused) and x+- =
+    clip(x+ - s) (the second move if x+ is accepted), except those bitwise
+    equal to x.  Every lane's value is bit-equal to its point evaluated
+    alone, so a point that is not sent, or that stays put, would be worth
+    fx, and fx never wins against the strict ``>``.  The acceptances are
+    read in the order of the moves, so each search makes the moves it
+    would make alone.  Returns the values (K,) and the points (K, n).
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     x = np.minimum(np.maximum(np.array(x0, dtype=float), lo), hi)
     fx = f(x, np.arange(len(x)))
     steps = np.zeros_like(x) + (initial_step or (hi - lo) / 4.0)
     for _ in range(max_sweeps):
-        active = steps.max(axis=1) > tol
-        if not np.count_nonzero(active):
+        k = (steps.max(axis=1, initial=0.0) > tol).nonzero()[0]
+        if not k.size:
             break
-        improved = np.zeros(len(x), dtype=bool)
+        xk, fk, sk = x[k], fx[k], steps[k]
+        improved = np.zeros(len(k), dtype=bool)
         for i in range(x.shape[1]):
-            xi, step = x[:, i], steps[:, i]
+            xi, step = xk[:, i], sk[:, i]
             plus = np.minimum(np.maximum(xi + step, lo[i]), hi[i])
             minus = np.minimum(np.maximum(xi - step, lo[i]), hi[i])
             back = np.minimum(np.maximum(plus - step, lo[i]), hi[i])
             moves = np.array((plus, minus, back))
-            tried = active & (moves != xi)
-            tried[2] &= tried[0] & (back != plus)
-            which = tried.ravel().nonzero()[0]  # move-major: (move, search)
-            if which.size == 0:
-                continue
-            k = which % len(x)
-            cand = x[k]
-            cand[:, i] = moves.ravel()[which]
+            tried = (moves != xi).nonzero()  # (move, lane)
+            cand = xk[tried[1]]
+            cand[:, i] = moves[tried]
             values = np.full(moves.shape, np.nan)  # a move not tried is never accepted
-            np.put(values, which, f(cand, k))
+            values[tried] = f(cand, k[tried[1]])
             f_plus, f_minus, f_back = values
-            first = f_plus > fx
-            f1, x1 = np.where(first, f_plus, fx), np.where(first, plus, xi)
+            first = f_plus > fk
+            f1, x1 = np.where(first, f_plus, fk), np.where(first, plus, xi)
             f2, x2 = np.where(first, f_back, f_minus), np.where(first, back, minus)
             second = f2 > f1
-            x[:, i], fx = np.where(second, x2, x1), np.where(second, f2, f1)
+            xk[:, i], fk = np.where(second, x2, x1), np.where(second, f2, f1)
             improved |= first | second
-        steps[active & ~improved] /= 2.0
+        x[k], fx[k] = xk, fk
+        steps[k[~improved]] /= 2.0
     return fx, x
 
 
-def _restart_points(lo, hi, n_restarts: int) -> list[list[float]]:
-    """Fixed-seed restart grid: box midpoint plus pseudo-random interior points."""
-    ndim = len(lo)
-    pts = [[(lo[i] + hi[i]) / 2.0 for i in range(ndim)]]
+def _restart_points(lo, hi, n_restarts: int):
+    """Fixed-seed restart grid, shape (n_restarts, n): the box midpoint, then
+    pseudo-random interior points."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     rng = np.random.Generator(np.random.Philox(key=_RESTART_SEED))
-    for _ in range(n_restarts - 1):
-        u = rng.random(ndim)
-        pts.append([float(lo[i] + u[i] * (hi[i] - lo[i])) for i in range(ndim)])
-    return pts
-
-
-def _charted(preset: ProtocolPreset, f_a, objective):
-    """``objective`` as a function of chart points at pinned F_A (one value,
-    or one per point): it maps angles (K, n) and signs (K,) to the K
-    values, ``_INFEASIBLE`` where v^2 < 0."""
-    def f(angles, signs):
-        amps = preset.chart(f_a, angles, signs)
-        return np.where(amps[0] == _INFEASIBLE, _INFEASIBLE, objective(*amps))
-    return f
+    return np.vstack(((lo + hi) / 2.0, lo + rng.random((n_restarts - 1, len(lo))) * (hi - lo)))
 
 
 def _lanes(preset: ProtocolPreset, objective, f_lane, s_lane):
     """``objective`` on the chart as ``_pattern_search`` calls it: search k
-    runs at fidelity ``f_lane[k]`` on sign branch ``s_lane[k]``."""
-    return lambda u, k: _charted(preset, f_lane[k], objective)(u, s_lane[k])
+    runs at fidelity ``f_lane[k]`` on sign branch ``s_lane[k]``, and its
+    value is ``_INFEASIBLE`` where v^2 < 0."""
+    def f(u, k):
+        amps = preset.chart(f_lane[k], u, s_lane[k])
+        return np.where(amps[0] == _INFEASIBLE, _INFEASIBLE, objective(*amps))
+    return f
 
 
 def _coarse_stage(preset: ProtocolPreset, block, objective):
@@ -475,14 +467,10 @@ def _coarse_stage(preset: ProtocolPreset, block, objective):
     M x 2 x 16 searches (lane (m * 2 + s) * 16 + r: fidelity m, sign s,
     restart r) to ``_COARSE_TOL``.  Returns the value, shape (2M,), and the
     angles, shape (2M, n), of each (fidelity, sign) pair's winning restart,
-    the lowest index among equals; pair m * 2 + s.  With no angle
-    (universal) each pair is its one point.
+    the lowest index among equals; pair m * 2 + s.
     """
     n = len(preset.e) - 1
     f_pair, s_pair = np.repeat(block, 2), np.tile(_BRANCHES, len(block))
-    if n == 0:
-        u = np.empty((len(f_pair), 0))
-        return _charted(preset, f_pair, objective)(u, s_pair), u
     lo, hi = [-math.pi / 2] * n, [math.pi / 2] * n
     fc, uc = _pattern_search(
         _lanes(preset, objective, np.repeat(f_pair, N_RESTARTS), np.repeat(s_pair, N_RESTARTS)),
@@ -492,31 +480,28 @@ def _coarse_stage(preset: ProtocolPreset, block, objective):
     return fc[win], uc[win]
 
 
-def _polish_stage(preset: ProtocolPreset, block, objective, fc, uc):
-    """Second stage of ``_maximize_on``: the coarse winners ``fc``, ``uc`` of
-    the block's (fidelity, sign) pairs, as ``_coarse_stage`` returns them,
-    are polished in lockstep from step 100 * ``_COARSE_TOL`` down to
-    ``PARAM_TOL``.  A polish is kept when it is no worse (it starts at the
-    winner and accepts only strict gains, so it never lowers a value), and
-    the sign branch with the strictly larger value wins.  Returns one
+def _polish_stage(preset: ProtocolPreset, block, objective, uc):
+    """Second stage of ``_maximize_on``: the coarse winners ``uc`` of the
+    block's (fidelity, sign) pairs, as ``_coarse_stage`` returns them, are
+    polished in lockstep from step 100 * ``_COARSE_TOL`` down to
+    ``PARAM_TOL``.  A polish evaluates its start point again and accepts
+    only strict gains, so it never ends below the coarse value.  The sign
+    branch with the strictly larger value wins.  Returns one
     (best, amplitudes) pair per fidelity, amplitudes None when no point is
     feasible.
     """
     n = uc.shape[1]
     f_pair, s_pair = np.repeat(block, 2), np.tile(_BRANCHES, len(block))
-    if n:
-        lo, hi = [-math.pi / 2] * n, [math.pi / 2] * n
-        fp, up = _pattern_search(_lanes(preset, objective, f_pair, s_pair), lo, hi, uc,
-                                 tol=PARAM_TOL, initial_step=100 * _COARSE_TOL)
-        keep = fp >= fc
-        fc, uc = np.where(keep, fp, fc), np.where(keep[:, None], up, uc)
+    lo, hi = [-math.pi / 2] * n, [math.pi / 2] * n
+    fp, up = _pattern_search(_lanes(preset, objective, f_pair, s_pair), lo, hi, uc,
+                             tol=PARAM_TOL, initial_step=100 * _COARSE_TOL)
     found = []
     for m, fid in enumerate(block):
         best, best_amps = _INFEASIBLE, None
         for lane in (2 * m, 2 * m + 1):
-            if fc[lane] > best:
-                best = float(fc[lane])
-                best_amps = tuple(float(a) for a in preset.chart(fid, uc[lane], s_pair[lane]))
+            if fp[lane] > best:
+                best = float(fp[lane])
+                best_amps = tuple(float(a) for a in preset.chart(fid, up[lane], s_pair[lane]))
         found.append((best, best_amps))
     return found
 
@@ -543,7 +528,7 @@ def _maximize_on(preset: ProtocolPreset, f_a, objective):
     found = []
     for start in range(0, len(fids), _FIDELITY_BLOCK):
         block = fids[start:start + _FIDELITY_BLOCK]
-        found += _polish_stage(preset, block, objective, *_coarse_stage(preset, block, objective))
+        found += _polish_stage(preset, block, objective, _coarse_stage(preset, block, objective)[1])
     return found if np.ndim(f_a) else found[0]
 
 
@@ -554,19 +539,6 @@ def _iae(preset: ProtocolPreset):
         i_ae = _basis_information(preset, amps)[1]
         return sum(i_ae) / len(i_ae)
     return objective
-
-
-def _named(preset: ProtocolPreset, best, amps):
-    """A maximizer's (best, amplitudes) as (best, {parameter: value})."""
-    return best, ({} if amps is None else dict(zip(preset.free_params, amps)))
-
-
-def _max_iae_at(preset: ProtocolPreset, f_a):
-    """Maximize I_AE (nats), averaged over the protocol bases, with the
-    fidelity pinned; returns the maximum and its parameter assignment, or
-    a list of such pairs for a 1-D array of fidelities."""
-    found = _maximize_on(preset, f_a, _iae(preset))
-    return [_named(preset, *pair) for pair in found] if np.ndim(f_a) else _named(preset, *found)
 
 
 def _iab_nats(f_a: float, dim: int) -> float:
@@ -686,10 +658,12 @@ def _crossing_core(preset_name: str) -> tuple[float, tuple, float, int]:
     least 9e-3 nats below zero on every preset's grid, while the polish
     gains at most about 1e-9.  Only the two bracket endpoints' four
     (fidelity, sign) winners are polished, as one batch, giving exactly
-    what ``_max_iae_at`` gives there; ``g`` reads them before it
-    maximizes.  ``iters`` counts every g request, the 13 grid points
-    included.  A bracket whose polished signs agree, or a Brent run that
-    does not converge, raises ``CrossingError``.
+    what a one-fidelity ``_maximize_on`` gives there; ``g`` reads them
+    before it maximizes.  Points are amplitude tuples throughout; the
+    parameter names are attached once, to the returned items.  ``iters``
+    counts every g request, the 13 grid points included.  A bracket whose
+    polished signs agree, or a Brent run that does not converge, raises
+    ``CrossingError``.
     """
     preset = PRESETS[preset_name]
     d = preset.dimension
@@ -709,19 +683,18 @@ def _crossing_core(preset_name: str) -> tuple[float, tuple, float, int]:
             f"no information crossing found for preset {preset_name!r} in "
             f"[{lo:.4f}, {hi:.4f}]")
     ends = grid[bracket:bracket + 2]
-    pairs = slice(2 * bracket, 2 * bracket + 4)
-    solved = {float(f): _named(preset, *found) for f, found in
-              zip(ends, _polish_stage(preset, ends, iae, fc[pairs], uc[pairs]))}
+    solved = dict(zip(ends.tolist(), _polish_stage(preset, ends, iae,
+                                                   uc[2 * bracket:2 * bracket + 4])))
 
     def g(f_a: float) -> float:
         nonlocal evals
         evals += 1
         if f_a not in solved:
-            solved[f_a] = _max_iae_at(preset, f_a)
+            solved[f_a] = _maximize_on(preset, f_a, iae)
         return solved[f_a][0] - _iab_nats(f_a, d)
 
     f_star = _root(g, ends[0], ends[1], f"preset {preset_name!r}", maxiter=200)
-    best, vals = solved[f_star]  # _brentq returns a point it has evaluated
+    best, amps = solved[f_star]  # _brentq returns a point it has evaluated
     residual = abs(best - _iab_nats(f_star, d))
     # the 1e-8 budget must survive conversion into any supported log base;
     # base 2 has the smallest divisor
@@ -729,7 +702,7 @@ def _crossing_core(preset_name: str) -> tuple[float, tuple, float, int]:
         raise CrossingError(
             f"crossing solver did not converge for {preset_name!r}: "
             f"residual {residual:.2e}")
-    return f_star, tuple(sorted(vals.items())), residual, evals
+    return f_star, tuple(sorted(zip(preset.free_params, amps))), residual, evals
 
 
 def crossing_point(preset="3deb", base=2) -> CrossingResult:
@@ -915,7 +888,7 @@ def information_sweep(preset="3deb", start=0.70, stop=0.85, points=151, base=2):
     lb = _log_of_base(base)
     rows = []
     grid = np.linspace(start, stop, points)
-    for f_a, (best, vals) in zip(grid, _max_iae_at(preset, grid)):
+    for f_a, (best, amps) in zip(grid, _maximize_on(preset, grid, _iae(preset))):
         f_a = float(f_a)
         if best <= _INFEASIBLE / 2:
             continue
@@ -923,11 +896,10 @@ def information_sweep(preset="3deb", start=0.70, stop=0.85, points=151, base=2):
         i_ae = best / lb
         f_b = None
         if preset.cloner is not None:
-            p = preset.cloner(*preset.amplitudes_of(vals))
-            f_b = closed_form_report(p.normalized()).f_b
+            f_b = closed_form_report(preset.cloner(*amps).normalized()).f_b
         rows.append({
             "f_a": f_a,
-            "params": vals,
+            "params": dict(zip(preset.free_params, amps)),
             "f_b": f_b,
             "i_ab": i_ab,
             "i_ae": i_ae,

@@ -68,8 +68,8 @@ class CloningAttackChannel:
 
     def __post_init__(self):
         p = self.params
-        # rejects NaN, which require_normalized lets through, and values
-        # whose square would overflow inside it
+        # rejects values whose square would overflow (float ** raises
+        # OverflowError) inside require_normalized, which rejects NaN
         if not all(abs(c) <= 2.0 for c in (p.v, p.x, p.y, p.z)):
             raise ValueError(f"cloner parameters {p} are off the normalization surface")
         p.require_normalized()

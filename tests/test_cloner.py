@@ -263,6 +263,17 @@ def test_normalization_sum_rule(v, x, y):
     assert abs(rep.f_b + rep.d_b1 + rep.d_b2 - 1.0) <= 1e-10
 
 
+@pytest.mark.parametrize("slot", range(4))
+def test_nan_parameters_are_off_the_normalization_surface(slot):
+    values = [0.0, 0.0, 0.0, 0.0]
+    values[slot] = math.nan
+    params = ClonerParams(*values)
+    with pytest.raises(ValueError, match="normalization surface"):
+        params.require_normalized()
+    with pytest.raises(ValueError, match="normalization surface"):
+        closed_form_report(params)
+
+
 # --- phase covariance --------------------------------------------------------
 
 

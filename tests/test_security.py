@@ -13,9 +13,9 @@ from click.testing import CliRunner
 from qkdlab import security
 from qkdlab.cli import main
 from qkdlab.cloner import ClonerParams, closed_form_report, coefficient_rows
-from qkdlab.security import (CrossingError, _FIDELITY_BLOCK, _INFEASIBLE, _charted,
+from qkdlab.security import (CrossingError, _FIDELITY_BLOCK, _INFEASIBLE,
                              _coarse_stage, _crossing_core, _iae,
-                             _entropy_nats, _iab_nats, _max_iae_at,
+                             _entropy_nats, _iab_nats, _lanes,
                              _maximize_on, _mean_information, _pattern_search,
                              _restart_points, _rows_information, bob_information,
                              ck_rate_bound, crossing_point, error_rate_table,
@@ -29,6 +29,17 @@ ROUNDED_OPTIMUM = ClonerParams(0.8320, 0.1711, 0.2038, 0.2038).normalized()
 
 # frozen with a 40-digit mpmath summation of -sum p log2 p
 H_EXAMPLE = 0.9933571751944145
+
+
+def _max_iae(preset, f_a):
+    """The maximized I_AE (nats) and its amplitudes at pinned F_A, or a list
+    of such pairs for an array of fidelities."""
+    return _maximize_on(preset, f_a, _iae(preset))
+
+
+def _named(preset, amps):
+    """Amplitudes as the {parameter: value} dict a sweep row carries."""
+    return dict(zip(preset.free_params, amps))
 
 
 # --- entropy -----------------------------------------------------------------
@@ -52,6 +63,12 @@ def test_entropy_rejects_bad_input():
         shannon_entropy((0.5, -0.1, 0.6), base=2)
     with pytest.raises(ValueError):
         shannon_entropy((0.5, 0.4), base=2)
+
+
+@pytest.mark.parametrize("ps", [(0.5, 0.5, math.nan), (math.nan, 1.0), (math.nan,)])
+def test_entropy_rejects_nan(ps):
+    with pytest.raises(ValueError, match="not a number"):
+        shannon_entropy(ps, base=2)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=6))
@@ -112,6 +129,11 @@ def test_information_crossing_at_published_optimum():
 def test_eve_information_requires_tie():
     with pytest.raises(ValueError):
         eve_information(ClonerParams(0.9, 0.2, 0.25, 0.05).normalized())
+
+
+def test_eve_information_rejects_nan():
+    with pytest.raises(ValueError, match="normalization surface"):
+        eve_information(ClonerParams(math.nan, 0.0, 0.0, 0.0))
 
 
 def test_ck_rate_bound():
@@ -230,7 +252,7 @@ def _cartesian_probes(preset, f_a, rng, n=300):
 def test_inner_maximum_not_beaten_by_random_probes(preset, f_a):
     # the angle chart reaches every feasible point: no probe of the mask at
     # pinned F_A beats the inner maximum
-    best, _ = _max_iae_at(PRESETS[preset], f_a)
+    best, _ = _max_iae(PRESETS[preset], f_a)
     rng = np.random.default_rng(77)
     probes = _cartesian_probes(preset, f_a, rng)
     assert len(probes) >= 2
@@ -262,7 +284,7 @@ def test_2mub_inner_maximum_reaches_the_boundary(f_a, x, xp):
     # x^2 + x'^2 = 1 - F falls short there and overstates security
     vals = {"v": math.sqrt(f_a - x * x - xp * xp), "x": x, "xp": xp, "y": 0.0}
     boundary = preset_information("2mub", vals, base="e")[1]
-    best, _ = _max_iae_at(PRESETS["2mub"], f_a)
+    best, _ = _max_iae(PRESETS["2mub"], f_a)
     assert abs(best - boundary) <= 1e-12
 
 
@@ -293,7 +315,7 @@ def test_coarse_grid_signs_match_the_polished_maxima(name):
     preset = PRESETS[name]
     grid = _bracket_grid(preset)
     fc, _ = _coarse_stage(preset, grid, _iae(preset))
-    for i, (f, (best, _)) in enumerate(zip(grid, _max_iae_at(preset, grid))):
+    for i, (f, (best, _)) in enumerate(zip(grid, _max_iae(preset, grid))):
         coarse = max(fc[2 * i], fc[2 * i + 1])
         g = best - _iab_nats(f, preset.dimension)
         assert (coarse - _iab_nats(f, preset.dimension) > 0) == (g > 0), f
@@ -304,21 +326,21 @@ def test_coarse_grid_signs_match_the_polished_maxima(name):
 def recorded_cold_solve(request):
     """A cold crossing solve with every polish block and every one-fidelity
     I_AE maximization recorded."""
-    polish, max_iae_at = security._polish_stage, security._max_iae_at
+    polish, maximize_on = security._polish_stage, security._maximize_on
     polished, single = [], []
 
-    def polish_spy(preset, block, objective, fc, uc):
-        found = polish(preset, block, objective, fc, uc)
+    def polish_spy(preset, block, objective, uc):
+        found = polish(preset, block, objective, uc)
         polished.append((list(block), found))
         return found
 
-    def max_iae_spy(preset, f_a):
+    def maximize_spy(preset, f_a, objective):
         single.append(f_a)
-        return max_iae_at(preset, f_a)
+        return maximize_on(preset, f_a, objective)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(security, "_polish_stage", polish_spy)
-        mp.setattr(security, "_max_iae_at", max_iae_spy)
+        mp.setattr(security, "_maximize_on", maximize_spy)
         result = _crossing_core.__wrapped__(request.param)
     return PRESETS[request.param], result, polished, single
 
@@ -332,8 +354,8 @@ def test_bracket_endpoints_are_polished_once_and_equal_the_point_maxima(recorded
     ends, found = on_grid[0]
     i = grid.index(ends[0])
     assert ends == grid[i:i + 2]
-    for f, (best, amps) in zip(ends, found):
-        assert (best, dict(zip(preset.free_params, amps))) == _max_iae_at(preset, float(f))
+    for f, pair in zip(ends, found):
+        assert pair == _max_iae(preset, float(f))
 
 
 def test_brent_maximizes_only_away_from_the_bracket_endpoints(recorded_cold_solve):
@@ -366,8 +388,8 @@ def _lift_right_endpoint(monkeypatch):
     # a polish that lifts the right bracket endpoint above I_AB
     polish = security._polish_stage
 
-    def lifted(preset, block, objective, fc, uc):
-        found = polish(preset, block, objective, fc, uc)
+    def lifted(preset, block, objective, uc):
+        found = polish(preset, block, objective, uc)
         if len(block) == 2:
             found[1] = (found[1][0] + 1.0, found[1][1])
         return found
@@ -573,9 +595,8 @@ def test_sweep_rejects_bad_grid():
 
 def test_inner_max_feasibility_guard():
     # the universal manifold is fully pinned once F is fixed
-    best, vals = _max_iae_at(PRESETS["universal"], 0.7733)
-    assert set(vals) == {"v", "y"}
-    assert abs(vals["v"] ** 2 + 8 * vals["y"] ** 2 - 1.0) <= 1e-12
+    best, (v, y) = _max_iae(PRESETS["universal"], 0.7733)
+    assert abs(v ** 2 + 8 * y ** 2 - 1.0) <= 1e-12
 
 
 def test_iab_nats_matches_entropy():
@@ -650,14 +671,13 @@ def _scalar_maximize_on(preset, f_a, objective):
                             1 - 1e-9)],
     *[("qubit", f) for f in (0.5 + 1e-9, 0.6, 0.7, 0.8, 0.8535533906, 0.9, 0.95,
                              1 - 1e-9)],
+    *[("universal", f) for f in (1 / 3 + 1e-9, 0.5, 0.7732860898, 0.9, 1 - 1e-9)],
 ])
 def test_lockstep_inner_maximum_equals_the_scalar_search(name, f_a):
     preset = PRESETS[name]
-    best, vals = _max_iae_at(preset, f_a)
-    ref, amps = _scalar_maximize_on(preset, f_a,
-                                    lambda *a: _mean_information(preset, a)[1])
-    assert best == ref
-    assert vals == dict(zip(preset.free_params, amps))
+    best, amps = _max_iae(preset, f_a)
+    assert (best, amps) == _scalar_maximize_on(preset, f_a,
+                                               lambda *a: _mean_information(preset, a)[1])
 
 
 def _plateaus(u):
@@ -698,6 +718,20 @@ def test_lockstep_pattern_search_moves_as_each_search_alone(k, ndim, tol, initia
             assert fx[j] == ref_f and list(x[j]) == ref_x, (objective, sweeps, j)
         if objective is _plateaus and sweeps == 10_000:
             assert x[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("k", [1, 2, 32])
+def test_pattern_search_over_zero_coordinates_returns_the_start_values(k):
+    # the universal preset's search: nothing to move, one call at x0
+    calls = []
+
+    def counted(u, idx):
+        calls.append((u.shape, list(idx)))
+        return np.cos(idx)
+
+    fx, x = _pattern_search(counted, [], [], np.empty((k, 0)))
+    assert calls == [((k, 0), list(range(k)))]
+    assert np.all(fx == np.cos(np.arange(k))) and x.shape == (k, 0)
 
 
 @pytest.mark.parametrize("sweeps", [1, 2, 5])
@@ -764,8 +798,8 @@ def test_batched_objective_lanes_equal_each_point_alone():
         assert h[0] == h[1] and pair[0] == pair[1]
         # the maximizer's objective computes I_AE alone, bit-equal
         assert np.all(_iae(preset)(*amps) == i_ae)
-        values = _charted(preset, 0.3, lambda *a: _mean_information(preset, a)[1])(
-            angles, signs)
+        values = _lanes(preset, lambda *a: _mean_information(preset, a)[1],
+                        np.full(6, 0.3), signs)(angles, np.arange(6))
         assert np.all(values[infeasible[12:]] == _INFEASIBLE)
         assert np.all(values[~infeasible[12:]] == i_ae[12:][~infeasible[12:]])
 
@@ -795,8 +829,8 @@ def test_sweep_across_fidelity_blocks_equals_each_point_alone(name):
     rows = information_sweep(name, 0.70, 0.85, points, base="e")
     assert len(rows) == points
     for row, f_a in zip(rows, np.linspace(0.70, 0.85, points)):
-        best, vals = _max_iae_at(PRESETS[name], float(f_a))
-        assert (row["f_a"], row["i_ae"], row["params"]) == (f_a, best, vals)
+        best, amps = _max_iae(PRESETS[name], float(f_a))
+        assert (row["f_a"], row["i_ae"], row["params"]) == (f_a, best, _named(PRESETS[name], amps))
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
