@@ -25,7 +25,7 @@ import click
 from . import __version__, security, simulate
 from .cloner import ClonerParams, phi_cloner_matrix
 from .jsonio import dumps, jsonable
-from .qudit import optimal_bases
+from .qudit import TWO_PI, optimal_bases
 from .security import CrossingError
 
 click.UsageError.exit_code = 1  # usage errors are exit 1; exit 2 means non-convergence
@@ -79,8 +79,10 @@ def _parse_params(spec: str) -> ClonerParams:
         norm_squared = params.norm_squared
     except OverflowError:  # float ** raises instead of returning inf
         norm_squared = float("inf")
-    if not 0.0 < norm_squared < float("inf"):  # also false for NaN
-        raise click.BadParameter(f"cloner parameters {spec!r} need a finite, nonzero norm")
+    # a subnormal norm^2 loses the precision that .normalized() needs
+    if not sys.float_info.min <= norm_squared < float("inf"):  # also false for NaN
+        raise click.BadParameter(f"cloner parameters {spec!r} need a finite, nonzero norm "
+                                 "whose square is a normal float")
     return params
 
 
@@ -191,7 +193,7 @@ def bases():
             for i, b in enumerate(specs)
         ],
         "dodecagon_angles": sorted(
-            (2 * 3.141592653589793 * l / 3 + b.phi) % (2 * 3.141592653589793)
+            (TWO_PI * l / 3 + b.phi) % TWO_PI
             for b in specs for l in range(3)),
     }
     return {}, result

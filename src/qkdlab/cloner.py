@@ -61,10 +61,9 @@ class ClonerParams:
         """Whether the two lower rows are tied (y == z)."""
         return abs(self.y - self.z) <= SYMMETRY_TOL
 
-    def require_normalized(self, tol: float = PARAM_NORM_TOL,
-                           remedy: str = "call .normalized() first") -> None:
+    def require_normalized(self, remedy: str = "call .normalized() first") -> None:
         dev = abs(self.norm_squared - 1.0)
-        if not dev <= tol:  # also true for NaN
+        if not dev <= PARAM_NORM_TOL:  # also true for NaN
             raise ValueError(
                 f"parameters off the normalization surface by {dev:.2e}; {remedy}")
 
@@ -112,17 +111,16 @@ class AmplitudeMatrix:
         return AmplitudeMatrix(a)
 
 
-def phi_cloner_matrix(params: ClonerParams, normalize: bool = False) -> AmplitudeMatrix:
+def phi_cloner_matrix(params: ClonerParams) -> AmplitudeMatrix:
     """Constrained amplitude matrix [[v,x,x],[y,y,y],[z,z,z]].
 
     Raises unless the parameters sit on the normalization surface within
-    1e-6; pass ``normalize=True`` to rescale instead.  The returned matrix
-    is always exactly unit Frobenius norm.
+    1e-6.  The returned matrix is always exactly unit Frobenius norm.
     """
-    if not normalize and abs(params.norm_squared - 1.0) > MATRIX_NORM_TOL:
+    if abs(params.norm_squared - 1.0) > MATRIX_NORM_TOL:
         raise ValueError(
             f"|a|^2 = {params.norm_squared:.8f} deviates from 1 by more than "
-            f"{MATRIX_NORM_TOL:g}; pass normalize=True to rescale")
+            f"{MATRIX_NORM_TOL:g}; call .normalized() first")
     params = params.normalized()
     v, x, y, z = params.v, params.x, params.y, params.z
     return AmplitudeMatrix(np.array([[v, x, x], [y, y, y], [z, z, z]]))

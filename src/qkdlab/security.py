@@ -47,9 +47,10 @@ F] - I_AB(F), with the inner maximization done by a deterministic
 derivative-free pattern search from 16 fixed-seed restarts on each sign
 branch.  The searches run in lockstep (``_pattern_search``): each
 coordinate of a compass sweep evaluates the objective once, on the
-stacked candidates of the searches still active -- every point other
-than x that the coordinate's +step and -step moves can reach -- so the
-chart, the coefficient rows and the entropy helper all take arrays of
+stacked candidates of the searches still active -- the rows x+, x-,
+x+- of the move table (x, x+, x-, x+-) that differ from x -- and each
+search reads its next point from the table by row index, so the chart,
+the coefficient rows and the entropy helper all take arrays of
 points.  The objective computes I_AE alone; I_AB is a closed form in
 F_A.  One batch may hold several fidelities, laid out fidelity x sign x
 restart with each lane carrying its own F_A; ``_maximize_on`` takes one
@@ -57,11 +58,12 @@ fidelity or an array of them and searches at most ``_FIDELITY_BLOCK``
 fidelities per batch, so a sweep's memory does not grow with its
 length.  It runs in two stages: a coarse lockstep batch of all restarts
 (``_coarse_stage``), then a lockstep polish of each (fidelity, sign)
-winner (``_polish_stage``).  Each search still makes the moves it would
-make alone, and every lane of a batch is bit-equal to its point
-evaluated on its own.  Every preset, stage and caller takes this one
-path; the universal preset, whose ellipsoid leaves no angle, is a search
-over zero coordinates that stops after evaluating its start points.
+winner (``_polish_stage``), which picks each fidelity's sign branch by
+index.  Each search still makes the moves it would make alone, and
+every lane of a batch is bit-equal to its point evaluated on its own.
+Every preset, stage and caller takes this one path; the universal
+preset, whose ellipsoid leaves no angle, is a search over zero
+coordinates that stops after evaluating its start points.
 
 The crossing solver's 13-point bracket grid needs only the sign of g, so
 it runs the coarse stage alone, as one batch.  That is safe because the
@@ -399,18 +401,19 @@ def _pattern_search(f, lo, hi, x0, tol=PARAM_TOL, initial_step=None, max_sweeps=
     after a sweep with no gain and stops once its steps are within ``tol``.
     With no coordinate (n = 0) it stops at once, after the call at x0.
 
-    A coordinate costs one call of ``f`` on the searches still active:
-    each sends the points its two moves can reach, x+ = clip(x + s),
-    x- = clip(x - s) (the second move if x+ is refused) and x+- =
-    clip(x+ - s) (the second move if x+ is accepted), except those bitwise
-    equal to x.  Every lane's value is bit-equal to its point evaluated
-    alone, so a point that is not sent, or that stays put, would be worth
-    fx, and fx never wins against the strict ``>``.  The acceptances are
-    read in the order of the moves, so each search makes the moves it
-    would make alone.  Returns the values (K,) and the points (K, n).
+    A coordinate costs one call of ``f`` on the searches still active.
+    Its move table has rows (x, x+, x-, x+-): x+ = clip(x + s), x- =
+    clip(x - s) (the second move if x+ is refused) and x+- = clip(x+ - s)
+    (the second move if x+ is accepted).  The value table starts as fx in
+    every row; only the points that differ bitwise from x are sent, and
+    their values written in.  Every lane's value is bit-equal to its point
+    evaluated alone, so a point not sent is worth fx, which never wins the
+    strict ``>``.  Each search takes row j1 = [x+ beats fx], then row
+    j1 + 2 if that beats row j1: the moves it would make alone, NaN values
+    included.  Returns the values (K,) and the points (K, n).
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    x = np.minimum(np.maximum(np.array(x0, dtype=float), lo), hi)
+    x = np.array(x0, dtype=float).clip(lo, hi)
     fx = f(x, np.arange(len(x)))
     steps = np.zeros_like(x) + (initial_step or (hi - lo) / 4.0)
     for _ in range(max_sweeps):
@@ -418,25 +421,21 @@ def _pattern_search(f, lo, hi, x0, tol=PARAM_TOL, initial_step=None, max_sweeps=
         if not k.size:
             break
         xk, fk, sk = x[k], fx[k], steps[k]
+        lane = np.arange(len(k))
         improved = np.zeros(len(k), dtype=bool)
         for i in range(x.shape[1]):
             xi, step = xk[:, i], sk[:, i]
-            plus = np.minimum(np.maximum(xi + step, lo[i]), hi[i])
-            minus = np.minimum(np.maximum(xi - step, lo[i]), hi[i])
-            back = np.minimum(np.maximum(plus - step, lo[i]), hi[i])
-            moves = np.array((plus, minus, back))
-            tried = (moves != xi).nonzero()  # (move, lane)
-            cand = xk[tried[1]]
-            cand[:, i] = moves[tried]
-            values = np.full(moves.shape, np.nan)  # a move not tried is never accepted
-            values[tried] = f(cand, k[tried[1]])
-            f_plus, f_minus, f_back = values
-            first = f_plus > fk
-            f1, x1 = np.where(first, f_plus, fk), np.where(first, plus, xi)
-            f2, x2 = np.where(first, f_back, f_minus), np.where(first, back, minus)
-            second = f2 > f1
-            xk[:, i], fk = np.where(second, x2, x1), np.where(second, f2, f1)
-            improved |= first | second
+            plus = (xi + step).clip(lo[i], hi[i])
+            moves = np.array((xi, plus, xi - step, plus - step)).clip(lo[i], hi[i])
+            values = np.array((fk, fk, fk, fk))
+            sent = (moves != xi).nonzero()  # (row, lane)
+            cand = xk[sent[1]]
+            cand[:, i] = moves[sent]
+            values[sent] = f(cand, k[sent[1]])
+            j1 = (values[1] > fk).astype(int)
+            j = np.where(values[j1 + 2, lane] > values[j1, lane], j1 + 2, j1)
+            xk[:, i], fk = moves[j, lane], values[j, lane]
+            improved |= j > 0
         x[k], fx[k] = xk, fk
         steps[k[~improved]] /= 2.0
     return fx, x
@@ -485,25 +484,23 @@ def _polish_stage(preset: ProtocolPreset, block, objective, uc):
     block's (fidelity, sign) pairs, as ``_coarse_stage`` returns them, are
     polished in lockstep from step 100 * ``_COARSE_TOL`` down to
     ``PARAM_TOL``.  A polish evaluates its start point again and accepts
-    only strict gains, so it never ends below the coarse value.  The sign
-    branch with the strictly larger value wins.  Returns one
-    (best, amplitudes) pair per fidelity, amplitudes None when no point is
-    feasible.
+    only strict gains, so it never ends below the coarse value.  Each
+    fidelity's - branch wins if strictly above its + branch, which counts
+    as ``_INFEASIBLE`` unless above it: + wins ties and NaN never wins.  One
+    ``chart`` call gives the winners' amplitudes.  Returns one
+    (best, amplitudes) pair per fidelity, ``(_INFEASIBLE, None)`` when no
+    value is above ``_INFEASIBLE``.
     """
     n = uc.shape[1]
     f_pair, s_pair = np.repeat(block, 2), np.tile(_BRANCHES, len(block))
     lo, hi = [-math.pi / 2] * n, [math.pi / 2] * n
     fp, up = _pattern_search(_lanes(preset, objective, f_pair, s_pair), lo, hi, uc,
                              tol=PARAM_TOL, initial_step=100 * _COARSE_TOL)
-    found = []
-    for m, fid in enumerate(block):
-        best, best_amps = _INFEASIBLE, None
-        for lane in (2 * m, 2 * m + 1):
-            if fp[lane] > best:
-                best = float(fp[lane])
-                best_amps = tuple(float(a) for a in preset.chart(fid, up[lane], s_pair[lane]))
-        found.append((best, best_amps))
-    return found
+    plus = np.where(fp[0::2] > _INFEASIBLE, fp[0::2], _INFEASIBLE)
+    win = 2 * np.arange(len(block)) + (fp[1::2] > plus)
+    amps = preset.chart(block, up[win], s_pair[win])
+    return [(float(fp[w]), tuple(float(a[m]) for a in amps)) if fp[w] > _INFEASIBLE
+            else (_INFEASIBLE, None) for m, w in enumerate(win)]
 
 
 def _maximize_on(preset: ProtocolPreset, f_a, objective):

@@ -152,7 +152,11 @@ class SimConfig:
             if sift.get("rule", "same") == "same":
                 sifting: SiftingRule = SameIndexSifting()
             elif sift["rule"] == "pairs":
-                sifting = PairedIndexSifting(tuple((int(i), int(j)) for i, j in sift["pairs"]))
+                pairs = tuple((i, j) for i, j in sift["pairs"])
+                if any(type(t) is not int for pair in pairs for t in pair):
+                    raise ValueError(
+                        f"config sifting pairs must be integers, got {sift['pairs']!r}")
+                sifting = PairedIndexSifting(pairs)
             else:
                 raise ValueError(f"unknown sifting rule {sift!r}")
             return SimConfig(

@@ -294,13 +294,14 @@ def test_simulate_negative_seed_exits_1(runner):
     assert_usage_error(result, "seed must be nonnegative")
 
 
-@pytest.mark.parametrize("spec", ["0,0,0", "nan,0,0", "0,0,0,0", "1e200,0,0", "inf,0,0"])
+@pytest.mark.parametrize("spec", ["0,0,0", "nan,0,0", "0,0,0,0", "1e200,0,0", "inf,0,0",
+                                  "1e-160,1e-160,1e-160"])
 def test_simulate_clone_degenerate_params_exit_1(runner, spec):
     result = runner.invoke(main, ["simulate", "--rounds", "10", "--channel", f"clone:{spec}"])
     assert_usage_error(result, "finite, nonzero norm")
 
 
-@pytest.mark.parametrize("spec", ["0,0,0", "nan,0,0", "1e200,0,0"])
+@pytest.mark.parametrize("spec", ["0,0,0", "nan,0,0", "1e200,0,0", "1e-160,1e-160,1e-160"])
 def test_cloner_eval_degenerate_params_exit_1(runner, spec):
     result = runner.invoke(main, ["cloner-eval", "--params", spec])
     assert_usage_error(result, "finite, nonzero norm")
@@ -330,8 +331,15 @@ def test_cloner_eval_non_numeric_params_exit_1(runner):
     ({"rounds": 3000, "seed": 5, "alice_weights": None}, "wrong type"),
     ({"rounds": 3000, "seed": 5, "alice_weights": [math.nan, 0, 0, 1]},
      "alice_weights must be 4 nonnegative weights"),
+    ({"rounds": 10, "seed": 0, "sifting": {"rule": "pairs", "pairs": [[math.inf, 0]]}},
+     "sifting pairs must be integers"),
+    ({"rounds": 10, "seed": 0, "sifting": {"rule": "pairs", "pairs": [[0, 0.5]]}},
+     "sifting pairs must be integers"),
+    ({"rounds": 10, "seed": 0, "sifting": {"rule": "pairs", "pairs": [[True, False]]}},
+     "sifting pairs must be integers"),
 ], ids=["no-rounds", "no-seed", "string-rounds", "null-seed", "no-visibility",
-        "zero-params", "null-weights", "nan-weights"])
+        "zero-params", "null-weights", "nan-weights", "inf-pair", "fractional-pair",
+        "bool-pair"])
 def test_simulate_malformed_config_exits_1(runner, tmp_path, config, message):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

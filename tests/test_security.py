@@ -694,6 +694,13 @@ def _low_bits(u):
                for j in range(u.shape[-1]))
 
 
+def _nan_band(u):
+    # NaN on the band 0.1 < u_0 < 0.5, next to the maximum of +g at
+    # u_0 = pi/6: a NaN value is never accepted, and a search that starts
+    # in the band never moves
+    return np.where(np.abs(u[..., 0] - 0.3) < 0.2, np.nan, np.sin(3.0 * u).sum(axis=-1))
+
+
 @pytest.mark.parametrize("k", [1, 2, 32])
 @pytest.mark.parametrize("ndim", [1, 2, 3])
 @pytest.mark.parametrize("tol,initial_step", [(1e-5, None), (1e-9, 1e-3)])
@@ -706,7 +713,7 @@ def test_lockstep_pattern_search_moves_as_each_search_alone(k, ndim, tol, initia
     weight = np.where(np.arange(k) % 2 == 0, 1.0, -1.0)
     # cut after a few sweeps too: a move made a sweep late can still end
     # at the same point
-    for objective, sweeps in itertools.product((_plateaus, _low_bits),
+    for objective, sweeps in itertools.product((_plateaus, _low_bits, _nan_band),
                                                (1, 2, 3, 5, 8, 10_000)):
         fx, x = _pattern_search(lambda u, idx: weight[idx] * objective(u), lo, hi, x0,
                                 tol=tol, initial_step=initial_step, max_sweeps=sweeps)
@@ -715,9 +722,25 @@ def test_lockstep_pattern_search_moves_as_each_search_alone(k, ndim, tol, initia
             ref_f, ref_x = _scalar_pattern_search(
                 lambda u: float(weight[j] * objective(np.array(u))), lo, hi, list(x0[j]),
                 tol=tol, initial_step=initial_step, max_sweeps=sweeps)
-            assert fx[j] == ref_f and list(x[j]) == ref_x, (objective, sweeps, j)
+            assert np.array_equal(fx[j], ref_f, equal_nan=True) and list(x[j]) == ref_x, \
+                (objective, sweeps, j)
         if objective is _plateaus and sweeps == 10_000:
             assert x[0, 0] == 1.0
+
+
+def test_polish_stage_picks_each_sign_branch_as_the_scalar_search():
+    # universal has no angle, so each (fidelity, sign) lane stays at its
+    # start: at F = 0.5 the + branch is NaN and - wins, at F = 0.2 both
+    # branches have v^2 < 0, and at F = 0.8 they tie exactly and + wins
+    preset = PRESETS["universal"]
+    block = np.array([0.5, 0.2, 0.8])
+
+    def stub(v, y):
+        return np.where(y > 0.2, np.nan, y * y)
+
+    found = security._polish_stage(preset, block, stub, np.empty((2 * len(block), 0)))
+    assert found == [_scalar_maximize_on(preset, f, stub) for f in block]
+    assert found[0][1][1] < 0 and found[1] == (_INFEASIBLE, None) and found[2][1][1] > 0
 
 
 @pytest.mark.parametrize("k", [1, 2, 32])
