@@ -5,9 +5,10 @@ boundary they share: the --no-timestamp and --output options, the JSON
 envelope (tool version, an echo of the inputs, the seed where one applies,
 a timestamp unless --no-timestamp asks for byte-identical reruns, the
 result), emission, and the exit codes: 0 success, 1 usage or input error
-(any ValueError), 2 numerical non-convergence (CrossingError).  A command
-body only parses its own options, calls the library and returns its
-inputs and result, or finished CSV text.
+(any ValueError, or an OSError reading or writing a file), 2 numerical
+non-convergence (CrossingError).  A command body parses its own options,
+raising ValueError on bad input as the library does, calls the library
+and returns its inputs and result, or finished CSV text.
 """
 
 from __future__ import annotations
@@ -31,16 +32,9 @@ from .security import CrossingError
 click.UsageError.exit_code = 1  # usage errors are exit 1; exit 2 means non-convergence
 
 
-def _open_for_writing(path: str, **kwargs):
-    try:
-        return open(path, "w", **kwargs)
-    except OSError as exc:
-        raise click.FileError(path, exc.strerror) from None
-
-
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with _open_for_writing(output) as fh:
+        with open(output, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         click.echo(text)
@@ -67,23 +61,13 @@ def _parse_params(spec: str) -> ClonerParams:
     try:
         parts = [float(p) for p in spec.split(",")]
     except ValueError:
-        raise click.BadParameter(f"expected numbers v,x,y[,z], got {spec!r}")
+        raise ValueError(f"expected numbers v,x,y[,z], got {spec!r}") from None
     if len(parts) == 3:
         v, x, y = parts
-        params = ClonerParams(v, x, y, y)
-    elif len(parts) == 4:
-        params = ClonerParams(*parts)
-    else:
-        raise click.BadParameter(f"expected v,x,y[,z], got {spec!r}")
-    try:
-        norm_squared = params.norm_squared
-    except OverflowError:  # float ** raises instead of returning inf
-        norm_squared = float("inf")
-    # a subnormal norm^2 loses the precision that .normalized() needs
-    if not sys.float_info.min <= norm_squared < float("inf"):  # also false for NaN
-        raise click.BadParameter(f"cloner parameters {spec!r} need a finite, nonzero norm "
-                                 "whose square is a normal float")
-    return params
+        return ClonerParams(v, x, y, y)
+    if len(parts) == 4:
+        return ClonerParams(*parts)
+    raise ValueError(f"expected v,x,y[,z], got {spec!r}")
 
 
 def _optimal_attack_params() -> ClonerParams:
@@ -99,14 +83,14 @@ def _parse_channel(spec: str) -> simulate.Channel:
         try:
             v = float(low.split(":", 1)[1])
         except ValueError:
-            raise click.BadParameter(f"bad visibility in {spec!r}")
+            raise ValueError(f"bad visibility in {spec!r}") from None
         return simulate.DepolarizingChannel(v)
     if low.startswith("clone:"):
         arg = spec.split(":", 1)[1]
         if arg.strip().lower() == "optimal":
             return simulate.CloningAttackChannel(_optimal_attack_params())
         return simulate.CloningAttackChannel(_parse_params(arg).normalized())
-    raise click.BadParameter(
+    raise ValueError(
         f"unknown channel {spec!r}; use ideal, depol:V or clone:v,x,y[,z]|optimal")
 
 
@@ -121,8 +105,8 @@ def _parse_sifting(spec: str) -> simulate.SiftingRule:
                 for chunk in low.split(":", 1)[1].split(","))
             return simulate.PairedIndexSifting(tuple((i, j) for i, j in pairs))
         except (ValueError, TypeError):
-            raise click.BadParameter(f"bad sifting spec {spec!r}")
-    raise click.BadParameter(f"unknown sifting rule {spec!r}; use same or pairs:i-j,...")
+            raise ValueError(f"bad sifting spec {spec!r}") from None
+    raise ValueError(f"unknown sifting rule {spec!r}; use same or pairs:i-j,...")
 
 
 def _parse_weights(spec: str | None) -> tuple[float, ...]:
@@ -152,20 +136,22 @@ def command(name: str):
         def run(no_timestamp, output, **options):
             try:
                 out = body(**options)
+                if not isinstance(out, str):
+                    inputs, result, *seed = out
+                    env = {"command": name, "version": __version__,
+                           "inputs": dict(inputs), "seed": seed[0] if seed else None}
+                    if not no_timestamp:
+                        env["timestamp"] = datetime.now(timezone.utc).isoformat()
+                    env["result"] = jsonable(result)
+                    out = dumps(env)
+                _emit(out, output)
             except CrossingError as exc:
                 click.echo(f"error: {exc}", err=True)
                 sys.exit(2)
             except ValueError as exc:
                 raise click.UsageError(str(exc))
-            if not isinstance(out, str):
-                inputs, result, *seed = out
-                env = {"command": name, "version": __version__, "inputs": dict(inputs),
-                       "seed": seed[0] if seed else None}
-                if not no_timestamp:
-                    env["timestamp"] = datetime.now(timezone.utc).isoformat()
-                env["result"] = jsonable(result)
-                out = dumps(env)
-            _emit(out, output)
+            except OSError as exc:
+                raise click.ClickException(str(exc))
 
         cmd = main.command(name)(run)
         cmd.params += [
@@ -275,10 +261,16 @@ def simulate_cmd(rounds, seed, channel_spec, sifting_spec, alice_weights, bob_we
                  config_path, dump_csv):
     """Run one Monte Carlo session and report its statistics."""
     if config_path is not None:
-        with open(config_path) as fh:
-            config = simulate.SimConfig.from_json(json.load(fh))
+        try:
+            with open(config_path) as fh:
+                data = json.load(fh)
+            config = simulate.SimConfig.from_json(data)
+        except RecursionError:  # json and repr recurse once per nesting level
+            raise ValueError(f"config {config_path!r} is nested too deeply") from None
+        channel_spec = data.get("channel", {"type": "ideal"})
+        sifting_spec = data.get("sifting", {"rule": "same"})
     elif rounds is None:
-        raise click.UsageError("--rounds is required (or pass --config)")
+        raise ValueError("--rounds is required (or pass --config)")
     else:
         config = simulate.SimConfig(
             rounds=rounds, seed=seed,
@@ -289,7 +281,7 @@ def simulate_cmd(rounds, seed, channel_spec, sifting_spec, alice_weights, bob_we
 
     if dump_csv:
         # integer rows, written as each chunk of rounds is sampled
-        with _open_for_writing(dump_csv, newline="") as fh:
+        with open(dump_csv, "w", newline="") as fh:
             writer = _csv_writer(fh, ["round", "basis_i", "basis_j", "a", "b"])
             result = simulate.run_session(
                 config, on_rounds=lambda rows: writer.writerows(rows.tolist()))

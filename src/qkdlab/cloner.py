@@ -26,6 +26,7 @@ numerically by :func:`phase_covariance_check`).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -50,10 +51,19 @@ class ClonerParams:
 
     @property
     def norm_squared(self) -> float:
-        return self.v**2 + 2 * self.x**2 + 3 * self.y**2 + 3 * self.z**2
+        try:
+            return self.v**2 + 2 * self.x**2 + 3 * self.y**2 + 3 * self.z**2
+        except OverflowError:  # float ** raises where float * gives inf
+            return math.inf
 
     def normalized(self) -> "ClonerParams":
-        s = math.sqrt(self.norm_squared)
+        """Rescaled onto the normalization surface; ValueError unless the norm
+        squared is a finite normal float (a subnormal one has lost precision)."""
+        norm_squared = self.norm_squared
+        if not sys.float_info.min <= norm_squared < math.inf:  # also false for NaN
+            raise ValueError(f"cloner parameters {self} need a finite, nonzero norm "
+                             "whose square is a normal float")
+        s = math.sqrt(norm_squared)
         return ClonerParams(self.v / s, self.x / s, self.y / s, self.z / s)
 
     @property

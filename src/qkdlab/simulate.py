@@ -67,12 +67,7 @@ class CloningAttackChannel:
     params: ClonerParams
 
     def __post_init__(self):
-        p = self.params
-        # rejects values whose square would overflow (float ** raises
-        # OverflowError) inside require_normalized, which rejects NaN
-        if not all(abs(c) <= 2.0 for c in (p.v, p.x, p.y, p.z)):
-            raise ValueError(f"cloner parameters {p} are off the normalization surface")
-        p.require_normalized()
+        self.params.require_normalized()
 
 
 Channel = Union[IdealChannel, DepolarizingChannel, CloningAttackChannel]
@@ -130,23 +125,22 @@ class SimConfig:
         """
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
-        for key in ("rounds", "seed"):
-            if key not in data:
-                raise ValueError(f"config is missing {key!r}")
-            if type(data[key]) is not int:
-                raise ValueError(f"config {key!r} must be an integer, got {data[key]!r}")
-        ch = data.get("channel", {"type": "ideal"})
-        sift = data.get("sifting", {"rule": "same"})
-        if not (isinstance(ch, dict) and isinstance(sift, dict)):
-            raise ValueError("config 'channel' and 'sifting' must be JSON objects")
         try:
+            for key in ("rounds", "seed"):
+                if type(data[key]) is not int:
+                    raise ValueError(f"config {key!r} must be an integer, got {data[key]!r}")
+            ch = data.get("channel", {"type": "ideal"})
+            sift = data.get("sifting", {"rule": "same"})
+            if not (isinstance(ch, dict) and isinstance(sift, dict)):
+                raise ValueError("config 'channel' and 'sifting' must be JSON objects")
             kind = ch.get("type", "ideal")
             if kind == "ideal":
                 channel: Channel = IdealChannel()
             elif kind == "depolarizing":
-                channel = DepolarizingChannel(float(ch["visibility"]))
+                channel = DepolarizingChannel(_json_number("visibility", ch["visibility"]))
             elif kind == "cloning":
-                channel = CloningAttackChannel(ClonerParams(*(float(p) for p in ch["params"])))
+                channel = CloningAttackChannel(
+                    ClonerParams(*(_json_number("params", p) for p in ch["params"])))
             else:
                 raise ValueError(f"unknown channel type {kind!r}")
             if sift.get("rule", "same") == "same":
@@ -159,18 +153,21 @@ class SimConfig:
                 sifting = PairedIndexSifting(pairs)
             else:
                 raise ValueError(f"unknown sifting rule {sift!r}")
-            return SimConfig(
-                rounds=data["rounds"],
-                seed=data["seed"],
-                channel=channel,
-                alice_weights=tuple(data.get("alice_weights", _UNIFORM4)),
-                bob_weights=tuple(data.get("bob_weights", _UNIFORM4)),
-                sifting=sifting,
-            )
+            weights = {name: tuple(_json_number(name, p) for p in data.get(name, _UNIFORM4))
+                       for name in ("alice_weights", "bob_weights")}
+            return SimConfig(rounds=data["rounds"], seed=data["seed"], channel=channel,
+                             sifting=sifting, **weights)
         except KeyError as exc:
             raise ValueError(f"config is missing {exc}") from None
         except TypeError as exc:
             raise ValueError(f"config value of the wrong type: {exc}") from None
+
+
+def _json_number(key: str, x) -> float:
+    """A config value that must be a JSON number, not a bool or a string."""
+    if type(x) not in (int, float):
+        raise ValueError(f"config {key!r} takes JSON numbers, got {x!r}")
+    return float(x)
 
 
 def round_distribution(channel: Channel, alice_basis: int, bob_basis: int) -> np.ndarray:

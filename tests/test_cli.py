@@ -124,6 +124,20 @@ def test_simulate_config_file(runner, tmp_path):
     assert abs(payload["result"]["qber"] - 1 / 3) <= 0.05
 
 
+def test_simulate_config_run_echoes_the_file_channel_and_sifting(runner, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"rounds": 10, "seed": 0,
+                                "channel": {"type": "depolarizing", "visibility": 0.5}}))
+    inputs = run_json(runner, ["simulate", "--config", str(path), "--no-timestamp"])["inputs"]
+    assert inputs["channel"] == {"type": "depolarizing", "visibility": 0.5}
+    assert inputs["sifting"] == {"rule": "same"}
+    path.write_text(json.dumps({"rounds": 10, "seed": 0,
+                                "sifting": {"rule": "pairs", "pairs": [[0, 0]]}}))
+    inputs = run_json(runner, ["simulate", "--config", str(path), "--no-timestamp"])["inputs"]
+    assert inputs["channel"] == {"type": "ideal"}
+    assert inputs["sifting"] == {"rule": "pairs", "pairs": [[0, 0]]}
+
+
 def test_simulate_dump_csv(runner, tmp_path):
     out = tmp_path / "rounds.csv"
     run_json(runner, ["simulate", "--rounds", "50", "--seed", "1",
@@ -337,12 +351,22 @@ def test_cloner_eval_non_numeric_params_exit_1(runner):
      "sifting pairs must be integers"),
     ({"rounds": 10, "seed": 0, "sifting": {"rule": "pairs", "pairs": [[True, False]]}},
      "sifting pairs must be integers"),
+    ({"rounds": 10, "seed": 0, "alice_weights": [True, False, False, False]},
+     "'alice_weights' takes JSON numbers"),
+    ({"rounds": 10, "seed": 0, "channel": {"type": "depolarizing", "visibility": "0.5"}},
+     "'visibility' takes JSON numbers"),
+    ({"rounds": 10, "seed": 0, "channel": {"type": "depolarizing", "visibility": True}},
+     "'visibility' takes JSON numbers"),
+    ({"rounds": 10, "seed": 0, "channel": {"type": "cloning", "params": ["1", 0, 0, 0]}},
+     "'params' takes JSON numbers"),
+    ("[" * 200_000, "nested too deeply"),
 ], ids=["no-rounds", "no-seed", "string-rounds", "null-seed", "no-visibility",
         "zero-params", "null-weights", "nan-weights", "inf-pair", "fractional-pair",
-        "bool-pair"])
+        "bool-pair", "bool-weights", "string-visibility", "bool-visibility",
+        "string-params", "deep-nesting"])
 def test_simulate_malformed_config_exits_1(runner, tmp_path, config, message):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
     result = runner.invoke(main, ["simulate", "--config", str(path)])
     assert_usage_error(result, message)
 
@@ -361,6 +385,16 @@ def test_write_into_missing_directory_exits_1(runner, tmp_path, args):
     result = runner.invoke(main, args + [str(target)])
     assert_usage_error(result, "No such file or directory")
     assert not target.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args", [
+    ["thresholds", "--output"],
+    ["simulate", "--rounds", "10", "--dump-csv"],
+])
+def test_write_to_full_device_exits_1(runner, args):
+    result = runner.invoke(main, args + ["/dev/full"])
+    assert_usage_error(result, "No space left on device")
 
 
 def test_cloner_eval_identity(runner):

@@ -274,6 +274,18 @@ def test_nan_parameters_are_off_the_normalization_surface(slot):
         closed_form_report(params)
 
 
+@pytest.mark.parametrize("values", [(0.0, 0.0, 0.0, 0.0), (math.nan, 0.0, 0.0, 0.0),
+                                    (1e200, 0.0, 0.0, 0.0), (1e-160,) * 4],
+                         ids=["zero", "nan", "overflow", "subnormal-square"])
+def test_normalized_needs_a_finite_nonzero_norm(values):
+    with pytest.raises(ValueError, match="finite, nonzero norm"):
+        ClonerParams(*values).normalized()
+
+
+def test_norm_squared_overflows_to_inf():
+    assert ClonerParams(1e200, 0.0, 0.0, 0.0).norm_squared == math.inf
+
+
 # --- phase covariance --------------------------------------------------------
 
 
