@@ -109,10 +109,13 @@ def _parse_sifting(spec: str) -> simulate.SiftingRule:
     raise ValueError(f"unknown sifting rule {spec!r}; use same or pairs:i-j,...")
 
 
-def _parse_weights(spec: str | None) -> tuple[float, ...]:
+def _parse_weights(flag: str, spec: str | None) -> tuple[float, ...]:
     if spec is None:
         return (0.25, 0.25, 0.25, 0.25)
-    return tuple(float(p) for p in spec.split(","))
+    try:
+        return tuple(float(p) for p in spec.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} takes four comma-separated numbers, got {spec!r}") from None
 
 
 base_option = click.option("--base", type=click.Choice(["2", "3", "e"]), default="2",
@@ -187,7 +190,7 @@ def bases():
 
 @command("cloner-eval")
 @click.option("--params", "params_spec", required=True,
-              help="Cloner parameters v,x,y[,z], or 'optimal'.")
+              help="Cloner parameters v,x,y[,z] (a given z must equal y), or 'optimal'.")
 @click.option("--normalize/--no-normalize", default=True, show_default=True,
               help="Rescale the parameters onto the normalization surface.")
 @base_option
@@ -253,8 +256,8 @@ def table(fmt):
               help="same | pairs:i-j,i-j,...")
 @click.option("--alice-weights", default=None, help="Four comma-separated weights.")
 @click.option("--bob-weights", default=None, help="Four comma-separated weights.")
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="Read the whole SimConfig from a JSON file instead.")
+@click.option("--config", "config_path", default=None,
+              help="Read the whole SimConfig from a JSON file instead.")
 @click.option("--dump-csv", type=click.Path(dir_okay=False), default=None,
               help="Write per-round (round,basis_i,basis_j,a,b) rows to a CSV file.")
 def simulate_cmd(rounds, seed, channel_spec, sifting_spec, alice_weights, bob_weights,
@@ -275,8 +278,8 @@ def simulate_cmd(rounds, seed, channel_spec, sifting_spec, alice_weights, bob_we
         config = simulate.SimConfig(
             rounds=rounds, seed=seed,
             channel=_parse_channel(channel_spec),
-            alice_weights=_parse_weights(alice_weights),
-            bob_weights=_parse_weights(bob_weights),
+            alice_weights=_parse_weights("--alice-weights", alice_weights),
+            bob_weights=_parse_weights("--bob-weights", bob_weights),
             sifting=_parse_sifting(sifting_spec))
 
     if dump_csv:

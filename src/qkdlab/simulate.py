@@ -29,24 +29,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
 from .cloner import (ClonerParams, clone_amplitudes, closed_form_report, phi_cloner_matrix,
                      readout_table)
-from .qudit import (BasisSpec, conjugate_phi_basis_state, max_entangled,
-                    optimal_bases, phi_basis_state)
+from .qudit import optimal_bases
 from .security import _entropy_nats, eve_information
 
 TABLE_TOL = 1e-12
 
-_PHIS = tuple(b.phi for b in optimal_bases())
+# Basis i's states are the columns of _BASES[i].  The flying qutrit and the
+# receiver's readout are in the conjugate bases, the columns of _BASES.conj().
+_BASES = np.array([b.matrix() for b in optimal_bases()])
 
 
 @dataclass(frozen=True)
 class IdealChannel:
-    pass
+    """The entangled state unchanged: the depolarizing channel at visibility 1."""
+
+    visibility: ClassVar[float] = 1.0
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,8 @@ Channel = Union[IdealChannel, DepolarizingChannel, CloningAttackChannel]
 @dataclass(frozen=True)
 class SameIndexSifting:
     """Keep rounds where both parties picked the same basis index."""
+
+    pairs: ClassVar = ((0, 0), (1, 1), (2, 2), (3, 3))
 
 
 @dataclass(frozen=True)
@@ -139,18 +144,24 @@ class SimConfig:
             elif kind == "depolarizing":
                 channel = DepolarizingChannel(_json_number("visibility", ch["visibility"]))
             elif kind == "cloning":
+                params = ch["params"]
+                if not (isinstance(params, list) and len(params) == 4):
+                    raise ValueError(f"config 'params' takes four numbers v, x, y, z, "
+                                     f"got {params!r}")
                 channel = CloningAttackChannel(
-                    ClonerParams(*(_json_number("params", p) for p in ch["params"])))
+                    ClonerParams(*(_json_number("params", p) for p in params)))
             else:
                 raise ValueError(f"unknown channel type {kind!r}")
             if sift.get("rule", "same") == "same":
                 sifting: SiftingRule = SameIndexSifting()
             elif sift["rule"] == "pairs":
-                pairs = tuple((i, j) for i, j in sift["pairs"])
-                if any(type(t) is not int for pair in pairs for t in pair):
-                    raise ValueError(
-                        f"config sifting pairs must be integers, got {sift['pairs']!r}")
-                sifting = PairedIndexSifting(pairs)
+                pairs = sift["pairs"]
+                if not (isinstance(pairs, list) and all(
+                        isinstance(p, list) and len(p) == 2 and all(type(t) is int for t in p)
+                        for p in pairs)):
+                    raise ValueError("config sifting pairs must be integers, "
+                                     f"a list of [i, j] lists, got {pairs!r}")
+                sifting = PairedIndexSifting(tuple((i, j) for i, j in pairs))
             else:
                 raise ValueError(f"unknown sifting rule {sift!r}")
             weights = {name: tuple(_json_number(name, p) for p in data.get(name, _UNIFORM4))
@@ -187,11 +198,16 @@ _PAIRS = tuple((i, j) for i in range(4) for j in range(4))
 
 
 def _round_tables(channel: Channel, pairs) -> list[np.ndarray]:
-    """:func:`round_distribution` of each basis pair in ``pairs``."""
-    if isinstance(channel, IdealChannel):
-        tables = [_ideal_table(i, j) for i, j in pairs]
-    elif isinstance(channel, DepolarizingChannel):
-        tables = [channel.visibility * _ideal_table(i, j) + (1.0 - channel.visibility) / 9.0
+    """:func:`round_distribution` of each basis pair in ``pairs``.
+
+    On the maximally entangled state the pair (i, j) gives
+    P[a, b] = |<a_i|b_j>|^2 / 3: projecting the receiver's half on the
+    conjugate state b_j* leaves the sender's half in b_j.  The ideal channel
+    is the depolarizing one at V = 1, V * P + (1 - V) / 9.
+    """
+    if isinstance(channel, (IdealChannel, DepolarizingChannel)):
+        v = channel.visibility
+        tables = [v * (np.abs(_BASES[i].conj().T @ _BASES[j]) ** 2 / 3.0) + (1.0 - v) / 9.0
                   for i, j in pairs]
     elif isinstance(channel, CloningAttackChannel):
         tables = _attack_tables(channel.params, pairs)
@@ -203,17 +219,6 @@ def _round_tables(channel: Channel, pairs) -> list[np.ndarray]:
     return tables
 
 
-def _ideal_table(i: int, j: int) -> np.ndarray:
-    ent = max_entangled(3).amps
-    p = np.zeros((3, 3))
-    for a in range(3):
-        bra_a = phi_basis_state(_PHIS[i], a).amps
-        for b in range(3):
-            bra_b = conjugate_phi_basis_state(_PHIS[j], b).amps
-            p[a, b] = abs(np.kron(bra_a, bra_b).conj() @ ent) ** 2
-    return p
-
-
 def _attack_tables(params: ClonerParams, pairs) -> list[np.ndarray]:
     """P[a, b, e_b, e_c] of each pair (i, j): sender outcome uniform; her
     measurement leaves the flying qutrit in the matching conjugate-basis
@@ -221,14 +226,11 @@ def _attack_tables(params: ClonerParams, pairs) -> list[np.ndarray]:
     Each of the three flying states of basis i is cloned once, however many
     pairs read it out."""
     mat = phi_cloner_matrix(params)
-    joints = {i: [clone_amplitudes(mat, conjugate_phi_basis_state(_PHIS[i], a).amps)
-                  for a in range(3)]
+    flying = _BASES.conj()
+    joints = {i: [clone_amplitudes(mat, np.ascontiguousarray(state)) for state in flying[i].T]
               for i in {i for i, _ in pairs}}
-    tables = []
-    for i, j in pairs:
-        cols = BasisSpec(_PHIS[j], conjugated=True).matrix()
-        tables.append(np.array([readout_table(joint, cols) for joint in joints[i]]) / 3.0)
-    return tables
+    return [np.array([readout_table(joint, flying[j]) for joint in joints[i]]) / 3.0
+            for i, j in pairs]
 
 
 @dataclass
@@ -370,13 +372,8 @@ def _session_statistics(config: SimConfig, hist: np.ndarray) -> SimResult:
     n_pair = hist.sum(axis=1)
     n_agree = hist[:, a == b].sum(axis=1)
 
-    if isinstance(config.sifting, SameIndexSifting):
-        accept = np.eye(4, dtype=bool)
-    else:
-        accept = np.zeros((4, 4), dtype=bool)
-        for i, j in config.sifting.pairs:
-            accept[i, j] = True
-    accept = accept.reshape(-1)
+    accept = np.zeros(16, dtype=bool)
+    accept[[4 * i + j for i, j in config.sifting.pairs]] = True
 
     n_sift = int(n_pair[accept].sum())
     if n_sift > 0:
@@ -453,10 +450,8 @@ def basis_correlation_survey(config: SimConfig) -> SurveyResult:
     """Enumerate which basis pairs are (after relabeling) perfectly correlated."""
     if not isinstance(config.channel, IdealChannel):
         raise ValueError("survey is defined for the ideal channel")
-    exact = np.zeros((4, 4))
-    for i in range(4):
-        for j in range(4):
-            exact[i, j] = _best_relabeled_agreement(round_distribution(config.channel, i, j))
+    exact = np.array([_best_relabeled_agreement(t)
+                      for t in _round_tables(config.channel, _PAIRS)]).reshape(4, 4)
 
     result = run_session(config)
     empirical = np.zeros((4, 4))
@@ -467,14 +462,12 @@ def basis_correlation_survey(config: SimConfig) -> SurveyResult:
 
     perfect = [(i, j) for i in range(4) for j in range(4) if exact[i, j] > 1.0 - 1e-9]
 
-    pairing = {}
-    for j in range(4):
-        conj_cols = BasisSpec(_PHIS[j], conjugated=True).matrix()
-        for i in range(4):
-            overlap = np.abs(BasisSpec(_PHIS[i]).matrix().conj().T @ conj_cols)
-            if np.allclose(np.max(overlap, axis=0), 1.0, atol=1e-9):
-                pairing[j] = i
-                break
+    # overlap[i, j, a, b] = |<a_i|b_j*>|; receiver basis j pairs with the first
+    # sender basis i that holds every one of its states
+    flying = _BASES.conj()
+    overlap = np.abs(np.einsum("ika,jkb->ijab", flying, flying))
+    holds = np.isclose(overlap.max(axis=2), 1.0, atol=1e-9).all(axis=2)
+    pairing = {j: int(np.argmax(holds[:, j])) for j in range(4) if holds[:, j].any()}
     return SurveyResult(exact, empirical, perfect, pairing)
 
 

@@ -360,15 +360,37 @@ def test_cloner_eval_non_numeric_params_exit_1(runner):
     ({"rounds": 10, "seed": 0, "channel": {"type": "cloning", "params": ["1", 0, 0, 0]}},
      "'params' takes JSON numbers"),
     ("[" * 200_000, "nested too deeply"),
+    ({"rounds": 10, "seed": 0, "sifting": {"rule": "pairs", "pairs": [[0]]}},
+     "sifting pairs must be integers, a list of [i, j] lists"),
+    ({"rounds": 10, "seed": 0, "sifting": {"rule": "pairs", "pairs": [[0, 1, 2]]}},
+     "sifting pairs must be integers, a list of [i, j] lists"),
+    ({"rounds": 10, "seed": 0, "sifting": {"rule": "pairs", "pairs": "ab"}},
+     "sifting pairs must be integers, a list of [i, j] lists"),
+    ({"rounds": 10, "seed": 0, "channel": {"type": "cloning", "params": [1, 0]}},
+     "'params' takes four numbers"),
+    ({"rounds": 10, "seed": 0, "channel": {"type": "cloning", "params": [1, 0, 0, 0, 0]}},
+     "'params' takes four numbers"),
 ], ids=["no-rounds", "no-seed", "string-rounds", "null-seed", "no-visibility",
         "zero-params", "null-weights", "nan-weights", "inf-pair", "fractional-pair",
         "bool-pair", "bool-weights", "string-visibility", "bool-visibility",
-        "string-params", "deep-nesting"])
+        "string-params", "deep-nesting", "one-index-pair", "three-index-pair",
+        "string-pairs", "two-params", "five-params"])
 def test_simulate_malformed_config_exits_1(runner, tmp_path, config, message):
     path = tmp_path / "config.json"
     path.write_text(config if isinstance(config, str) else json.dumps(config))
     result = runner.invoke(main, ["simulate", "--config", str(path)])
     assert_usage_error(result, message)
+
+
+@pytest.mark.parametrize("name,message", [
+    ("missing.json", "No such file or directory"),
+    (".", "Is a directory"),
+], ids=["missing", "directory"])
+def test_simulate_unreadable_config_exits_1(runner, tmp_path, name, message):
+    # the read fails in open, not in option parsing: no usage banner
+    result = runner.invoke(main, ["simulate", "--config", str(tmp_path / name)])
+    assert_usage_error(result, message)
+    assert "Usage:" not in result.output
 
 
 def test_survey_negative_seed_exits_1(runner):
@@ -509,6 +531,12 @@ def test_numbers_have_ten_significant_digits(runner):
     out = runner.invoke(main, ["thresholds", "--no-timestamp"]).output
     val = json.loads(out)["result"]["qubit_fidelity_threshold"]
     assert val == float(f"{0.5 + 1 / math.sqrt(8):.10g}")
+
+
+@pytest.mark.parametrize("flag", ["--alice-weights", "--bob-weights"])
+def test_simulate_non_numeric_weights_name_the_flag(runner, flag):
+    result = runner.invoke(main, ["simulate", "--rounds", "10", flag, "a,b"])
+    assert_usage_error(result, f"{flag} takes four comma-separated numbers")
 
 
 def test_simulate_nan_weight_exits_1(runner):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,7 +9,8 @@ from scipy.stats import chisquare
 from qkdlab import simulate
 from qkdlab.cloner import (ClonerParams, clone_state, closed_form_report,
                            eve_joint_distribution, phi_cloner_matrix)
-from qkdlab.qudit import BasisSpec
+from qkdlab.qudit import (BasisSpec, conjugate_phi_basis_state, max_entangled,
+                          optimal_bases, phi_basis_state)
 from qkdlab.security import crossing_point, eve_information
 from qkdlab.simulate import (CloningAttackChannel, DepolarizingChannel,
                              IdealChannel, PairedIndexSifting, SameIndexSifting,
@@ -16,6 +18,9 @@ from qkdlab.simulate import (CloningAttackChannel, DepolarizingChannel,
                              empirical_vs_analytic, mi_bias_bound,
                              plugin_mutual_information, round_distribution,
                              run_session)
+
+
+PHIS = tuple(b.phi for b in optimal_bases())
 
 
 def optimal_params() -> ClonerParams:
@@ -55,6 +60,35 @@ def test_all_tables_normalized():
         for i in range(4):
             for j in range(4):
                 assert abs(round_distribution(ch, i, j).sum() - 1.0) <= 1e-12
+
+
+def kron_table(i: int, j: int) -> np.ndarray:
+    """The ideal table of pair (i, j) by projecting the entangled state onto
+    the kron product of each sender state and conjugate receiver state."""
+    ent = max_entangled(3).amps
+    p = np.zeros((3, 3))
+    for a in range(3):
+        bra_a = phi_basis_state(PHIS[i], a).amps
+        for b in range(3):
+            bra_b = conjugate_phi_basis_state(PHIS[j], b).amps
+            p[a, b] = abs(np.kron(bra_a, bra_b).conj() @ ent) ** 2
+    return p
+
+
+@pytest.mark.parametrize("channel", [IdealChannel()] + [DepolarizingChannel(v) for v in
+                                                      (0.0, 0.3, 0.6962, 1.0)],
+                         ids=["ideal", "depol-0", "depol-0.3", "depol-0.6962", "depol-1"])
+def test_noise_tables_equal_the_kron_route(channel):
+    v = channel.visibility
+    tables = simulate._round_tables(channel, simulate._PAIRS)
+    for (i, j), table in zip(simulate._PAIRS, tables):
+        expected = v * kron_table(i, j) + (1.0 - v) / 9.0
+        assert np.max(np.abs(table - expected)) <= 1e-15, (i, j)
+
+
+def test_ideal_channel_is_depolarizing_at_visibility_one():
+    assert np.array_equal(simulate._round_tables(IdealChannel(), simulate._PAIRS),
+                          simulate._round_tables(DepolarizingChannel(1.0), simulate._PAIRS))
 
 
 def test_bad_basis_and_channel_params():
@@ -98,7 +132,7 @@ def test_attack_tables_equal_the_closed_form_outcome_tables():
         v, x, y = rng.normal(size=3)
         cloners.append(ClonerParams(v, x, y, y).normalized())
     for params in cloners:
-        for i, phi in enumerate(simulate._PHIS):
+        for i, phi in enumerate(PHIS):
             table = round_distribution(CloningAttackChannel(params), i, i)
             for a in range(3):
                 closed = eve_joint_distribution(params, a, verify_phi=phi)
@@ -108,8 +142,8 @@ def test_attack_tables_equal_the_closed_form_outcome_tables():
 def clone_state_table(params: ClonerParams, i: int, j: int) -> np.ndarray:
     """The attack table of pair (i, j), each flying state through clone_state."""
     mat = phi_cloner_matrix(params)
-    cols = BasisSpec(simulate._PHIS[j], conjugated=True).matrix()
-    flying = BasisSpec(simulate._PHIS[i], conjugated=True)
+    cols = BasisSpec(PHIS[j], conjugated=True).matrix()
+    flying = BasisSpec(PHIS[i], conjugated=True)
     rows = []
     for a in range(3):
         t = clone_state(mat, flying.state(a)).joint.amps.reshape(3, 3, 3)
@@ -218,6 +252,23 @@ def test_empirical_frequencies_match_tables_chisquare():
                 f_exp.append(float(exp[small].sum()))
             p = chisquare(f_obs, f_exp).pvalue
             assert p > 0.001, (ch, i, j, p)
+
+
+@pytest.mark.parametrize("channel", [IdealChannel(), DepolarizingChannel(0.5), ATTACK],
+                         ids=["ideal", "depolarizing", "attack"])
+def test_same_index_sifting_is_the_diagonal_pair_list(channel):
+    base = dict(rounds=20_000, seed=4, channel=channel, alice_weights=(0.1, 0.2, 0.3, 0.4))
+    same = run_session(SimConfig(**base, sifting=SameIndexSifting()))
+    listed = run_session(SimConfig(
+        **base, sifting=PairedIndexSifting(((0, 0), (1, 1), (2, 2), (3, 3)))))
+    for f in dataclasses.fields(same):
+        a, b = getattr(same, f.name), getattr(listed, f.name)
+        if isinstance(a, dict):
+            assert a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
+        elif isinstance(a, np.ndarray):
+            assert np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
 
 
 def test_zero_sifted_rounds_reported():
