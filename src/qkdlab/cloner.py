@@ -36,7 +36,6 @@ from .qudit import (BasisSpec, DensityMatrix, StateVector, bell_state,
                     error_operator, partial_trace, phi_basis_state)
 
 PARAM_NORM_TOL = 1e-8
-MATRIX_NORM_TOL = 1e-6
 SYMMETRY_TOL = 1e-10
 
 
@@ -125,12 +124,9 @@ def phi_cloner_matrix(params: ClonerParams) -> AmplitudeMatrix:
     """Constrained amplitude matrix [[v,x,x],[y,y,y],[z,z,z]].
 
     Raises unless the parameters sit on the normalization surface within
-    1e-6.  The returned matrix is always exactly unit Frobenius norm.
+    1e-8.  The returned matrix is always exactly unit Frobenius norm.
     """
-    if abs(params.norm_squared - 1.0) > MATRIX_NORM_TOL:
-        raise ValueError(
-            f"|a|^2 = {params.norm_squared:.8f} deviates from 1 by more than "
-            f"{MATRIX_NORM_TOL:g}; call .normalized() first")
+    params.require_normalized()
     params = params.normalized()
     v, x, y, z = params.v, params.x, params.y, params.z
     return AmplitudeMatrix(np.array([[v, x, x], [y, y, y], [z, z, z]]))
@@ -366,32 +362,21 @@ def eve_joint_distribution(params: ClonerParams, k: int,
     if abs(table.sum() - 1.0) > 1e-12:
         raise AssertionError("attack outcome table does not sum to 1")
 
-    basis = BasisSpec(verify_phi)
-    state_table = outcome_table(phi_cloner_matrix(params), basis.state(k), basis)
+    cols = BasisSpec(verify_phi).matrix()
+    state_table = readout_table(clone_amplitudes(phi_cloner_matrix(params), cols[:, k]), cols)
     if np.max(np.abs(table - state_table)) > 1e-12:
         raise AssertionError("attack outcome table disagrees with the "
                              "state-level construction")
     return table
 
 
-def outcome_table(mat: AmplitudeMatrix, input_state: StateVector,
-                  basis: BasisSpec) -> np.ndarray:
-    """P[alpha, beta, gamma] of the cloned ``input_state``.
-
-    Both clones (registers A and B) are read in ``basis``, the machine
-    (register C) in the conjugate basis.
-    """
-    if input_state.dim != mat.dim:
-        raise ValueError("input dimension does not match the cloner")
-    return readout_table(clone_amplitudes(mat, input_state.amps), basis.matrix())
-
-
 def readout_table(joint: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """P[alpha, beta, gamma] of the joint amplitudes of one cloned qutrit.
+    """P[alpha, beta, gamma] of the joint amplitudes of one cloned qudit.
 
     ``cols`` holds the basis states of registers A and B as columns; the
     machine (register C) is read in their complex conjugates.
     """
-    t = joint.reshape(3, 3, 3)
+    d = len(cols)
+    t = joint.reshape(d, d, d)
     amps = np.einsum("abc,ai,bj,ck->ijk", t, cols.conj(), cols.conj(), cols)
     return np.abs(amps) ** 2

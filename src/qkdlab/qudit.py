@@ -12,12 +12,15 @@ Conventions, fixed once and used everywhere:
 
 Dimension ``N`` is a runtime parameter, but only N=3 (and N=2 where the
 qubit comparison needs it) are exercised by the rest of the package.
+
+Every phase-basis state is a column of the one matrix :func:`phase_basis`;
+a conjugate basis is its ``.conj()``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,48 +113,42 @@ class DensityMatrix:
         return self.entries.shape[0]
 
 
+def phase_basis(phi: float) -> np.ndarray:
+    """Columns |l_phi> = 3^{-1/2} sum_k exp(i k (2 pi l / 3 + phi)) |k>, l = 0, 1, 2."""
+    k = np.arange(3)
+    return np.exp(1j * np.outer(k, TWO_PI * k / 3.0 + phi)) / math.sqrt(3.0)
+
+
 @dataclass(frozen=True)
 class BasisSpec:
-    """A measurement basis of the phase family: angle plus conjugation flag."""
+    """A measurement basis of the phase family, given by its angle."""
 
     phi: float
-    conjugated: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
 
     def state(self, l: int) -> StateVector:
-        if self.conjugated:
-            return conjugate_phi_basis_state(self.phi, l)
         return phi_basis_state(self.phi, l)
 
     def states(self) -> list[StateVector]:
-        return [self.state(l) for l in range(3)]
+        return [StateVector(c, (3,)) for c in self.matrix().T]
 
     def matrix(self) -> np.ndarray:
         """The three basis states as columns."""
-        return np.column_stack([s.amps for s in self.states()])
-
-
-def _check_trit(l: int, what: str = "index") -> None:
-    if l not in (0, 1, 2):
-        raise ValueError(f"{what} must be 0, 1 or 2, got {l}")
+        return phase_basis(self.phi)
 
 
 def phi_basis_state(phi: float, l: int) -> StateVector:
-    """|l_phi> = 3^{-1/2} sum_k exp(i k (2 pi l / 3 + phi)) |k>."""
-    _check_trit(l)
-    k = np.arange(3)
-    amps = np.exp(1j * k * (TWO_PI * l / 3.0 + phi)) / math.sqrt(3.0)
-    return StateVector(amps, (3,))
+    """Column l of :func:`phase_basis`."""
+    if l not in (0, 1, 2):
+        raise ValueError(f"index must be 0, 1 or 2, got {l}")
+    return StateVector(np.ascontiguousarray(phase_basis(phi)[:, int(l)]), (3,))
 
 
 def conjugate_phi_basis_state(phi: float, l: int) -> StateVector:
     """Componentwise complex conjugate of :func:`phi_basis_state`."""
-    _check_trit(l)
-    k = np.arange(3)
-    amps = np.exp(-1j * k * (TWO_PI * l / 3.0 + phi)) / math.sqrt(3.0)
-    return StateVector(amps, (3,))
+    return StateVector(phi_basis_state(phi, l).amps.conj(), (3,))
 
 
 def optimal_bases() -> list[BasisSpec]:
@@ -205,11 +202,11 @@ def tilde_bell_state(m: int, n: int, phi: float) -> StateVector:
     """
     if not (0 <= m < 3 and 0 <= n < 3):
         raise ValueError(f"indices ({m},{n}) out of range")
+    basis = phase_basis(phi)
     amps = np.zeros(9, dtype=complex)
     for k in range(3):
         w = np.exp(2j * math.pi * k * n / 3.0)
-        amps += w * np.kron(phi_basis_state(phi, k).amps,
-                            conjugate_phi_basis_state(phi, (k + m) % 3).amps)
+        amps += w * np.kron(basis[:, k], basis[:, (k + m) % 3].conj())
     return StateVector(amps / math.sqrt(3.0), (3, 3))
 
 

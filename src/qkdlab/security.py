@@ -854,8 +854,6 @@ class InfoReport:
 
 def info_report(params: ClonerParams, base=2) -> InfoReport:
     """Full closed-form report for a constrained y = z cloner."""
-    params.require_normalized()
-    params.require_symmetric()
     rep: FidelityReport = closed_form_report(params)
     i_ab = bob_information(rep.f_a, base)
     i_ae = eve_information(params, base)

@@ -100,7 +100,7 @@ SiftingRule = Union[SameIndexSifting, PairedIndexSifting]
 _UNIFORM4 = (0.25, 0.25, 0.25, 0.25)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     rounds: int
     seed: int
@@ -119,7 +119,7 @@ class SimConfig:
             if (len(w) != 4 or not all(math.isfinite(p) and p >= 0 for p in w)
                     or abs(sum(w) - 1.0) > 1e-12):
                 raise ValueError(f"{name} must be 4 nonnegative weights summing to 1")
-            setattr(self, name, w)
+            object.__setattr__(self, name, w)
 
     @staticmethod
     def from_json(data: dict) -> "SimConfig":
@@ -149,7 +149,7 @@ class SimConfig:
                     raise ValueError(f"config 'params' takes four numbers v, x, y, z, "
                                      f"got {params!r}")
                 channel = CloningAttackChannel(
-                    ClonerParams(*(_json_number("params", p) for p in params)))
+                    ClonerParams(*(_json_number("params", p) for p in params)).normalized())
             else:
                 raise ValueError(f"unknown channel type {kind!r}")
             if sift.get("rule", "same") == "same":
@@ -346,8 +346,6 @@ def run_session(config: SimConfig, on_rounds=None) -> SimResult:
     called once per chunk, in round order, with an (n, 5) integer array of
     (round, basis_i, basis_j, a, b) rows.
     """
-    if config.rounds < 1:
-        raise ValueError("need at least one round")
     tables = np.array([t.reshape(-1) for t in _round_tables(config.channel, _PAIRS)])
     cells = tables.shape[1]
     hist = np.zeros(16 * cells, dtype=np.int64)

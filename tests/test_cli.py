@@ -220,6 +220,25 @@ def test_analysis_outputs_byte_identical(runner, args):
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == ANALYSIS_SHA256[args]
 
 
+# sha256 of the --no-timestamp output of three commands that read the phase
+# bases or the cloner's norm checks, recorded when each phase-basis state
+# was built on its own
+BASES_SHA256 = {
+    "bases": "39d1aba2d45b938c90b5a49ade50aabc75076028466feb3060f66966431cdc12",
+    "survey --rounds 20000 --seed 5":
+        "1fc4a8a1219a778dbfffad796f1a73357b2c403e73b9c227fe489c311b031554",
+    "cloner-eval --params 0.8320,0.1711,0.2038":
+        "ad7b5c35d7e79f62c09c32aaf15c56a68cae4d8f42519b37b051207bb5a1b2ba",
+}
+
+
+@pytest.mark.parametrize("args", list(BASES_SHA256))
+def test_basis_outputs_byte_identical(runner, args):
+    result = runner.invoke(main, args.split() + ["--no-timestamp"])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == BASES_SHA256[args]
+
+
 def _fresh_python(code):
     """Run ``code`` in a new interpreter that imports this checkout's qkdlab."""
     path = [str(Path(security.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
@@ -232,6 +251,17 @@ def test_cli_import_loads_no_scipy():
     code = ("import sys, qkdlab.cli\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert _fresh_python(code).stdout == b"[]\n"
+
+
+def test_cli_import_builds_no_state_vectors():
+    # the session bases are read off phase_basis; no StateVector checks a norm
+    code = ("import numpy as np\n"
+            "calls = []\n"
+            "norm = np.linalg.norm\n"
+            "np.linalg.norm = lambda *a, **k: calls.append(a) or norm(*a, **k)\n"
+            "import qkdlab.cli\n"
+            "print(len(calls))")
+    assert _fresh_python(code).stdout == b"0\n"
 
 
 @pytest.mark.parametrize("args", ["table --format json", "symmetric"])
@@ -341,7 +371,7 @@ def test_cloner_eval_non_numeric_params_exit_1(runner):
     ({"rounds": 3000, "seed": None}, "'seed' must be an integer"),
     ({"rounds": 3000, "seed": 5, "channel": {"type": "depolarizing"}}, "missing 'visibility'"),
     ({"rounds": 3000, "seed": 5, "channel": {"type": "cloning", "params": [0, 0, 0, 0]}},
-     "normalization surface"),
+     "finite, nonzero norm"),
     ({"rounds": 3000, "seed": 5, "alice_weights": None}, "wrong type"),
     ({"rounds": 3000, "seed": 5, "alice_weights": [math.nan, 0, 0, 1]},
      "alice_weights must be 4 nonnegative weights"),

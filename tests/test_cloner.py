@@ -61,7 +61,7 @@ def test_rounded_published_values_close_to_surface():
     # the rounded solution sits within 2e-4 of the normalization surface
     assert abs(ROUNDED_OPTIMUM.norm_squared - 1.0) <= 2e-4
     with pytest.raises(ValueError):
-        phi_cloner_matrix(ROUNDED_OPTIMUM)  # deviation 1.9e-5 > 1e-6
+        phi_cloner_matrix(ROUNDED_OPTIMUM)  # deviation 1.9e-5 > 1e-8
     mat = phi_cloner_matrix(ROUNDED_OPTIMUM.normalized())
     assert abs(mat.norm_squared - 1.0) <= 1e-12
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from qkdlab.qudit import (BasisSpec, DensityMatrix, StateVector, bell_state,
                           conjugate_phi_basis_state, error_operator,
                           max_entangled, optimal_bases, overlap_modulus,
-                          partial_trace, phi_basis_state, tensor,
-                          tilde_bell_state)
+                          partial_trace, phase_basis, phi_basis_state,
+                          tensor, tilde_bell_state)
 
 TOL = 1e-12
 OMEGA = np.exp(2j * np.pi / 3)
@@ -27,6 +27,28 @@ def test_phi_basis_phi0_l0_is_uniform_real():
 def test_phi_basis_phi0_l1_has_omega_phases():
     s = phi_basis_state(0.0, 1)
     assert np.allclose(s.amps, np.array([1, OMEGA, OMEGA**2]) / math.sqrt(3), atol=TOL)
+
+
+def reference_state(phi, l):
+    """|l_phi> by its own formula, as each state was once built."""
+    k = np.arange(3)
+    return np.exp(1j * k * (2.0 * math.pi * l / 3.0 + phi)) / math.sqrt(3.0)
+
+
+def reference_conjugate_state(phi, l):
+    k = np.arange(3)
+    return np.exp(-1j * k * (2.0 * math.pi * l / 3.0 + phi)) / math.sqrt(3.0)
+
+
+def test_phase_basis_equals_the_per_state_formulas_bitwise():
+    grid = list(np.linspace(-4 * np.pi, 4 * np.pi, 301)) + [b.phi for b in optimal_bases()]
+    for phi in grid:
+        basis = phase_basis(phi)
+        for l in range(3):
+            assert np.array_equal(basis[:, l], reference_state(phi, l)), (phi, l)
+            assert np.array_equal(basis.conj()[:, l], reference_conjugate_state(phi, l))
+            assert np.array_equal(phi_basis_state(phi, l).amps, basis[:, l])
+            assert np.array_equal(conjugate_phi_basis_state(phi, l).amps, basis.conj()[:, l])
 
 
 def test_phi_basis_index_out_of_range():
@@ -279,9 +301,8 @@ def test_basis_spec_reduces_phi():
     spec = BasisSpec(2 * np.pi + 0.5)
     assert abs(spec.phi - 0.5) <= 1e-12
     assert np.allclose(spec.state(1).amps, phi_basis_state(0.5, 1).amps, atol=TOL)
-    conj = BasisSpec(0.5, conjugated=True)
-    assert np.allclose(conj.state(1).amps, conjugate_phi_basis_state(0.5, 1).amps,
-                       atol=TOL)
+    assert np.allclose(BasisSpec(0.5).matrix().conj()[:, 1],
+                       conjugate_phi_basis_state(0.5, 1).amps, atol=TOL)
 
 
 def test_state_to_json_re_im_pairs():

@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import chisquare
 
 from qkdlab import simulate
+from qkdlab.cli import _parse_channel
 from qkdlab.cloner import (ClonerParams, clone_state, closed_form_report,
                            eve_joint_distribution, phi_cloner_matrix)
 from qkdlab.qudit import (BasisSpec, conjugate_phi_basis_state, max_entangled,
@@ -142,11 +143,11 @@ def test_attack_tables_equal_the_closed_form_outcome_tables():
 def clone_state_table(params: ClonerParams, i: int, j: int) -> np.ndarray:
     """The attack table of pair (i, j), each flying state through clone_state."""
     mat = phi_cloner_matrix(params)
-    cols = BasisSpec(PHIS[j], conjugated=True).matrix()
-    flying = BasisSpec(PHIS[i], conjugated=True)
+    cols = BasisSpec(PHIS[j]).matrix().conj()
     rows = []
     for a in range(3):
-        t = clone_state(mat, flying.state(a)).joint.amps.reshape(3, 3, 3)
+        flying = conjugate_phi_basis_state(PHIS[i], a)
+        t = clone_state(mat, flying).joint.amps.reshape(3, 3, 3)
         amps = np.einsum("abc,ai,bj,ck->ijk", t, cols.conj(), cols.conj(), cols)
         rows.append(np.abs(amps) ** 2)
     return np.array(rows) / 3.0
@@ -269,6 +270,30 @@ def test_same_index_sifting_is_the_diagonal_pair_list(channel):
             assert np.array_equal(a, b), f.name
         else:
             assert a == b, f.name
+
+
+def test_config_params_are_normalized_like_the_flag():
+    # [1, 0, 0, 0.5] is off the normalization surface; the file and the
+    # --channel flag rescale it alike
+    data = {"rounds": 20_000, "seed": 9,
+            "channel": {"type": "cloning", "params": [1, 0, 0, 0.5]}}
+    from_config = run_session(SimConfig.from_json(data))
+    from_flag = run_session(SimConfig(rounds=20_000, seed=9,
+                                      channel=_parse_channel("clone:1,0,0,0.5")))
+    for f in dataclasses.fields(from_config):
+        a, b = getattr(from_config, f.name), getattr(from_flag, f.name)
+        if isinstance(a, dict):
+            assert a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
+        elif isinstance(a, np.ndarray):
+            assert np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+
+
+def test_sim_config_is_frozen():
+    cfg = SimConfig(rounds=10, seed=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.rounds = 0
 
 
 def test_zero_sifted_rounds_reported():
