@@ -6,9 +6,11 @@ envelope (tool version, an echo of the inputs, the seed where one applies,
 a timestamp unless --no-timestamp asks for byte-identical reruns, the
 result), emission, and the exit codes: 0 success, 1 usage or input error
 (any ValueError, or an OSError reading or writing a file), 2 numerical
-non-convergence (CrossingError).  A command body parses its own options,
-raising ValueError on bad input as the library does, calls the library
-and returns its inputs and result, or finished CSV text.
+non-convergence (CrossingError).  A bad option prints click's usage
+banner; a file fault -- an OSError, or a malformed --config file
+(ConfigError) -- prints one Error: line.  A command body parses its own
+options, raising ValueError on bad input as the library does, calls the
+library and returns its inputs and result, or finished CSV text.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ from .qudit import TWO_PI, optimal_bases
 from .security import CrossingError
 
 click.UsageError.exit_code = 1  # usage errors are exit 1; exit 2 means non-convergence
+
+
+class ConfigError(ValueError):
+    """The contents of a --config file are malformed; the flags are fine."""
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -151,10 +157,10 @@ def command(name: str):
             except CrossingError as exc:
                 click.echo(f"error: {exc}", err=True)
                 sys.exit(2)
+            except (OSError, ConfigError) as exc:
+                raise click.ClickException(str(exc))
             except ValueError as exc:
                 raise click.UsageError(str(exc))
-            except OSError as exc:
-                raise click.ClickException(str(exc))
 
         cmd = main.command(name)(run)
         cmd.params += [
@@ -269,7 +275,9 @@ def simulate_cmd(rounds, seed, channel_spec, sifting_spec, alice_weights, bob_we
                 data = json.load(fh)
             config = simulate.SimConfig.from_json(data)
         except RecursionError:  # json and repr recurse once per nesting level
-            raise ValueError(f"config {config_path!r} is nested too deeply") from None
+            raise ConfigError(f"config {config_path!r} is nested too deeply") from None
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         channel_spec = data.get("channel", {"type": "ideal"})
         sifting_spec = data.get("sifting", {"rule": "same"})
     elif rounds is None:

@@ -45,7 +45,10 @@ The crossing solver follows a two-level strategy: an outer scalar
 root-find on F_A of g(F) = [max I_AE over the constraint surface at fixed
 F] - I_AB(F), with the inner maximization done by a deterministic
 derivative-free pattern search from 16 fixed-seed restarts on each sign
-branch.  The searches run in lockstep (``_pattern_search``): each
+branch.  The restarts come from a constant table of 30 uniforms,
+``_RESTART_UNIFORMS``, which a test checks bit for bit against the Philox
+stream of ``numpy.random`` it was drawn from, so no analysis loads
+``numpy.random``.  The searches run in lockstep (``_pattern_search``): each
 coordinate of a compass sweep evaluates the objective once, on the
 stacked candidates of the searches still active -- the rows x+, x-,
 x+- of the move table (x, x+, x-, x+-) that differ from x -- and each
@@ -102,6 +105,21 @@ PARAM_TOL = 1e-9
 N_RESTARTS = 16
 _COARSE_TOL = 1e-5
 _RESTART_SEED = 0x3DEB
+#: the first 30 draws of ``Generator(Philox(key=_RESTART_SEED)).random()``,
+#: enough for 16 restarts in up to two dimensions; a test checks them
+#: against numpy.random, which the analysis then never imports
+_RESTART_UNIFORMS = np.array([
+    0.5060198923203112, 0.5129699032495401, 0.44198186072656376,
+    0.38006715743505926, 0.6018931708925417, 0.5293000522682799,
+    0.6659913980191162, 0.0941732858722436, 0.09825124348873837,
+    0.842434418065427, 0.8670603624135141, 0.5362112130418852,
+    0.1477715226400137, 0.5980737376433517, 0.6378296122562988,
+    0.8345548272890754, 0.014899446115001935, 0.27125759176188424,
+    0.24697072908626183, 0.9724263341305909, 0.7858217117438148,
+    0.14983921569345582, 0.15862023933982816, 0.051873687469886964,
+    0.8729662665865515, 0.7333262490512098, 0.37936040462869125,
+    0.9509653423764893, 0.3696796772814286, 0.8183718365542696,
+])
 #: fidelities per lockstep batch of the inner maximizer: at least the 13
 #: of the crossing solver's bracket grid, and a bound on a sweep's memory
 _FIDELITY_BLOCK = 32
@@ -443,10 +461,16 @@ def _pattern_search(f, lo, hi, x0, tol=PARAM_TOL, initial_step=None, max_sweeps=
 
 def _restart_points(lo, hi, n_restarts: int):
     """Fixed-seed restart grid, shape (n_restarts, n): the box midpoint, then
-    pseudo-random interior points."""
+    interior points read row by row from ``_RESTART_UNIFORMS`` -- the points
+    ``rng.random((n_restarts - 1, n))`` of a Philox generator keyed with
+    ``_RESTART_SEED`` would place."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    rng = np.random.Generator(np.random.Philox(key=_RESTART_SEED))
-    return np.vstack(((lo + hi) / 2.0, lo + rng.random((n_restarts - 1, len(lo))) * (hi - lo)))
+    need = (n_restarts - 1) * len(lo)
+    if need > len(_RESTART_UNIFORMS):
+        raise ValueError(f"{n_restarts} restarts in {len(lo)} dimensions need {need} "
+                         f"uniforms; the restart table holds {len(_RESTART_UNIFORMS)}")
+    u = _RESTART_UNIFORMS[:need].reshape(n_restarts - 1, len(lo))
+    return np.vstack(((lo + hi) / 2.0, lo + u * (hi - lo)))
 
 
 def _lanes(preset: ProtocolPreset, objective, f_lane, s_lane):

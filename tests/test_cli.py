@@ -264,6 +264,16 @@ def test_cli_import_builds_no_state_vectors():
     assert _fresh_python(code).stdout == b"0\n"
 
 
+def test_analysis_loads_no_numpy_random():
+    # the crossing solves read their restarts from a constant table
+    code = ("import sys, qkdlab\n"
+            "qkdlab.error_rate_table()\n"
+            "qkdlab.symmetric_point()\n"
+            "qkdlab.information_sweep('2mub', 0.85, 0.95, 5)\n"
+            "print('numpy.random' in sys.modules)")
+    assert _fresh_python(code).stdout == b"False\n"
+
+
 @pytest.mark.parametrize("args", ["table --format json", "symmetric"])
 def test_analysis_outputs_byte_identical_without_scipy(args):
     # with sys.modules['scipy'] = None, any import of scipy raises ImportError
@@ -410,6 +420,7 @@ def test_simulate_malformed_config_exits_1(runner, tmp_path, config, message):
     path.write_text(config if isinstance(config, str) else json.dumps(config))
     result = runner.invoke(main, ["simulate", "--config", str(path)])
     assert_usage_error(result, message)
+    assert "Usage:" not in result.output  # the fault is in the file, not the flags
 
 
 @pytest.mark.parametrize("name,message", [

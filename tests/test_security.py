@@ -13,7 +13,8 @@ from click.testing import CliRunner
 from qkdlab import security
 from qkdlab.cli import main
 from qkdlab.cloner import ClonerParams, closed_form_report, coefficient_rows
-from qkdlab.security import (CrossingError, _FIDELITY_BLOCK, _INFEASIBLE,
+from qkdlab.security import (CrossingError, N_RESTARTS, _FIDELITY_BLOCK, _INFEASIBLE,
+                             _RESTART_SEED, _RESTART_UNIFORMS,
                              _coarse_stage, _crossing_core, _iae,
                              _entropy_nats, _iab_nats, _lanes,
                              _maximize_on, _mean_information, _pattern_search,
@@ -786,6 +787,32 @@ def test_lockstep_restart_ties_keep_the_lowest_restart(name):
 
     best, amps = _maximize_on(preset, f_a, steps)
     assert (best, amps) == _scalar_maximize_on(preset, f_a, steps)
+
+
+def _philox_restart_points(lo, hi, n_restarts):
+    """The restart grid as drawn from the Philox stream the table was taken from."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    rng = np.random.Generator(np.random.Philox(key=_RESTART_SEED))
+    return np.vstack(((lo + hi) / 2.0, lo + rng.random((n_restarts - 1, len(lo))) * (hi - lo)))
+
+
+def test_restart_table_is_the_philox_stream():
+    expected = np.random.Generator(np.random.Philox(key=_RESTART_SEED)).random(30)
+    assert np.array_equal(_RESTART_UNIFORMS, expected)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("box", ["half-pi", "asymmetric"])
+def test_restart_points_equal_the_philox_draws(n, box):
+    lo, hi = (([-math.pi / 2] * n, [math.pi / 2] * n) if box == "half-pi"
+              else ([-0.3, 1.25][:n], [0.7, 4.0][:n]))
+    assert np.array_equal(_restart_points(lo, hi, N_RESTARTS),
+                          _philox_restart_points(lo, hi, N_RESTARTS))
+
+
+def test_restart_points_beyond_the_table_raise():
+    with pytest.raises(ValueError, match="the restart table holds 30"):
+        _restart_points([0.0] * 3, [1.0] * 3, N_RESTARTS)
 
 
 def test_batched_objective_lanes_equal_each_point_alone():
