@@ -257,10 +257,12 @@ class SimResult:
     attack_counts: np.ndarray | None = None
 
 
-# Rounds drawn per step.  It bounds a session's working memory (a traced
-# peak of about 110 bytes per round of the chunk, measured with tracemalloc)
-# and changes no result; at 2**15 rounds a chunk's arrays stay cache-sized.
-_CHUNK = 1 << 15
+# Rounds drawn per step.  It bounds a session's working memory and changes
+# no result.  A chunk's arrays take about 110 bytes per round, a traced peak
+# of about 0.9 MB at 2**13 rounds (tracemalloc).  Larger chunks page-fault
+# more (a 4e6-round session made 590 minor faults at 2**13, 2,216 at 2**15);
+# at 2**12 the per-chunk Python overhead, about 33 us, slowed it by 6-16%.
+_CHUNK = 1 << 13
 
 # Generator.random returns k * 2**-53, where k is the top 53 bits of one
 # raw 64-bit output of the bit generator.  The engine draws the integers k
@@ -328,7 +330,9 @@ def _sample_outcomes(config: SimConfig, cum: np.ndarray):
     bitgen = np.random.Philox(np.random.SeedSequence(config.seed))
     for start in range(0, config.rounds, _CHUNK):
         n = min(_CHUNK, config.rounds - start)
-        k = (bitgen.random_raw(3 * n) >> 11).view(np.int64).reshape(n, 3)
+        k = bitgen.random_raw(3 * n)
+        k >>= 11
+        k = k.view(np.int64).reshape(n, 3)
         ai = _cell_index(alice, k[:, 0])
         bj = _cell_index(bob, k[:, 1])
         key = 4 * ai + bj

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdlab import security
+from qkdlab import security, simulate
 from qkdlab.cli import main
 
 SCHEMA = json.loads(
@@ -177,6 +177,22 @@ def test_simulate_dump_csv_longer_than_a_chunk_byte_identical(runner, tmp_path):
             == "d524b9d10aa519d0e9138b37174e308f3f499622a15b612666717f641a6d4666")
     assert (hashlib.sha256(out.read_bytes()).hexdigest()
             == "cf3b1b0b26b1359031cb31778c6b8ca975faff23cb82fd86ec880cef951ff868")
+
+
+def test_simulate_output_does_not_depend_on_the_chunk_size(runner, tmp_path, monkeypatch):
+    # the chunk size bounds memory only: stdout and the dumped rounds are
+    # the same bytes for a chunk that divides nothing, the engine's own
+    # chunk and a chunk four times as large
+    outputs = set()
+    for chunk in (999, 1 << 13, 1 << 15):
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        out = tmp_path / f"rounds-{chunk}.csv"
+        result = runner.invoke(main, ["simulate", "--rounds", "100000", "--seed", "3",
+                                      "--channel", "clone:optimal", "--dump-csv", str(out),
+                                      "--no-timestamp"])
+        assert result.exit_code == 0, result.output
+        outputs.add((result.stdout_bytes, out.read_bytes()))
+    assert len(outputs) == 1
 
 
 # sha256 of the --no-timestamp output of the analysis commands.  `table`

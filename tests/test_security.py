@@ -289,6 +289,40 @@ def test_2mub_inner_maximum_reaches_the_boundary(f_a, x, xp):
     assert abs(best - boundary) <= 1e-12
 
 
+def _closed_form_maximum(name, f_a):
+    """Amplitudes of the known inner maxima: (v, x, y) = (F, 1 - F,
+    sqrt(F (1 - F))) for the qubit cloner at every F, and (v, x, x', y) =
+    (F, sqrt(F (1 - F) / 2), sqrt(F (1 - F) / 2), (1 - F) / 2) for 2mub
+    below its regime switch."""
+    if name == "qubit":
+        return f_a, 1 - f_a, math.sqrt(f_a * (1 - f_a))
+    x = math.sqrt(f_a * (1 - f_a) / 2)
+    return f_a, x, x, (1 - f_a) / 2
+
+
+@pytest.mark.parametrize("name,fidelities", [
+    ("qubit", np.linspace(0.5, 1.0, 42)[1:-1]),
+    ("2mub", np.linspace(0.34, 0.89, 40)),
+])
+def test_inner_maximum_equals_the_closed_form(name, fidelities):
+    # an oracle independent of the search: the maximizer, one batch per
+    # preset, reaches I_AE at the closed-form amplitudes
+    preset = PRESETS[name]
+    found = _max_iae(preset, fidelities)
+    for f_a, (best, _) in zip(fidelities, found):
+        closed = float(_mean_information(preset, _closed_form_maximum(name, f_a))[1])
+        assert abs(best - closed) <= 1e-12, f_a
+
+
+def test_2mub_closed_form_stops_at_the_regime_switch():
+    # above F ~ 0.8949837 the 2mub maximum leaves the closed form for the
+    # y = 0 face (test_2mub_inner_maximum_reaches_the_boundary)
+    preset = PRESETS["2mub"]
+    best, _ = _max_iae(preset, 0.9)
+    closed = float(_mean_information(preset, _closed_form_maximum("2mub", 0.9))[1])
+    assert best - closed > 1e-9
+
+
 def test_unknown_preset_rejected():
     with pytest.raises(ValueError):
         crossing_point("bogus")

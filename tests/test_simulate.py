@@ -628,7 +628,7 @@ def test_basis_pick_exact_at_cdf_boundaries(weights):
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2 ** 40])
-@pytest.mark.parametrize("rounds", [1, 999, 3 * simulate._CHUNK + 1])
+@pytest.mark.parametrize("rounds", [1, 999, 12 * simulate._CHUNK + 1])
 def test_raw_draws_are_the_integers_behind_generator_random(seed, rounds):
     # the engine reads round r from raw outputs 3r to 3r + 2, shifted to 53 bits
     raw = np.random.Philox(np.random.SeedSequence(seed)).random_raw(3 * rounds) >> 11
@@ -650,6 +650,21 @@ def test_session_memory_does_not_grow_with_rounds():
     assert large <= small + one_chunk_uniforms
     # a (rounds, 3) uniform table alone would take 96 MB at 4e6 rounds
     assert large < 64e6
+
+
+@pytest.mark.parametrize("channel", [ATTACK, IdealChannel()], ids=["attack", "ideal"])
+def test_session_working_memory_stays_under_one_and_a_half_mb(channel):
+    # a chunk of 8,192 rounds takes about 0.9 MB at its traced peak; the
+    # first session's one-off costs (table build, imports) are left out
+    config = SimConfig(rounds=1_000_000, seed=0, channel=channel)
+    run_session(config)
+    tracemalloc.start()
+    try:
+        run_session(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 def test_config_from_json_rejects_malformed_input():
