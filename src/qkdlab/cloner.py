@@ -310,13 +310,20 @@ def coefficient_rows(v: float, s: float, t: float, y: float, d: int = 3):
         c[m>0] = (t + (d-1) y, t - y, ..., t - y)
 
     the row-wise Fourier transform of the rewritten amplitudes (see
-    :func:`tilde_amplitudes`).  Every protocol preset and
-    :func:`tilde_coefficients` read their rows from here.
+    :func:`tilde_amplitudes`), built from the four distinct entries of
+    ``_coefficient_entries``, which every protocol preset reads.
     """
     k = d - 1
-    first = (v + k * s,) + (v - s,) * k
-    other = (t + k * y,) + (t - y,) * k
-    return (first,) + (other,) * k
+    (p, q), (r, u) = _coefficient_entries(v, s, t, y, d)
+    return ((p,) + (q,) * k,) + ((r,) + (u,) * k,) * k
+
+
+def _coefficient_entries(v, s, t, y, d: int = 3):
+    """((c[0, 0], c[0, 1]), (c[m, 0], c[m, 1])) of :func:`coefficient_rows`:
+    every other entry of a row repeats its second one, and every row m > 0
+    repeats row 1."""
+    k = d - 1
+    return (v + k * s, v - s), (t + k * y, t - y)
 
 
 def tilde_coefficients(params: ClonerParams) -> np.ndarray:

@@ -11,9 +11,11 @@ the difference of the two outcomes (mod 3) reproduces the receiver's
 error m exactly, and conditionally on m her clone outcome carries the
 distribution |c[m, j]|^2 over the offset j between her outcome and the
 sender's trit.  For each supported protocol the coefficient rows c[m, :]
-have closed forms in the cloner parameters (``cloner.coefficient_rows``),
-so both I_AB and I_AE reduce to short entropy expressions; see
-``_rows_information``.
+have closed forms in the cloner parameters with four distinct entries,
+c[0] = (p, q, ..., q) and every c[m > 0] = (r, s, ..., s)
+(``cloner._coefficient_entries``).  The objective computes I_AE from
+those four entries per basis, in the float operations of the full rows;
+see ``_rows_information``.
 
 Three cloner families tie slots of the amplitude matrix together; their
 masks are in the docstrings of ``_phase_covariant`` and next to the
@@ -30,7 +32,7 @@ masks are in the docstrings of ``_phase_covariant`` and next to the
 At pinned F_A every family has the same shape: the amplitudes a_i after v
 lie on an ellipsoid sum_i e_i a_i^2 = 1 - F_A, and v^2 = F_A -
 sum_i g_i a_i^2.  Each preset declares its two weight tuples e and g and
-one set of coefficient rows per protocol basis (see ``ProtocolPreset``);
+the entries of its coefficient rows per protocol basis (``ProtocolPreset``);
 one angle chart, ``ProtocolPreset.chart``, maps a point of the box
 [-pi/2, pi/2]^(k-1) and a sign branch onto the ellipsoid.  One maximizer,
 ``_maximize_on``, searches that box for the attacker's information, the
@@ -48,34 +50,18 @@ derivative-free pattern search from 16 fixed-seed restarts on each sign
 branch.  The restarts come from a constant table of 30 uniforms,
 ``_RESTART_UNIFORMS``, which a test checks bit for bit against the Philox
 stream of ``numpy.random`` it was drawn from, so no analysis loads
-``numpy.random``.  The searches run in lockstep (``_pattern_search``): each
-coordinate of a compass sweep evaluates the objective once, on the
-stacked candidates of the searches still active -- the rows x+, x-,
-x+- of the move table (x, x+, x-, x+-) that differ from x -- and each
-search reads its next point from the table by row index, so the chart,
-the coefficient rows and the entropy helper all take arrays of
-points.  The objective computes I_AE alone; I_AB is a closed form in
-F_A.  One batch may hold several fidelities, laid out fidelity x sign x
-restart with each lane carrying its own F_A; ``_maximize_on`` takes one
-fidelity or an array of them and searches at most ``_FIDELITY_BLOCK``
-fidelities per batch, so a sweep's memory does not grow with its
-length.  It runs in two stages: a coarse lockstep batch of all restarts
-(``_coarse_stage``), then a lockstep polish of each (fidelity, sign)
-winner (``_polish_stage``), which picks each fidelity's sign branch by
-index.  Each search still makes the moves it would make alone, and
-every lane of a batch is bit-equal to its point evaluated on its own.
-Every preset, stage and caller takes this one path; the universal
-preset, whose ellipsoid leaves no angle, is a search over zero
-coordinates that stops after evaluating its start points.
-
-The crossing solver's 13-point bracket grid needs only the sign of g, so
-it runs the coarse stage alone, as one batch.  That is safe because the
-polish never lowers a value: a positive coarse sign stays positive, and
-the non-positive grid values lie at least 9e-3 nats below zero while the
-polish gains at most about 1e-9.  Only the two bracket endpoints are
-polished, in one batch, and handed to Brent, whose first two steps read
-them instead of maximizing again.  Brent's further steps and the
-symmetric point are sequential and use the one-fidelity form.
+``numpy.random``.  The searches run in lockstep (``_pattern_search``): a
+compass coordinate evaluates the objective once, on the stacked
+candidates of the searches still active, so the chart and the objective
+take arrays of points.  The objective computes I_AE alone; I_AB is a
+closed form in F_A.  ``_maximize_on`` searches one fidelity or an array
+of them, each lane with its own F_A and radii, in two stages: a coarse
+batch of all restarts (``_coarse_stage``), then a polish of each
+(fidelity, sign) winner (``_polish_stage``).  Every lane of a batch is
+bit-equal to its point evaluated on its own, and every preset, stage and
+caller takes this one path; the universal preset, whose ellipsoid leaves
+no angle, is a search over zero coordinates.  The crossing solver's
+bracket grid reads only signs, from the coarse stage (``_crossing_core``).
 
 Brent's method is ``_brentq``, a port of scipy's ``brentq.c`` that the
 tests check ``==`` against ``scipy.optimize.brentq``, so scipy is not a
@@ -96,7 +82,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cloner import ClonerParams, FidelityReport, closed_form_report, coefficient_rows
+from .cloner import ClonerParams, FidelityReport, _coefficient_entries, closed_form_report
 
 LOG3 = math.log(3.0)
 
@@ -176,8 +162,9 @@ def shannon_entropy(p, base=2) -> float:
     return float(_entropy_nats(p)) / lb
 
 
-def _entropy_nats(ps):
-    """-sum_i p_i log(p_i) in nats over the leading axis of ``ps``.
+def _entropy_nats(ps, spread=None):
+    """-sum_i p_i log(p_i) in nats over the leading axis of ``ps``, with
+    p_i = ps[spread[i]] if ``spread`` is given (indices may repeat).
 
     Terms are added in index order and entries at or below 1e-15
     contribute nothing, so a stack of distributions ps[i, ...] gives one
@@ -188,8 +175,8 @@ def _entropy_nats(ps):
     terms = np.log(p, out=np.zeros(p.shape), where=live)
     np.multiply(terms, p, out=terms, where=live)
     acc = 0.0
-    for t in terms:
-        acc = acc - t
+    for i in range(len(terms)) if spread is None else spread:
+        acc = acc - terms[i]
     return acc
 
 
@@ -200,38 +187,39 @@ def bob_information(f_a: float, base=2) -> float:
     return _iab_nats(f_a, 3) / _log_of_base(base)
 
 
-def _rows_information(rows, dim: int):
+def _spread(dim: int) -> list[int]:
+    """The distinct entry each of the dim rows, or row entries, reads."""
+    return [0] + [1] * (dim - 1)
+
+
+def _rows_information(entries, dim: int):
     """(w, I_AE) from coefficient rows c[m, j]: the error distribution w and
     the attacker's information in nats.
 
-    P(error = m) = w[m] = sum_j c[m,j]^2 / dim; conditionally on m the
-    offset between the attacker's clone outcome and the sender's symbol is
-    distributed as c[m,j]^2 / (dim P(m)).  Axes after m and j are a batch
-    (protocol bases, points): w has shape (dim, *batch) and I_AE one value
-    per batch index, each bit-equal to that index's alone, as every sum
-    runs in index order and rows of weight <= 1e-15 add exactly 0.  The
-    receiver's information, log(dim) - H(w), is left to the callers that
-    read it.
+    ``entries[a, b]`` is c[m, j] for the m and j that read a and b in
+    ``_spread(dim)``.  P(error = m) = w[m] = sum_j c[m,j]^2 / dim;
+    conditionally on m the offset between the attacker's clone outcome and
+    the sender's symbol is distributed as c[m,j]^2 / (dim P(m)).  Axes
+    after a and b are a batch (protocol bases, points): w has shape
+    (2, *batch) and I_AE one value per batch index, each bit-equal to that
+    index's alone, as every sum runs over all dim indices in order and rows
+    of weight <= 1e-15 add exactly 0.  The receiver's information,
+    log(dim) - H(w), is left to the callers that read it.
     """
-    logd = math.log(dim)
-    c2 = np.square(np.asarray(rows, dtype=float))
-    w = c2[:, 0]
-    for j in range(1, dim):
-        w = w + c2[:, j]
-    w = w / dim
+    logd, spread = math.log(dim), _spread(dim)
+    c2 = np.square(np.asarray(entries, dtype=float))
+    w = c2[:, 0] + c2[:, 1]
+    for j in spread[2:]:
+        w += c2[:, j]
+    w /= dim
     live = w > 1e-15
-    cond = c2 / np.where(live, dim * w, 1.0)[:, None]
-    s = cond[:, 0]
-    for j in range(1, dim):
-        s = s + cond[:, j]
-    bad = live & (np.abs(s - 1.0) > 1e-9)
-    if np.count_nonzero(bad):
-        raise ValueError(f"conditional distribution sums to {float(s[bad][0])!r}")
-    # one entropy call gives H(cond[m, :]) for every m
-    terms = np.where(live, w * (logd - _entropy_nats(cond.swapaxes(0, 1))), 0.0)
-    i_ae = 0.0
-    for t in terms:
-        i_ae = i_ae + t
+    c2 /= np.where(live, dim * w, 1.0)[:, None]  # the conditional distributions
+    h = _entropy_nats(c2.swapaxes(0, 1), spread)  # H(cond[m, :]) for both rows
+    np.subtract(logd, h, out=h)
+    terms = np.where(live, np.multiply(w, h, out=h), 0.0)
+    i_ae = 0.0 + terms[0]
+    for m in spread[1:]:
+        i_ae += terms[m]
     return w, i_ae
 
 
@@ -245,8 +233,7 @@ def eve_information(params: ClonerParams, base=2) -> float:
     """
     params.require_normalized()
     params.require_symmetric()
-    _, i_ae = _rows_information(coefficient_rows(params.v, params.y, params.x, params.y), 3)
-    return float(i_ae) / _log_of_base(base)
+    return float(_iae(PRESETS["3deb"])(params.v, params.x, params.y)) / _log_of_base(base)
 
 
 def ck_rate_bound(i_ab: float, i_ae: float, i_be: float) -> float:
@@ -269,8 +256,9 @@ class ProtocolPreset:
     weight tuples ``e`` and ``g`` are the whole search geometry; ``chart``
     maps k - 1 angles and a sign branch onto the ellipsoid.  The rest is:
 
-    * ``rows(*amplitudes)`` -- one set of coefficient rows c[m, :] per
-      protocol basis;
+    * ``entries(*amplitudes)`` -- the four distinct entries of each
+      protocol basis's coefficient rows, from which the objective computes
+      I_AE in the float operations of the full rows;
     * ``cloner(*amplitudes)`` -- the same point as (v, x, y, z = y) qutrit
       cloner parameters, or ``None`` for masks outside that family.
     """
@@ -280,13 +268,17 @@ class ProtocolPreset:
     free_params: tuple[str, ...]
     e: tuple[float, ...]
     g: tuple[float, ...]
-    rows: Callable[..., tuple]
+    entries: Callable[..., tuple]
     cloner: Callable[..., ClonerParams] | None = None
 
     def amplitudes_of(self, values: dict[str, float]) -> tuple[float, ...]:
         return tuple(values[p] for p in self.free_params)
 
-    def chart(self, f_a, angles, signs):
+    def radii(self, f_a):
+        """sqrt((1 - F_A) / e_i), shape (*shape(f_a), k)."""
+        return np.sqrt(np.divide.outer(1.0 - np.asarray(f_a), self.e))
+
+    def chart(self, f_a, angles, signs, radii=None):
         """The amplitudes (v, a_1, ..., a_k) at pinned F_A, one array each.
 
         ``angles`` has shape (K, k - 1) and ``signs`` shape (K,), or
@@ -297,22 +289,23 @@ class ProtocolPreset:
         s_2 = sin t_1 cos t_2, ..., s_k = sin t_1 ... sin t_{k-1}.  With
         every angle in [-pi/2, pi/2] the two signs cover the ellipsoid, and
         they meet on the faces t_1 = +-pi/2 of that box.  Where v^2 < 0 the
-        point is infeasible and v is ``_INFEASIBLE``.
+        point is infeasible and v is ``_INFEASIBLE``.  ``radii`` are
+        ``self.radii(f_a)`` unless given.
         """
         angles = np.asarray(angles, dtype=float)
         cos, sin = np.cos(angles), np.sin(angles)
-        # r starts with the batch shape, so that amplitudes have it even
-        # with no angle at all (universal)
-        amps, v2, r = [], f_a, np.ones(np.shape(signs))
-        radii = np.sqrt(np.divide.outer(1.0 - np.asarray(f_a), self.e))
+        if radii is None:
+            radii = self.radii(f_a)
+        amps, v2, r = [], f_a, None  # r: the product of the sines so far
         for i, g in enumerate(self.g):
-            a = radii[..., i] * r
+            a = radii[..., i] if r is None else radii[..., i] * r
             if i < angles.shape[-1]:
-                a, r = a * cos[..., i], r * sin[..., i]
+                a, r = a * cos[..., i], sin[..., i] if r is None else r * sin[..., i]
+            if not i:  # the sign also gives a_1 the batch shape with no angle
+                a = a * signs
             if g:
                 v2 = v2 - g * a * a
             amps.append(a)
-        amps[0] = amps[0] * signs
         return (np.where(v2 < 0, _INFEASIBLE, np.sqrt(np.maximum(v2, 0.0))), *amps)
 
 
@@ -327,7 +320,7 @@ def _phase_covariant(name: str, d: int) -> ProtocolPreset:
     """
     return ProtocolPreset(
         name, d, ("v", "x", "y"), e=(d - 1, (d - 1) ** 2), g=(0, d - 1),
-        rows=lambda v, x, y: (coefficient_rows(v, y, x, y, d),),
+        entries=lambda v, x, y: (_coefficient_entries(v, y, x, y, d),),
         cloner=(lambda v, x, y: ClonerParams(v, x, y, y)) if d == 3 else None)
 
 
@@ -338,15 +331,15 @@ PRESETS = {
     # 6y^2 = 1 - F_A, no freedom beyond the sign
     "universal": ProtocolPreset(
         "universal", 3, ("v", "y"), e=(6,), g=(2,),
-        rows=lambda v, y: (coefficient_rows(v, y, y, y),),
+        entries=lambda v, y: (_coefficient_entries(v, y, y, y),),
         cloner=lambda v, y: ClonerParams(v, y, y, y)),
     # the two-basis cloners [[v,x,x],[x',y,y],[x',y,y]]: x^2 + x'^2 + 4y^2
     # = 1 - F_A and v^2 = F_A - x^2 - x'^2; computational-basis rows
     # first, the Fourier basis swaps x and x'
     "2mub": ProtocolPreset(
         "2mub", 3, ("v", "x", "xp", "y"), e=(1, 1, 4), g=(1, 1, 0),
-        rows=lambda v, x, xp, y: (coefficient_rows(v, x, xp, y),
-                                  coefficient_rows(v, xp, x, y))),
+        entries=lambda v, x, xp, y: (_coefficient_entries(v, x, xp, y),
+                                     _coefficient_entries(v, xp, x, y))),
     "qubit": _phase_covariant("qubit", 2),
 }
 
@@ -368,16 +361,16 @@ def resolve_preset(name: str | ProtocolPreset) -> ProtocolPreset:
 def _basis_information(preset: ProtocolPreset, amps):
     """``_rows_information`` of each of the preset's protocol bases, stacked
     into the batch after any point axes of the amplitudes: (w, I_AE) with
-    shapes (dim, bases, ...) and (bases, ...)."""
-    rowsets = np.asarray(preset.rows(*amps), dtype=float)  # [basis, m, j, ...]
-    return _rows_information(rowsets.swapaxes(0, 1).swapaxes(1, 2), preset.dimension)
+    shapes (2, bases, ...) and (bases, ...)."""
+    entries = np.asarray(preset.entries(*amps), dtype=float)  # [basis, a, b, ...]
+    return _rows_information(entries.swapaxes(0, 1).swapaxes(1, 2), preset.dimension)
 
 
 def _mean_information(preset: ProtocolPreset, amps):
     """(I_AB, I_AE) in nats, averaged over the preset's protocol bases;
     the amplitudes may be arrays of points."""
     w, i_ae = _basis_information(preset, amps)
-    i_ab = math.log(preset.dimension) - _entropy_nats(w)
+    i_ab = math.log(preset.dimension) - _entropy_nats(w, _spread(preset.dimension))
     return sum(i_ab) / len(i_ab), sum(i_ae) / len(i_ae)
 
 
@@ -397,9 +390,9 @@ def preset_fidelity(preset, values: dict[str, float]) -> float:
     """Protocol-averaged fidelity of the receiver's clone: the mean weight
     of the error-free row m = 0 over the protocol bases."""
     preset = resolve_preset(preset)
-    rowsets = preset.rows(*preset.amplitudes_of(values))
-    return (sum(sum(c * c for c in rows[0]) for rows in rowsets)
-            / (len(rowsets) * preset.dimension))
+    entries = preset.entries(*preset.amplitudes_of(values))
+    return (sum(sum(row0[b] * row0[b] for b in _spread(preset.dimension)) for row0, _ in entries)
+            / (len(entries) * preset.dimension))
 
 
 # ---------------------------------------------------------------------------
@@ -476,9 +469,11 @@ def _restart_points(lo, hi, n_restarts: int):
 def _lanes(preset: ProtocolPreset, objective, f_lane, s_lane):
     """``objective`` on the chart as ``_pattern_search`` calls it: search k
     runs at fidelity ``f_lane[k]`` on sign branch ``s_lane[k]``, and its
-    value is ``_INFEASIBLE`` where v^2 < 0."""
+    value is ``_INFEASIBLE`` where v^2 < 0.  Lane radii are computed once."""
+    radii = preset.radii(f_lane)
+
     def f(u, k):
-        amps = preset.chart(f_lane[k], u, s_lane[k])
+        amps = preset.chart(f_lane[k], u, s_lane[k], radii[k])
         return np.where(amps[0] == _INFEASIBLE, _INFEASIBLE, objective(*amps))
     return f
 

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 from qkdlab import security
 from qkdlab.cli import main
-from qkdlab.cloner import ClonerParams, closed_form_report, coefficient_rows
+from qkdlab.cloner import ClonerParams, _coefficient_entries, closed_form_report
 from qkdlab.security import (CrossingError, N_RESTARTS, _FIDELITY_BLOCK, _INFEASIBLE,
                              _RESTART_SEED, _RESTART_UNIFORMS,
                              _coarse_stage, _crossing_core, _iae,
@@ -399,6 +399,35 @@ def test_brent_maximizes_only_away_from_the_bracket_endpoints(recorded_cold_solv
     assert all(np.ndim(f) == 0 for f in single)
     assert len(single) == len(set(single)) == iterations - 15
     assert [block for block, _ in polished if len(block) == 1] == [[f] for f in single]
+
+
+# objective calls per stage of a cold crossing solve -- the grid's coarse
+# batch, the endpoint polish, then each Brent step's coarse and polish
+# stage -- and the g count; a kernel that keeps every float bit-equal
+# leaves every count as it is
+STAGE_CALLS = {
+    "3deb": ([32, 29, 29, 30, 30, 25, 30, 26, 30, 26], 19),
+    "universal": ([1] * 12, 20),
+    "2mub": ([339, 57, 69, 51, 75, 55, 75, 59, 75, 55, 75, 61], 20),
+    "qubit": ([36, 23, 29, 22, 30, 25, 30, 22, 30, 22, 30, 24], 20),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_CALLS))
+def test_cold_solve_makes_the_pinned_objective_calls_per_stage(monkeypatch, name):
+    lanes, calls = security._lanes, []
+
+    def counted_lanes(preset, objective, f_lane, s_lane):
+        calls.append(0)  # every stage builds its lanes once
+
+        def counted(*amps):
+            calls[-1] += 1
+            return objective(*amps)
+        return lanes(preset, counted, f_lane, s_lane)
+
+    monkeypatch.setattr(security, "_lanes", counted_lanes)
+    evals = _crossing_core.__wrapped__(name)[3]
+    assert (calls, evals) == STAGE_CALLS[name]
 
 
 @pytest.mark.parametrize("lane", [0, 1])
@@ -849,15 +878,26 @@ def test_restart_points_beyond_the_table_raise():
         _restart_points([0.0] * 3, [1.0] * 3, N_RESTARTS)
 
 
-def test_batched_objective_lanes_equal_each_point_alone():
-    # live points, F_A = 1 points (x = x' = y = 0: rows of weight 0) and
-    # infeasible chart points (v^2 < 0 below F_A = 1/2) in one stack
-    preset = PRESETS["2mub"]
+# (F, angle) of infeasible chart points: v^2 < 0 at angles all ``angle``
+INFEASIBLE_AT = {
+    "2mub": (0.3, 0.0),  # x = sqrt(1 - F): v^2 < 0 below F = 1/2
+    "3deb": (0.3, math.pi / 2),  # y = sqrt(1 - F) / 2: below F = 1/3
+    "qubit": (0.3, math.pi / 2),  # y = sqrt(1 - F): below F = 1/2
+    "universal": (0.2, 0.0),  # no angle; y = sqrt((1 - F) / 6): below F = 1/4
+}
+
+
+@pytest.mark.parametrize("name", sorted(INFEASIBLE_AT))
+def test_batched_objective_lanes_equal_each_point_alone(name):
+    # live points, F_A = 1 points (every amplitude after v is 0: rows of
+    # weight 0) and infeasible chart points (v^2 < 0) in one stack
+    preset, (f_low, corner) = PRESETS[name], INFEASIBLE_AT[name]
+    d = preset.dimension
     rng = np.random.default_rng(11)
-    angles = rng.uniform(-math.pi / 2, math.pi / 2, (6, 2))
-    angles[:2] = 0.0  # x = sqrt(1 - F): infeasible at F = 0.3
+    angles = rng.uniform(-math.pi / 2, math.pi / 2, (6, len(preset.e) - 1))
+    angles[:2] = corner  # infeasible at F = f_low
     signs = np.where(np.arange(6) % 2 == 0, 1.0, -1.0)
-    stacks = [preset.chart(f, angles, signs) for f in (0.8, 1.0, 0.3)]
+    stacks = [preset.chart(f, angles, signs) for f in (0.8, 1.0, f_low)]
     amps = tuple(np.concatenate(a) for a in zip(*stacks))
     infeasible = amps[0] == _INFEASIBLE
     assert infeasible.sum() >= 2 and np.all(amps[0][6:12] == 1.0)
@@ -871,21 +911,57 @@ def test_batched_objective_lanes_equal_each_point_alone():
                 assert (ab, ae) == (i_ab[lane], i_ae[lane]), lane
         assert np.all(np.isfinite(i_ab)) and np.all(np.isfinite(i_ae))
         # at F_A = 1 only row m = 0 is live: the other rows add exactly 0
-        row0 = math.log(3) - float(_entropy_nats([1 / 3] * 3))
-        assert np.all(i_ae[6:12] == row0) and np.all(i_ab[6:12] == math.log(3))
+        row0 = math.log(d) - float(_entropy_nats([1 / d] * d))
+        assert np.all(i_ae[6:12] == row0) and np.all(i_ab[6:12] == math.log(d))
         # rows of weight in (0, 1e-15] add exactly what empty rows add
-        tiny = coefficient_rows(0.8, 0.2, 1e-8, 1e-8)
-        empty = coefficient_rows(0.8, 0.2, 0.0, 0.0)
+        tiny = _coefficient_entries(0.8, 0.2, 1e-8, 1e-8)
+        empty = _coefficient_entries(0.8, 0.2, 0.0, 0.0)
         w, pair = _rows_information(np.stack([tiny, empty], axis=-1), 3)
         assert 0.0 < sum(c * c for c in tiny[1]) <= 1e-15
-        h = _entropy_nats(w)
+        h = _entropy_nats(w, security._spread(3))
         assert h[0] == h[1] and pair[0] == pair[1]
         # the maximizer's objective computes I_AE alone, bit-equal
         assert np.all(_iae(preset)(*amps) == i_ae)
         values = _lanes(preset, lambda *a: _mean_information(preset, a)[1],
-                        np.full(6, 0.3), signs)(angles, np.arange(6))
+                        np.full(6, f_low), signs)(angles, np.arange(6))
         assert np.all(values[infeasible[12:]] == _INFEASIBLE)
         assert np.all(values[~infeasible[12:]] == i_ae[12:][~infeasible[12:]])
+
+
+def _full_rows_information(rows, dim):
+    """(w, I_AE) from all dim x dim coefficient rows c[m, j], the route the
+    four-entry ``_rows_information`` replaced: its bit-for-bit reference."""
+    logd = math.log(dim)
+    c2 = np.square(np.asarray(rows, dtype=float))
+    w = c2[:, 0]
+    for j in range(1, dim):
+        w = w + c2[:, j]
+    w = w / dim
+    live = w > 1e-15
+    cond = c2 / np.where(live, dim * w, 1.0)[:, None]
+    terms = np.where(live, w * (logd - _entropy_nats(cond.swapaxes(0, 1))), 0.0)
+    i_ae = 0.0
+    for t in terms:
+        i_ae = i_ae + t
+    return w, i_ae
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_distinct_entries_give_the_full_rows_information(name):
+    # random chart points, F_A = 1 points (rows of weight 0) and infeasible
+    # ones (v = _INFEASIBLE), every protocol basis, all in one batch
+    preset = PRESETS[name]
+    d, spread = preset.dimension, security._spread(preset.dimension)
+    rng = np.random.default_rng(7)
+    f_a = np.concatenate((rng.uniform(1 / d, 1.0, 40), [1.0, 1.0, 1 - 1e-9, 0.2, 0.2]))
+    angles = rng.uniform(-math.pi / 2, math.pi / 2, (len(f_a), len(preset.e) - 1))
+    amps = preset.chart(f_a, angles, np.where(np.arange(len(f_a)) % 2 == 0, 1.0, -1.0))
+    assert np.any(amps[0] == _INFEASIBLE)
+    entries = np.asarray(preset.entries(*amps)).swapaxes(0, 1).swapaxes(1, 2)
+    w, i_ae = _rows_information(entries, d)
+    w_full, i_ae_full = _full_rows_information(entries[spread][:, spread], d)
+    assert np.array_equal(w[spread], w_full) and np.array_equal(i_ae, i_ae_full)
+    assert np.array_equal(_entropy_nats(w, spread), _entropy_nats(w_full))
 
 
 # --- fidelity batches against one fidelity at a time ---------------------------
@@ -925,9 +1001,18 @@ def test_chart_with_a_fidelity_per_lane_equals_each_fidelity_alone(name):
     angles = rng.uniform(-math.pi / 2, math.pi / 2, (len(f_a), len(preset.e) - 1))
     signs = np.where(np.arange(len(f_a)) % 3 == 0, -1.0, 1.0)
     lanes = preset.chart(f_a, angles, signs)
+    radii = preset.radii(f_a)  # computed once per lane, as _lanes does
+    assert [list(a) for a in preset.chart(f_a, angles, signs, radii)] == [list(a) for a in lanes]
     for k, f in enumerate(f_a):
         alone = preset.chart(float(f), angles[k:k + 1], signs[k:k + 1])
         assert [a[k] for a in lanes] == [a[0] for a in alone], k
+        alone = preset.chart(f_a[k:k + 1], angles[k:k + 1], signs[k:k + 1], radii[k:k + 1])
+        assert [a[k] for a in lanes] == [a[0] for a in alone], k
+        # one fidelity for every lane: the amplitudes keep the batch shape,
+        # which universal, with no angle, takes from the signs alone
+        batch = preset.chart(float(f), angles, signs)
+        assert all(np.shape(a) == f_a.shape for a in batch)
+        assert [a[k] for a in lanes] == [a[k] for a in batch], k
 
 
 def test_sweep_memory_does_not_grow_with_points():
