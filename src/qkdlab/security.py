@@ -46,22 +46,20 @@ agreement.
 The crossing solver follows a two-level strategy: an outer scalar
 root-find on F_A of g(F) = [max I_AE over the constraint surface at fixed
 F] - I_AB(F), with the inner maximization done by a deterministic
-derivative-free pattern search from 16 fixed-seed restarts on each sign
-branch.  The restarts come from a constant table of 30 uniforms,
-``_RESTART_UNIFORMS``, which a test checks bit for bit against the Philox
-stream of ``numpy.random`` it was drawn from, so no analysis loads
-``numpy.random``.  The searches run in lockstep (``_pattern_search``): a
-compass coordinate evaluates the objective once, on the stacked
-candidates of the searches still active, so the chart and the objective
-take arrays of points.  The objective computes I_AE alone; I_AB is a
-closed form in F_A.  ``_maximize_on`` searches one fidelity or an array
-of them, each lane with its own F_A and radii, in two stages: a coarse
-batch of all restarts (``_coarse_stage``), then a polish of each
-(fidelity, sign) winner (``_polish_stage``).  Every lane of a batch is
-bit-equal to its point evaluated on its own, and every preset, stage and
-caller takes this one path; the universal preset, whose ellipsoid leaves
-no angle, is a search over zero coordinates.  The crossing solver's
-bracket grid reads only signs, from the coarse stage (``_crossing_core``).
+derivative-free nested grid on each sign branch (``_nested_grid``).  Level
+0 is a grid of 13 points per chart angle; each (fidelity, sign) pair then
+nests from its three largest level-0 local maxima, each later level a
+5-point grid per angle around the best point so far at half the spacing.
+Nothing is drawn at random.  Every level evaluates the objective on the
+stacked points of all lanes, at most ``_CALL_POINTS`` per call, so the
+chart and the objective take arrays of points.  The objective computes
+I_AE alone; I_AB is a closed form in F_A.  ``_maximize_on`` searches one
+fidelity or an array of them, each lane with its own F_A and radii.  Every
+lane of a batch is bit-equal to its point evaluated on its own, and every
+preset and caller takes this one path; the universal preset, whose
+ellipsoid leaves no angle, is its level-0 point alone.  The crossing
+solver's 13-point bracket grid is one batch, whose values are final
+(``_crossing_core``).
 
 Brent's method is ``_brentq``, a port of scipy's ``brentq.c`` that the
 tests check ``==`` against ``scipy.optimize.brentq``, so scipy is not a
@@ -75,6 +73,7 @@ base only affects reported information values.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -88,26 +87,17 @@ LOG3 = math.log(3.0)
 
 RESIDUAL_TOL = 1e-8
 PARAM_TOL = 1e-9
-N_RESTARTS = 16
-_COARSE_TOL = 1e-5
-_RESTART_SEED = 0x3DEB
-#: the first 30 draws of ``Generator(Philox(key=_RESTART_SEED)).random()``,
-#: enough for 16 restarts in up to two dimensions; a test checks them
-#: against numpy.random, which the analysis then never imports
-_RESTART_UNIFORMS = np.array([
-    0.5060198923203112, 0.5129699032495401, 0.44198186072656376,
-    0.38006715743505926, 0.6018931708925417, 0.5293000522682799,
-    0.6659913980191162, 0.0941732858722436, 0.09825124348873837,
-    0.842434418065427, 0.8670603624135141, 0.5362112130418852,
-    0.1477715226400137, 0.5980737376433517, 0.6378296122562988,
-    0.8345548272890754, 0.014899446115001935, 0.27125759176188424,
-    0.24697072908626183, 0.9724263341305909, 0.7858217117438148,
-    0.14983921569345582, 0.15862023933982816, 0.051873687469886964,
-    0.8729662665865515, 0.7333262490512098, 0.37936040462869125,
-    0.9509653423764893, 0.3696796772814286, 0.8183718365542696,
-])
-#: fidelities per lockstep batch of the inner maximizer: at least the 13
-#: of the crossing solver's bracket grid, and a bound on a sweep's memory
+#: the most fidelities one information sweep takes; 10,000 2mub points take
+#: about 10 s and 40 MB peak RSS on one core of a 2-vCPU Xeon VM
+_SWEEP_POINTS_MAX = 100_000
+#: level-0 points per chart angle of the inner maximizer, both faces included
+_GRID0 = 13
+#: level-0 local maxima each (fidelity, sign) pair nests from
+_STARTS = 3
+#: the most points one objective call takes
+_CALL_POINTS = 1024
+#: fidelities per batch of the inner maximizer: at least the 13 of the
+#: crossing solver's bracket grid, and a bound on a sweep's memory
 _FIDELITY_BLOCK = 32
 _INFEASIBLE = -1e18
 _BRANCHES = np.array([1.0, -1.0])
@@ -396,130 +386,93 @@ def preset_fidelity(preset, values: dict[str, float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# derivative-free inner maximization
-
-
-def _pattern_search(f, lo, hi, x0, tol=PARAM_TOL, initial_step=None, max_sweeps=10_000):
-    """Maximize over a box by compass search with step halving, K searches
-    in lockstep.
-
-    ``x0`` is a (K, n) array of starting points and ``lo``, ``hi`` the box
-    corners, shape (n,).  ``f(u, k)`` returns the objective, shape (m,),
-    of searches ``k`` (an index array of length m, an index may repeat) at
-    the points ``u``, shape (m, n).  Each search tries, coordinate by
-    coordinate, the move +step and then the move -step from wherever the
-    first left it, accepts a strictly better point, halves its own steps
-    after a sweep with no gain and stops once its steps are within ``tol``.
-    With no coordinate (n = 0) it stops at once, after the call at x0.
-
-    A coordinate costs one call of ``f`` on the searches still active.
-    Its move table has rows (x, x+, x-, x+-): x+ = clip(x + s), x- =
-    clip(x - s) (the second move if x+ is refused) and x+- = clip(x+ - s)
-    (the second move if x+ is accepted).  The value table starts as fx in
-    every row; only the points that differ bitwise from x are sent, and
-    their values written in.  Every lane's value is bit-equal to its point
-    evaluated alone, so a point not sent is worth fx, which never wins the
-    strict ``>``.  Each search takes row j1 = [x+ beats fx], then row
-    j1 + 2 if that beats row j1: the moves it would make alone, NaN values
-    included.  Returns the values (K,) and the points (K, n).
-    """
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    x = np.array(x0, dtype=float).clip(lo, hi)
-    fx = f(x, np.arange(len(x)))
-    steps = np.zeros_like(x) + (initial_step or (hi - lo) / 4.0)
-    for _ in range(max_sweeps):
-        k = (steps.max(axis=1, initial=0.0) > tol).nonzero()[0]
-        if not k.size:
-            break
-        xk, fk, sk = x[k], fx[k], steps[k]
-        lane = np.arange(len(k))
-        improved = np.zeros(len(k), dtype=bool)
-        for i in range(x.shape[1]):
-            xi, step = xk[:, i], sk[:, i]
-            plus = (xi + step).clip(lo[i], hi[i])
-            moves = np.array((xi, plus, xi - step, plus - step)).clip(lo[i], hi[i])
-            values = np.array((fk, fk, fk, fk))
-            sent = (moves != xi).nonzero()  # (row, lane)
-            cand = xk[sent[1]]
-            cand[:, i] = moves[sent]
-            values[sent] = f(cand, k[sent[1]])
-            j1 = (values[1] > fk).astype(int)
-            j = np.where(values[j1 + 2, lane] > values[j1, lane], j1 + 2, j1)
-            xk[:, i], fk = moves[j, lane], values[j, lane]
-            improved |= j > 0
-        x[k], fx[k] = xk, fk
-        steps[k[~improved]] /= 2.0
-    return fx, x
-
-
-def _restart_points(lo, hi, n_restarts: int):
-    """Fixed-seed restart grid, shape (n_restarts, n): the box midpoint, then
-    interior points read row by row from ``_RESTART_UNIFORMS`` -- the points
-    ``rng.random((n_restarts - 1, n))`` of a Philox generator keyed with
-    ``_RESTART_SEED`` would place."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    need = (n_restarts - 1) * len(lo)
-    if need > len(_RESTART_UNIFORMS):
-        raise ValueError(f"{n_restarts} restarts in {len(lo)} dimensions need {need} "
-                         f"uniforms; the restart table holds {len(_RESTART_UNIFORMS)}")
-    u = _RESTART_UNIFORMS[:need].reshape(n_restarts - 1, len(lo))
-    return np.vstack(((lo + hi) / 2.0, lo + u * (hi - lo)))
+# nested-grid inner maximization
 
 
 def _lanes(preset: ProtocolPreset, objective, f_lane, s_lane):
-    """``objective`` on the chart as ``_pattern_search`` calls it: search k
-    runs at fidelity ``f_lane[k]`` on sign branch ``s_lane[k]``, and its
-    value is ``_INFEASIBLE`` where v^2 < 0.  Lane radii are computed once."""
+    """``objective`` on the chart: ``f(u, k)`` gives the values at the angles
+    ``u``, shape (m, n), of lanes ``k``, lane k at fidelity ``f_lane[k]`` on
+    sign branch ``s_lane[k]``, and ``_INFEASIBLE`` where v^2 < 0.  One call
+    of ``objective`` takes at most ``_CALL_POINTS`` points; as every lane is
+    bit-equal to its point alone, the cap changes no value.  Lane radii are
+    computed once."""
     radii = preset.radii(f_lane)
 
     def f(u, k):
-        amps = preset.chart(f_lane[k], u, s_lane[k], radii[k])
-        return np.where(amps[0] == _INFEASIBLE, _INFEASIBLE, objective(*amps))
+        values = np.empty(len(k))
+        for at in range(0, len(k), _CALL_POINTS):
+            part, kp = slice(at, at + _CALL_POINTS), k[at:at + _CALL_POINTS]
+            amps = preset.chart(f_lane[kp], u[part], s_lane[kp], radii[kp])
+            values[part] = np.where(amps[0] == _INFEASIBLE, _INFEASIBLE, objective(*amps))
+        return values
     return f
 
 
-def _coarse_stage(preset: ProtocolPreset, block, objective):
-    """First stage of ``_maximize_on`` on a block of M fidelities.
+def _local_maxima(values):
+    """Flat indices of the ``_STARTS`` largest discrete local maxima of each
+    grid ``values[p]``, shape (P, G, ..., G) with n grid axes, padded with
+    the largest other points where a grid has fewer.
 
-    The 16 restarts of both sign branches run as one lockstep batch of
-    M x 2 x 16 searches (lane (m * 2 + s) * 16 + r: fidelity m, sign s,
-    restart r) to ``_COARSE_TOL``.  Returns the value, shape (2M,), and the
-    angles, shape (2M, n), of each (fidelity, sign) pair's winning restart,
-    the lowest index among equals; pair m * 2 + s.
+    A point is a local maximum if it is >= each neighbour after it and >
+    each neighbour before it along every grid axis, so a plateau counts
+    once, at its first point: the chart pole t_1 = 0, where every t_2 gives
+    the same amplitudes, is one maximum.  NaN counts as -inf; among equal
+    values the lower index comes first.  Returns shape (P, min(_STARTS, G^n)).
+    """
+    key = np.where(np.isnan(values), -np.inf, values)
+    peak = np.ones(key.shape, dtype=bool)
+    for axis in range(1, key.ndim):
+        k, p = np.moveaxis(key, axis, -1), np.moveaxis(peak, axis, -1)  # views
+        p[..., 1:] &= k[..., 1:] > k[..., :-1]
+        p[..., :-1] &= k[..., :-1] >= k[..., 1:]
+    key, peak = key.reshape(len(key), -1), peak.reshape(len(key), -1)
+    return np.lexsort((-key, ~peak))[:, :_STARTS]
+
+
+def _nested_grid(preset: ProtocolPreset, block, objective):
+    """The inner maximization of ``_maximize_on`` on a block of M fidelities.
+
+    Each (fidelity, sign) pair -- pair m * 2 + s -- searches the box
+    [-pi/2, pi/2]^n of the chart's n angles.  Level 0 evaluates ``_GRID0``
+    points per angle, both faces and t = 0 included, for every pair in one
+    batch.  Each pair then nests from its ``_STARTS`` largest level-0 local
+    maxima (``_local_maxima``): every later level evaluates 5 points per
+    angle around each start's best point, on +-1 spacing of the level
+    before, so at half its spacing; a start moves to its best new point
+    (the first among equals, NaN never) only on a strict gain.  The spacing
+    halves until it is below ``PARAM_TOL`` / 10.  With no angle (n = 0)
+    level 0 is the one point of each pair.  Returns the value, shape (2M,),
+    and the angles, shape (2M, n), of each pair's best start, the first
+    among equals.
     """
     n = len(preset.e) - 1
     f_pair, s_pair = np.repeat(block, 2), np.tile(_BRANCHES, len(block))
-    lo, hi = [-math.pi / 2] * n, [math.pi / 2] * n
-    fc, uc = _pattern_search(
-        _lanes(preset, objective, np.repeat(f_pair, N_RESTARTS), np.repeat(s_pair, N_RESTARTS)),
-        lo, hi, np.tile(_restart_points(lo, hi, N_RESTARTS), (len(f_pair), 1)),
-        tol=_COARSE_TOL)
-    win = fc.reshape(len(f_pair), N_RESTARTS).argmax(axis=1) + N_RESTARTS * np.arange(len(f_pair))
-    return fc[win], uc[win]
-
-
-def _polish_stage(preset: ProtocolPreset, block, objective, uc):
-    """Second stage of ``_maximize_on``: the coarse winners ``uc`` of the
-    block's (fidelity, sign) pairs, as ``_coarse_stage`` returns them, are
-    polished in lockstep from step 100 * ``_COARSE_TOL`` down to
-    ``PARAM_TOL``.  A polish evaluates its start point again and accepts
-    only strict gains, so it never ends below the coarse value.  Each
-    fidelity's - branch wins if strictly above its + branch, which counts
-    as ``_INFEASIBLE`` unless above it: + wins ties and NaN never wins.  One
-    ``chart`` call gives the winners' amplitudes.  Returns one
-    (best, amplitudes) pair per fidelity, ``(_INFEASIBLE, None)`` when no
-    value is above ``_INFEASIBLE``.
-    """
-    n = uc.shape[1]
-    f_pair, s_pair = np.repeat(block, 2), np.tile(_BRANCHES, len(block))
-    lo, hi = [-math.pi / 2] * n, [math.pi / 2] * n
-    fp, up = _pattern_search(_lanes(preset, objective, f_pair, s_pair), lo, hi, uc,
-                             tol=PARAM_TOL, initial_step=100 * _COARSE_TOL)
-    plus = np.where(fp[0::2] > _INFEASIBLE, fp[0::2], _INFEASIBLE)
-    win = 2 * np.arange(len(block)) + (fp[1::2] > plus)
-    amps = preset.chart(block, up[win], s_pair[win])
-    return [(float(fp[w]), tuple(float(a[m]) for a in amps)) if fp[w] > _INFEASIBLE
-            else (_INFEASIBLE, None) for m, w in enumerate(win)]
+    f = _lanes(preset, objective, f_pair, s_pair)
+    half = _GRID0 // 2
+    axis = np.arange(-half, half + 1) / half * (math.pi / 2)
+    grid = np.array(list(itertools.product(axis, repeat=n))).reshape(_GRID0 ** n, n)
+    pairs = len(f_pair)
+    level0 = f(np.tile(grid, (pairs, 1)), np.repeat(np.arange(pairs), len(grid)))
+    level0 = level0.reshape(pairs, len(grid))
+    start = _local_maxima(level0.reshape((pairs,) + (_GRID0,) * n))
+    starts = start.shape[1]
+    u, fu = grid[start.ravel()], np.take_along_axis(level0, start, axis=1).ravel()
+    offsets = np.array([o for o in itertools.product(range(-2, 3), repeat=n) if any(o)],
+                       dtype=float)
+    cand_pair = np.repeat(np.arange(pairs), starts * len(offsets))
+    rows = np.arange(len(u))
+    spacing = math.pi / (_GRID0 - 1)
+    while n and spacing >= PARAM_TOL / 10:
+        spacing /= 2
+        cand = u[:, None, :] + spacing * offsets  # (lanes, 5^n - 1, n)
+        values = f(cand.reshape(-1, n), cand_pair).reshape(len(u), -1)
+        j = np.where(np.isnan(values), -np.inf, values).argmax(axis=1)
+        top = values[rows, j]
+        move = top > fu
+        u[move], fu[move] = cand[move, j[move]], top[move]
+    fu = fu.reshape(pairs, starts)
+    best = np.where(np.isnan(fu), -np.inf, fu).argmax(axis=1)
+    return fu[np.arange(pairs), best], u.reshape(pairs, starts, n)[np.arange(pairs), best]
 
 
 def _maximize_on(preset: ProtocolPreset, f_a, objective):
@@ -532,19 +485,24 @@ def _maximize_on(preset: ProtocolPreset, f_a, objective):
     values as an array.
 
     ``f_a`` is one fidelity, or a 1-D array of them searched together in
-    blocks of at most ``_FIDELITY_BLOCK``.  Each block runs
-    ``_coarse_stage`` (M x 2 x 16 lockstep restarts to ``_COARSE_TOL``)
-    and then ``_polish_stage`` (the M x 2 pair winners, in lockstep, to
-    ``PARAM_TOL``).  Each lane carries its own F_A and sign and makes the
-    moves it would make alone.  Returns (best, amplitudes) for one
-    fidelity, with amplitudes None when no point is feasible, and a list
-    of such pairs for an array.
+    blocks of at most ``_FIDELITY_BLOCK`` by ``_nested_grid``, each lane
+    with its own F_A and sign and bit-equal to its point alone.  Each
+    fidelity's - branch wins if strictly above its + branch, which counts
+    as ``_INFEASIBLE`` unless above it: + wins ties and NaN never wins.  One
+    ``chart`` call per block gives the winners' amplitudes.  Returns (best,
+    amplitudes) for one fidelity, ``(_INFEASIBLE, None)`` when no value is
+    above ``_INFEASIBLE``, and a list of such pairs for an array.
     """
     fids = np.atleast_1d(np.asarray(f_a, dtype=float))
     found = []
     for start in range(0, len(fids), _FIDELITY_BLOCK):
         block = fids[start:start + _FIDELITY_BLOCK]
-        found += _polish_stage(preset, block, objective, _coarse_stage(preset, block, objective)[1])
+        fp, up = _nested_grid(preset, block, objective)
+        plus = np.where(fp[0::2] > _INFEASIBLE, fp[0::2], _INFEASIBLE)
+        win = 2 * np.arange(len(block)) + (fp[1::2] > plus)
+        amps = preset.chart(block, up[win], _BRANCHES[win % 2])
+        found += [(float(fp[w]), tuple(float(a[m]) for a in amps)) if fp[w] > _INFEASIBLE
+                  else (_INFEASIBLE, None) for m, w in enumerate(win)]
     return found if np.ndim(f_a) else found[0]
 
 
@@ -666,28 +624,21 @@ def _crossing_core(preset_name: str) -> tuple[float, tuple, float, int]:
     """Base-independent crossing solve; returns (F*, params items, residual nats, iters).
 
     Brent's method finds the root of g(F) = max I_AE(F) - I_AB(F) inside
-    the rightmost sign change of g on a 13-point grid.  The grid runs only
-    the coarse stage of ``_maximize_on``, as one batch, and reads only
-    signs from it: its value at F is the larger of the two sign branches'
-    coarse maxima, minus I_AB(F).  The polish never lowers a value, so a
-    positive coarse sign stays positive; the non-positive ones lie at
-    least 9e-3 nats below zero on every preset's grid, while the polish
-    gains at most about 1e-9.  Only the two bracket endpoints' four
-    (fidelity, sign) winners are polished, as one batch, giving exactly
-    what a one-fidelity ``_maximize_on`` gives there; ``g`` reads them
-    before it maximizes.  Points are amplitude tuples throughout; the
-    parameter names are attached once, to the returned items.  ``iters``
-    counts every g request, the 13 grid points included.  A bracket whose
-    polished signs agree, or a Brent run that does not converge, raises
-    ``CrossingError``.
+    the rightmost sign change of g on a 13-point grid.  The grid's inner
+    maxima are one ``_maximize_on`` batch, each equal to that fidelity's
+    maximum alone, so Brent reads its two endpoint values from the grid;
+    ``g`` maximizes only the fidelities off the grid.  Points are amplitude
+    tuples throughout; the parameter names are attached once, to the
+    returned items.  ``iters`` counts every g request, the 13 grid points
+    included.  A Brent run that does not converge raises ``CrossingError``.
     """
     preset = PRESETS[preset_name]
     d = preset.dimension
     lo, hi = 1.0 / d + 1e-9, 1.0 - 1e-9
-    grid = np.linspace(lo, hi, 13)
+    grid = np.linspace(lo, hi, 13).tolist()
     iae = _iae(preset)
-    fc, uc = _coarse_stage(preset, grid, iae)
-    gv = [max(fc[2 * i], fc[2 * i + 1]) - _iab_nats(f, d) for i, f in enumerate(grid)]
+    solved = dict(zip(grid, _maximize_on(preset, np.array(grid), iae)))
+    gv = [solved[f][0] - _iab_nats(f, d) for f in grid]
     evals = len(grid)
 
     bracket = None
@@ -699,8 +650,6 @@ def _crossing_core(preset_name: str) -> tuple[float, tuple, float, int]:
             f"no information crossing found for preset {preset_name!r} in "
             f"[{lo:.4f}, {hi:.4f}]")
     ends = grid[bracket:bracket + 2]
-    solved = dict(zip(ends.tolist(), _polish_stage(preset, ends, iae,
-                                                   uc[2 * bracket:2 * bracket + 4])))
 
     def g(f_a: float) -> float:
         nonlocal evals
@@ -891,11 +840,14 @@ def information_sweep(preset="3deb", start=0.70, stop=0.85, points=151, base=2):
 
     At each grid fidelity the attack is optimized (I_AE maximized) on the
     preset manifold, which makes the sign change of I_AB - I_AE locate the
-    crossing point.
+    crossing point.  Every row is kept in memory, so a grid of more than
+    ``_SWEEP_POINTS_MAX`` points is refused before any is allocated.
     """
     preset = resolve_preset(preset)
     if points < 1:
         raise ValueError("grid needs at least one point")
+    if points > _SWEEP_POINTS_MAX:
+        raise ValueError(f"grid takes at most {_SWEEP_POINTS_MAX} points, got {points}")
     d = preset.dimension
     if not (1.0 / d <= start <= stop <= 1.0):
         raise ValueError(f"fidelity grid [{start}, {stop}] outside [1/{d}, 1]")

@@ -178,7 +178,10 @@ def _json_number(key: str, x) -> float:
     """A config value that must be a JSON number, not a bool or a string."""
     if type(x) not in (int, float):
         raise ValueError(f"config {key!r} takes JSON numbers, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValueError(f"config {key!r} takes numbers within the float range") from None
 
 
 def round_distribution(channel: Channel, alice_basis: int, bob_basis: int) -> np.ndarray:

@@ -198,34 +198,34 @@ def test_simulate_output_does_not_depend_on_the_chunk_size(runner, tmp_path, mon
 # sha256 of the --no-timestamp output of the analysis commands.  `table`
 # and the universal crossing and sweep were recorded before the inner
 # maximizer became one preset-driven routine and still reproduce every
-# byte.  The other seven were recorded when the search moved onto the angle
-# chart of each preset's fixed-fidelity ellipsoid; that changed their float
-# paths, and test_analysis_outputs_match_reference bounds the change.  The
-# 2mub ridge sweep was recorded later, on the angle chart.
+# byte.  The other eight were recorded when the nested grid replaced the
+# compass search; that moved their printed params by up to 1.9e-8 and
+# their residuals in the last digits, and
+# test_analysis_outputs_match_reference bounds the change.
 ANALYSIS_SHA256 = {
     "table --format json":
         "4e833ed2b656ecb2801bf95045d70c8c5c8b5d5cbd2f9e17ee8832063d7ddbfe",
     "crossing --preset 3deb":
-        "207ba716ef77c08ad00dbfef1f2224f631530e3d74c56bfd9f72328d6185b087",
+        "9c6c910f38a5238c48c919698a14b9f946eaa6d3e7574d37f0182650206c9e7c",
     "crossing --preset universal":
         "54a5b20da16d95dd2d32a90100fc844f7894038173039d4e330baaf4058ef57a",
     "crossing --preset 2mub":
-        "ffdbfdcd9a93e78e148abd5af43d4bc42c74dba92e90695ef9e9bf447298a7c0",
+        "ee95d785df8951e882b870698665f981781313c196f91cd7e09fe85969c75755",
     "crossing --preset qubit":
-        "699226f54676ba6b6001b39754cf4581e19161ba0c680a367f9520543b0e82c1",
+        "ce87967f132c41dffaba300a00694810f87f8db00fed13ed3b23de21f1d5089d",
     "symmetric":
-        "6ef75e79ef665dde268535532ded971c9768ff3e19c389f50d894aab60e8c8aa",
+        "3b67095e8fdaf6782802e23b1fc9283549fa3dca406522d124ee7c94e2c25c6a",
     "sweep --preset 3deb --points 7 --format csv":
-        "e875a47c40511db392b3cc919c9441e549e71ff56e118ce226f89276d0b0accc",
+        "41f66bae36d52d3464c4e156aa1f3ef0491c055614db6e315cc250ce3f4e9f6e",
     "sweep --preset universal --points 7 --format csv":
         "2dc9a74ce563393911bfd47a979085451a132ef87940573e981020a4f55d8cc0",
     "sweep --preset 2mub --points 7 --format csv":
-        "a886a7a10afd4e72c5a47ed8036bc3cba6338e06f15acdd59dfb3438b8389fca",
+        "693a3965ad161a9e4cbd797fb70765b7d22dd841f3945d4b3de0b58b66e64b35",
     "sweep --preset qubit --start 0.80 --stop 0.90 --points 7 --format csv":
-        "6c7bf8c2cdafdc2b209fa4a5075585560699f41040c7c18e5e9e9a09c31155bc",
-    # across the flat 2mub ridge at F ~ 0.889, where the polish creeps
+        "d99f4ffbf8c2f5418e6e0662bfbbb50d95d51a6b9d13d352961bc9e8c4024ce2",
+    # across the flat 2mub ridge at F ~ 0.889, where two maxima nearly tie
     "sweep --preset 2mub --start 0.85 --stop 0.95 --points 11 --format csv":
-        "70aabffbd3a7fe2f82ebbb37abc59f1e0c2cc7f0bb8ad4a55eafd9f6a52f5655",
+        "40aa6d666501e61ca03faaed91734cb771839bf251f37b84858fec197e409424",
 }
 
 
@@ -281,7 +281,7 @@ def test_cli_import_builds_no_state_vectors():
 
 
 def test_analysis_loads_no_numpy_random():
-    # the crossing solves read their restarts from a constant table
+    # the inner maximizer draws nothing at random
     code = ("import sys, qkdlab\n"
             "qkdlab.error_rate_table()\n"
             "qkdlab.symmetric_point()\n"
@@ -326,6 +326,17 @@ def _printed_fields(args, text):
     return fields
 
 
+def _ordered_x_pairs(fields):
+    """``fields`` with each printed 2mub (x, x') pair in ascending order:
+    I_AE is symmetric in x <-> x' bit for bit, so at a maximum the order of
+    the two is a tie."""
+    fields = dict(fields)
+    for path in [p for p in fields if p.endswith(".x") and p + "p" in fields]:
+        if float(fields[path]) > float(fields[path + "p"]):
+            fields[path], fields[path + "p"] = fields[path + "p"], fields[path]
+    return fields
+
+
 @pytest.mark.parametrize("args", list(ANALYSIS_REFERENCE))
 def test_analysis_outputs_match_reference(runner, args):
     # fidelities, error rates and information are equal as printed; the
@@ -336,6 +347,8 @@ def test_analysis_outputs_match_reference(runner, args):
     new = _printed_fields(args, result.stdout_bytes.decode())
     ref = _printed_fields(args, ANALYSIS_REFERENCE[args])
     assert new.keys() == ref.keys()
+    if "2mub" in args:
+        new, ref = _ordered_x_pairs(new), _ordered_x_pairs(ref)
     for path, value in new.items():
         name = path.rsplit(".", 1)[1]
         if name in ("residual", "fidelity_gap"):
@@ -348,6 +361,38 @@ def test_analysis_outputs_match_reference(runner, args):
                 # the sign of y at a maximum is a tie
                 a, b = abs(a), abs(b)
             assert abs(a - b) <= 1e-7, (path, value, ref[path])
+
+
+def _printed_points(args, text):
+    """(preset, params, F_A, I_AE or None) of each row or result an analysis prints."""
+    preset = security.resolve_preset(args.split("--preset ")[1].split()[0]
+                                     if "--preset" in args else "3deb")
+    if "--format csv" in args:
+        header, *lines = text.splitlines()
+        for line in lines:
+            row = dict(zip(header.split(","), line.split(",")))
+            yield (preset, {p: float(row[p]) for p in preset.free_params},
+                   float(row["f_a"]), float(row["i_ae"]))
+    else:
+        result = json.loads(text)["result"]
+        if "params_star" in result:
+            yield preset, result["params_star"], result["f_a_star"], result["i_ae"]
+        else:
+            yield preset, result["params"], result["fidelity"], None
+
+
+@pytest.mark.parametrize("args", list(ANALYSIS_REFERENCE))
+def test_printed_params_reproduce_the_printed_information(runner, args):
+    # each printed point, fed back through the preset, gives its printed
+    # fidelity and I_AE to within the 10 printed digits of its params
+    result = runner.invoke(main, args.split() + ["--no-timestamp"])
+    assert result.exit_code == 0, result.output
+    points = list(_printed_points(args, result.stdout_bytes.decode()))
+    assert points
+    for preset, params, f_a, i_ae in points:
+        assert abs(security.preset_fidelity(preset, params) - f_a) <= 1e-9, (params, f_a)
+        if i_ae is not None:
+            assert abs(security.preset_information(preset, params)[1] - i_ae) <= 1e-9, params
 
 
 def assert_usage_error(result, message):
@@ -426,11 +471,19 @@ def test_cloner_eval_non_numeric_params_exit_1(runner):
      "'params' takes four numbers"),
     ({"rounds": 10, "seed": 0, "channel": {"type": "cloning", "params": [1, 0, 0, 0, 0]}},
      "'params' takes four numbers"),
+    # integer literals beyond the float range
+    ({"rounds": 10, "seed": 0, "channel": {"type": "depolarizing", "visibility": 10 ** 330}},
+     "'visibility' takes numbers within the float range"),
+    ({"rounds": 10, "seed": 0, "alice_weights": [10 ** 330, 0, 0, 1]},
+     "'alice_weights' takes numbers within the float range"),
+    ({"rounds": 10, "seed": 0, "channel": {"type": "cloning", "params": [-10 ** 330, 0, 0, 0]}},
+     "'params' takes numbers within the float range"),
 ], ids=["no-rounds", "no-seed", "string-rounds", "null-seed", "no-visibility",
         "zero-params", "null-weights", "nan-weights", "inf-pair", "fractional-pair",
         "bool-pair", "bool-weights", "string-visibility", "bool-visibility",
         "string-params", "deep-nesting", "one-index-pair", "three-index-pair",
-        "string-pairs", "two-params", "five-params"])
+        "string-pairs", "two-params", "five-params", "huge-visibility", "huge-weight",
+        "huge-params"])
 def test_simulate_malformed_config_exits_1(runner, tmp_path, config, message):
     path = tmp_path / "config.json"
     path.write_text(config if isinstance(config, str) else json.dumps(config))
@@ -534,6 +587,16 @@ def test_sweep_identity_point_in_trits(runner):
 def test_sweep_empty_grid_exits_1(runner):
     result = runner.invoke(main, ["sweep", "--points", "0"])
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize("points", [security._SWEEP_POINTS_MAX + 1, 100_000_000_000])
+def test_sweep_with_too_many_points_exits_1_before_allocating(runner, monkeypatch, points):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the sweep allocated its grid")
+
+    monkeypatch.setattr(security.np, "linspace", no_grid)
+    result = runner.invoke(main, ["sweep", "--points", str(points)])
+    assert_usage_error(result, f"grid takes at most {security._SWEEP_POINTS_MAX} points")
 
 
 def test_sweep_bad_bounds_exits_1(runner):
@@ -690,10 +753,13 @@ def test_cloner_eval_error_contract(spec):
 
 
 @_CONTRACT
-@given(preset=st.sampled_from(["3deb", "qubit"]), points=st.integers(-1, 3),
+@given(preset=st.sampled_from(["3deb", "qubit"]),
+       points=st.one_of(st.integers(-1, 3),
+                        st.integers(security._SWEEP_POINTS_MAX + 1, 10 ** 30)),
        start=st.one_of(st.floats(), st.floats(0.3, 1.0)),
        stop=st.one_of(st.floats(), st.floats(0.3, 1.0)))
 def test_sweep_error_contract(preset, points, start, stop):
+    # a huge grid is refused before it is allocated
     assert_contract(CliRunner(), ["sweep", f"--preset={preset}", f"--points={points}",
                                   f"--start={start!r}", f"--stop={stop!r}"])
 

@@ -1,7 +1,9 @@
 import itertools
+import json
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +15,10 @@ from click.testing import CliRunner
 from qkdlab import security
 from qkdlab.cli import main
 from qkdlab.cloner import ClonerParams, _coefficient_entries, closed_form_report
-from qkdlab.security import (CrossingError, N_RESTARTS, _FIDELITY_BLOCK, _INFEASIBLE,
-                             _RESTART_SEED, _RESTART_UNIFORMS,
-                             _coarse_stage, _crossing_core, _iae,
-                             _entropy_nats, _iab_nats, _lanes,
-                             _maximize_on, _mean_information, _pattern_search,
-                             _restart_points, _rows_information, bob_information,
+from qkdlab.security import (CrossingError, _FIDELITY_BLOCK, _GRID0, _INFEASIBLE, _STARTS,
+                             _crossing_core, _iae, _entropy_nats, _iab_nats, _lanes,
+                             _local_maxima, _maximize_on, _mean_information,
+                             _rows_information, bob_information,
                              ck_rate_bound, crossing_point, error_rate_table,
                              eve_information,
                              fidelity_from_visibility, info_report,
@@ -323,6 +323,49 @@ def test_2mub_closed_form_stops_at_the_regime_switch():
     assert best - closed > 1e-9
 
 
+# the inner maxima of the compass search that preceded the nested grid, at
+# 400 fidelities per preset: 300 over (1/d, 1), then 100 on [0.885, 0.8955]
+# (the 2mub ridge below its regime switch) or on [0.70, 0.90]
+INNER_MAXIMA = json.loads(
+    (Path(__file__).resolve().parent / "data" / "inner_maxima_reference.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_inner_maxima_reach_the_recorded_maxima(name):
+    # one-sided: a maximizer may find more than the recorded maximum, not less
+    ref = INNER_MAXIMA[name]
+    assert len(ref["f_a"]) == len(ref["i_ae"]) == 400
+    found = _max_iae(PRESETS[name], np.array(ref["f_a"]))
+    misses = [(f, best - r) for f, r, (best, _) in zip(ref["f_a"], ref["i_ae"], found)
+              if not best >= r - 1e-12]
+    assert not misses
+
+
+# angles per axis of the dense grid, and how far a grid value may lie above
+# the solver's maximum: 1e-12 on one angle, 1e-7 on 2mub's two
+DENSE_GRID = {"3deb": (2 ** 20, 1e-12), "2mub": (1024, 1e-7), "qubit": (2 ** 20, 1e-12)}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_GRID))
+def test_no_dense_grid_point_beats_the_inner_maximum(name):
+    # an oracle independent of the search: at the crossing F*, a dense grid
+    # over the chart's box on both sign branches finds nothing above the
+    # maximum, scanned in chunks of 2^16 points
+    preset, (per_axis, bound) = PRESETS[name], DENSE_GRID[name]
+    n = len(preset.e) - 1
+    f_star = crossing_point(name).f_a_star
+    best, _ = _max_iae(preset, f_star)
+    axis = np.linspace(-math.pi / 2, math.pi / 2, per_axis)
+    objective, top = _iae(preset), -math.inf
+    for start in range(0, per_axis ** n, 1 << 16):
+        index = np.arange(start, min(start + (1 << 16), per_axis ** n))
+        angles = axis[np.stack(np.unravel_index(index, (per_axis,) * n), axis=-1)]
+        for sign in (1.0, -1.0):
+            amps = preset.chart(f_star, angles, np.full(len(index), sign))
+            top = max(top, float(objective(*amps)[amps[0] != _INFEASIBLE].max()))
+    assert top - best <= bound, top - best
+
+
 def test_unknown_preset_rejected():
     with pytest.raises(ValueError):
         crossing_point("bogus")
@@ -336,80 +379,59 @@ def test_crossing_deterministic_on_cold_resolve():
     assert cold == base
 
 
-# --- the crossing solver's sign-only grid and endpoint handoff -----------------
+# --- the crossing solver's bracket grid and endpoint handoff -------------------
 
 
 def _bracket_grid(preset):
     return np.linspace(1 / preset.dimension + 1e-9, 1 - 1e-9, 13)
 
 
-@pytest.mark.parametrize("name", sorted(PRESETS))
-def test_coarse_grid_signs_match_the_polished_maxima(name):
-    # the grid reads g's sign from the coarse stage; the polish may only
-    # raise a value, and by far less than the grid's distance from zero
-    preset = PRESETS[name]
-    grid = _bracket_grid(preset)
-    fc, _ = _coarse_stage(preset, grid, _iae(preset))
-    for i, (f, (best, _)) in enumerate(zip(grid, _max_iae(preset, grid))):
-        coarse = max(fc[2 * i], fc[2 * i + 1])
-        g = best - _iab_nats(f, preset.dimension)
-        assert (coarse - _iab_nats(f, preset.dimension) > 0) == (g > 0), f
-        assert 0.0 <= best - coarse <= 1e-6 * abs(g), f
-
-
 @pytest.fixture(scope="module", params=sorted(PRESETS))
 def recorded_cold_solve(request):
-    """A cold crossing solve with every polish block and every one-fidelity
-    I_AE maximization recorded."""
-    polish, maximize_on = security._polish_stage, security._maximize_on
-    polished, single = [], []
-
-    def polish_spy(preset, block, objective, uc):
-        found = polish(preset, block, objective, uc)
-        polished.append((list(block), found))
-        return found
+    """A cold crossing solve with every I_AE maximization recorded."""
+    maximize_on, calls = security._maximize_on, []
 
     def maximize_spy(preset, f_a, objective):
-        single.append(f_a)
-        return maximize_on(preset, f_a, objective)
+        found = maximize_on(preset, f_a, objective)
+        calls.append((f_a, found))
+        return found
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(security, "_polish_stage", polish_spy)
         mp.setattr(security, "_maximize_on", maximize_spy)
         result = _crossing_core.__wrapped__(request.param)
-    return PRESETS[request.param], result, polished, single
+    return PRESETS[request.param], result, calls
 
 
 def test_bracket_endpoints_are_polished_once_and_equal_the_point_maxima(recorded_cold_solve):
-    preset, result, polished, _ = recorded_cold_solve
+    # the whole grid is one batch, maximized once, and its values are final
+    preset, result, calls = recorded_cold_solve
     assert result == _crossing_core(preset.name)
     grid = list(_bracket_grid(preset))
-    on_grid = [(block, found) for block, found in polished if set(block) & set(grid)]
-    assert len(on_grid) == 1  # no polish runs over the other 11 grid points
-    ends, found = on_grid[0]
-    i = grid.index(ends[0])
-    assert ends == grid[i:i + 2]
-    for f, pair in zip(ends, found):
+    batches = [(f_a, found) for f_a, found in calls if np.ndim(f_a)]
+    assert len(batches) == 1 and list(batches[0][0]) == grid
+    for f, pair in zip(grid, batches[0][1]):
         assert pair == _max_iae(preset, float(f))
 
 
 def test_brent_maximizes_only_away_from_the_bracket_endpoints(recorded_cold_solve):
     # 13 grid values and Brent's two endpoint values come from the grid batch
-    preset, (_, _, _, iterations), polished, single = recorded_cold_solve
+    preset, (_, _, _, iterations), calls = recorded_cold_solve
+    single = [f_a for f_a, _ in calls[1:]]
     assert all(np.ndim(f) == 0 for f in single)
     assert len(single) == len(set(single)) == iterations - 15
-    assert [block for block, _ in polished if len(block) == 1] == [[f] for f in single]
+    assert not set(single) & set(_bracket_grid(preset))
 
 
-# objective calls per stage of a cold crossing solve -- the grid's coarse
-# batch, the endpoint polish, then each Brent step's coarse and polish
-# stage -- and the g count; a kernel that keeps every float bit-equal
-# leaves every count as it is
+# objective calls per stage of a cold crossing solve -- the grid's batch,
+# then each Brent step -- and the g count; a kernel that keeps every float
+# bit-equal leaves every count as it is.  A stage makes one level-0 call
+# per 1024 points, then one call per level, 32 levels, for each 1024
+# points of a level; universal has no angle and no level after 0
 STAGE_CALLS = {
-    "3deb": ([32, 29, 29, 30, 30, 25, 30, 26, 30, 26], 19),
-    "universal": ([1] * 12, 20),
-    "2mub": ([339, 57, 69, 51, 75, 55, 75, 59, 75, 55, 75, 61], 20),
-    "qubit": ([36, 23, 29, 22, 30, 25, 30, 22, 30, 22, 30, 24], 20),
+    "3deb": ([33] * 5, 19),
+    "universal": ([1] * 6, 20),
+    "2mub": ([69] + [33] * 5, 20),
+    "qubit": ([33] * 6, 20),
 }
 
 
@@ -433,32 +455,32 @@ def test_cold_solve_makes_the_pinned_objective_calls_per_stage(monkeypatch, name
 @pytest.mark.parametrize("lane", [0, 1])
 def test_grid_signs_read_both_sign_branches(monkeypatch, lane):
     # qubit's I_AE is even in x, so its two branches are mirror images and
-    # either alone brackets the crossing; a coarse value pushed far down
-    # must not move the solve, as the polish starts from the same point
+    # either alone brackets the crossing; one branch pushed far down in the
+    # grid batch must not move the solve, as the other ties it bit for bit
     expected = _crossing_core("qubit")
-    coarse = security._coarse_stage
+    nested = security._nested_grid
 
     def one_branch_low(preset, block, objective):
-        fc, uc = coarse(preset, block, objective)
-        fc = fc.copy()
-        fc[lane::2] -= 10.0
-        return fc, uc
+        fp, up = nested(preset, block, objective)
+        if len(block) > 1:
+            fp = fp.copy()
+            fp[lane::2] -= 10.0
+        return fp, up
 
-    monkeypatch.setattr(security, "_coarse_stage", one_branch_low)
+    monkeypatch.setattr(security, "_nested_grid", one_branch_low)
     assert _crossing_core.__wrapped__("qubit") == expected
 
 
 def _lift_right_endpoint(monkeypatch):
-    # a polish that lifts the right bracket endpoint above I_AB
-    polish = security._polish_stage
+    # Brent reads the grid's own values at the bracket endpoints, so the
+    # maximizer cannot make them disagree with the grid; g lifted above
+    # zero at the right endpoint, as Brent sees it, makes the signs agree
+    brentq = security._brentq
 
-    def lifted(preset, block, objective, uc):
-        found = polish(preset, block, objective, uc)
-        if len(block) == 2:
-            found[1] = (found[1][0] + 1.0, found[1][1])
-        return found
+    def lifted(f, a, b, *args, **kwargs):
+        return brentq(lambda x: f(x) + (1.0 if x == b else 0.0), a, b, *args, **kwargs)
 
-    monkeypatch.setattr(security, "_polish_stage", lifted)
+    monkeypatch.setattr(security, "_brentq", lifted)
 
 
 def _cap_brent_iterations(monkeypatch):
@@ -467,13 +489,13 @@ def _cap_brent_iterations(monkeypatch):
 
 
 def _sink_the_grid(monkeypatch):
-    coarse = security._coarse_stage
+    nested = security._nested_grid
 
     def sunk(preset, block, objective):
-        fc, uc = coarse(preset, block, objective)
-        return fc - 10.0, uc
+        fp, up = nested(preset, block, objective)
+        return fp - 10.0, up
 
-    monkeypatch.setattr(security, "_coarse_stage", sunk)
+    monkeypatch.setattr(security, "_nested_grid", sunk)
 
 
 @pytest.mark.parametrize("break_solver,message", [
@@ -652,6 +674,8 @@ def test_sweep_rejects_bad_grid():
         information_sweep("3deb", 0.7, 0.9, 0)
     with pytest.raises(ValueError):
         information_sweep("3deb", 0.1, 0.9, 10)
+    with pytest.raises(ValueError, match="at most"):
+        information_sweep("3deb", 0.7, 0.9, security._SWEEP_POINTS_MAX + 1)
 
 
 # --- optimizer internals -----------------------------------------------------------
@@ -669,60 +693,61 @@ def test_iab_nats_matches_entropy():
     assert abs(_iab_nats(f, 3) - expected) <= 1e-12
 
 
-# --- lockstep search against the scalar search it replaced ---------------------
+# --- the batched nested grid against one point at a time ----------------------
 
 
-def _scalar_pattern_search(f, lo, hi, x0, tol=1e-9, initial_step=None, max_sweeps=10_000):
-    """The one-search-at-a-time compass search, kept as the reference."""
-    ndim = len(lo)
-    x = [min(max(x0[i], lo[i]), hi[i]) for i in range(ndim)]
-    fx = f(x)
-    steps = [initial_step or (hi[i] - lo[i]) / 4.0 for i in range(ndim)]
-    for _ in range(max_sweeps):
-        if max(steps) <= tol:
-            break
-        improved = False
-        for i in range(ndim):
-            for d in (steps[i], -steps[i]):
-                xi = min(max(x[i] + d, lo[i]), hi[i])
-                if xi == x[i]:
-                    continue
-                cand = list(x)
-                cand[i] = xi
+def _scalar_nested_grid(f, n):
+    """The nested grid of one (fidelity, sign) pair, one point per call of
+    ``f``, kept as the reference of the batched ``_nested_grid``."""
+    half = _GRID0 // 2
+    axis = [i / half * (math.pi / 2) for i in range(-half, half + 1)]
+    points = list(itertools.product(axis, repeat=n))
+    values = [f(list(p)) for p in points]
+
+    def key(value):
+        return -math.inf if math.isnan(value) else value
+
+    def is_peak(i):
+        # >= each neighbour after i and > each before it, along every axis
+        for a in range(n):
+            stride = _GRID0 ** (n - 1 - a)
+            digit = i // stride % _GRID0
+            if digit > 0 and not key(values[i]) > key(values[i - stride]):
+                return False
+            if digit < _GRID0 - 1 and not key(values[i]) >= key(values[i + stride]):
+                return False
+        return True
+
+    ranked = sorted(range(len(points)), key=lambda i: (not is_peak(i), -key(values[i]), i))
+    offsets = [o for o in itertools.product(range(-2, 3), repeat=n) if any(o)]
+    best = None
+    for i in ranked[:_STARTS]:
+        u, fu = list(points[i]), values[i]
+        spacing = math.pi / (_GRID0 - 1)
+        while n and spacing >= security.PARAM_TOL / 10:
+            spacing /= 2
+            top = None
+            for o in offsets:
+                cand = [u[a] + spacing * o[a] for a in range(n)]
                 fc = f(cand)
-                if fc > fx:
-                    x, fx = cand, fc
-                    improved = True
-        if not improved:
-            steps = [s / 2.0 for s in steps]
-    return fx, x
-
-
-def _scalar_maximize_with_restarts(f, lo, hi, n_restarts=16, coarse_tol=1e-5):
-    if all(h - l <= 0 for l, h in zip(lo, hi)):
-        x = list(lo)
-        return f(x), x
-    results = [_scalar_pattern_search(f, lo, hi, x0, tol=coarse_tol)
-               for x0 in _restart_points(lo, hi, n_restarts)]
-    best_f, best_x = results[0]
-    for fv, xv in results[1:]:  # strict > keeps the lowest restart index on ties
-        if fv > best_f:
-            best_f, best_x = fv, xv
-    fp, xp_ = _scalar_pattern_search(f, lo, hi, best_x, tol=1e-9,
-                                     initial_step=100 * coarse_tol)
-    return (fp, xp_) if fp >= best_f else (best_f, best_x)
+                if top is None or key(fc) > key(top[0]):
+                    top = (fc, cand)
+            if top[0] > fu:
+                fu, u = top
+        if best is None or key(fu) > key(best[0]):
+            best = (fu, u)
+    return best
 
 
 def _scalar_maximize_on(preset, f_a, objective):
     """One sign branch after the other, one point per objective call."""
     n = len(preset.e) - 1
-    lo, hi = [-math.pi / 2] * n, [math.pi / 2] * n
     best, best_amps = _INFEASIBLE, None
     for sign in (1.0, -1.0):
         def f(u, sign=sign):
             amps = preset.chart(f_a, u, sign)
             return _INFEASIBLE if amps[0] == _INFEASIBLE else float(objective(*amps))
-        fv, u = _scalar_maximize_with_restarts(f, lo, hi)
+        fv, u = _scalar_nested_grid(f, n)
         if fv > best:
             best, best_amps = fv, tuple(float(a) for a in preset.chart(f_a, u, sign))
     return best, best_amps
@@ -744,57 +769,9 @@ def test_lockstep_inner_maximum_equals_the_scalar_search(name, f_a):
                                                lambda *a: _mean_information(preset, a)[1])
 
 
-def _plateaus(u):
-    # piecewise constant in u_0 (moves inside a step tie and are refused),
-    # smooth in u_1; both maxima of +-g lie on faces of the box [-1, 1]^2
-    return np.floor(3.0 * u[..., 0]) / 3.0 + np.sin(2.0 * u[..., -1])
-
-
-def _low_bits(u):
-    # chaotic in the low bits: the 53-bit significand modulo a prime, so
-    # points one ulp apart have unrelated values, and whether x + s - s is
-    # x bitwise decides the moves
-    return sum(np.fmod(np.frexp(u[..., j])[0] * 2.0 ** 53, 997.0) / 997.0
-               for j in range(u.shape[-1]))
-
-
-def _nan_band(u):
-    # NaN on the band 0.1 < u_0 < 0.5, next to the maximum of +g at
-    # u_0 = pi/6: a NaN value is never accepted, and a search that starts
-    # in the band never moves
-    return np.where(np.abs(u[..., 0] - 0.3) < 0.2, np.nan, np.sin(3.0 * u).sum(axis=-1))
-
-
-@pytest.mark.parametrize("k", [1, 2, 32])
-@pytest.mark.parametrize("ndim", [1, 2, 3])
-@pytest.mark.parametrize("tol,initial_step", [(1e-5, None), (1e-9, 1e-3)])
-def test_lockstep_pattern_search_moves_as_each_search_alone(k, ndim, tol, initial_step):
-    rng = np.random.default_rng(5)
-    lo, hi = [-1.0] * ndim, [1.0] * ndim
-    x0 = rng.uniform(-1.2, 1.2, (k, ndim))  # some starts outside the box
-    x0[3::3] = 0.5  # searches tied from the start
-    x0[0] = 0.9995  # one step from the face u_0 = 1, where +g is largest
-    weight = np.where(np.arange(k) % 2 == 0, 1.0, -1.0)
-    # cut after a few sweeps too: a move made a sweep late can still end
-    # at the same point
-    for objective, sweeps in itertools.product((_plateaus, _low_bits, _nan_band),
-                                               (1, 2, 3, 5, 8, 10_000)):
-        fx, x = _pattern_search(lambda u, idx: weight[idx] * objective(u), lo, hi, x0,
-                                tol=tol, initial_step=initial_step, max_sweeps=sweeps)
-        assert fx.shape == (k,) and x.shape == (k, ndim)
-        for j in range(k):
-            ref_f, ref_x = _scalar_pattern_search(
-                lambda u: float(weight[j] * objective(np.array(u))), lo, hi, list(x0[j]),
-                tol=tol, initial_step=initial_step, max_sweeps=sweeps)
-            assert np.array_equal(fx[j], ref_f, equal_nan=True) and list(x[j]) == ref_x, \
-                (objective, sweeps, j)
-        if objective is _plateaus and sweeps == 10_000:
-            assert x[0, 0] == 1.0
-
-
-def test_polish_stage_picks_each_sign_branch_as_the_scalar_search():
-    # universal has no angle, so each (fidelity, sign) lane stays at its
-    # start: at F = 0.5 the + branch is NaN and - wins, at F = 0.2 both
+def test_sign_branch_pick_equals_the_scalar_search():
+    # universal has no angle, so each (fidelity, sign) pair is its one
+    # point: at F = 0.5 the + branch is NaN and - wins, at F = 0.2 both
     # branches have v^2 < 0, and at F = 0.8 they tie exactly and + wins
     preset = PRESETS["universal"]
     block = np.array([0.5, 0.2, 0.8])
@@ -802,45 +779,31 @@ def test_polish_stage_picks_each_sign_branch_as_the_scalar_search():
     def stub(v, y):
         return np.where(y > 0.2, np.nan, y * y)
 
-    found = security._polish_stage(preset, block, stub, np.empty((2 * len(block), 0)))
+    found = _maximize_on(preset, block, stub)
     assert found == [_scalar_maximize_on(preset, f, stub) for f in block]
     assert found[0][1][1] < 0 and found[1] == (_INFEASIBLE, None) and found[2][1][1] > 0
 
 
-@pytest.mark.parametrize("k", [1, 2, 32])
-def test_pattern_search_over_zero_coordinates_returns_the_start_values(k):
-    # the universal preset's search: nothing to move, one call at x0
-    calls = []
-
-    def counted(u, idx):
-        calls.append((u.shape, list(idx)))
-        return np.cos(idx)
-
-    fx, x = _pattern_search(counted, [], [], np.empty((k, 0)))
-    assert calls == [((k, 0), list(range(k)))]
-    assert np.all(fx == np.cos(np.arange(k))) and x.shape == (k, 0)
-
-
-@pytest.mark.parametrize("sweeps", [1, 2, 5])
-def test_pattern_search_calls_the_objective_once_per_coordinate(sweeps):
-    # both moves of every coordinate are tried in the first sweeps, yet a
-    # sweep makes one call per coordinate, after the call at the start
-    ndim, calls = 3, []
-    x0 = np.random.default_rng(2).uniform(-0.9, 0.9, (8, ndim))
-
-    def counted(u, idx):
-        calls.append(len(idx))
-        return _low_bits(u)
-
-    _pattern_search(counted, [-1.0] * ndim, [1.0] * ndim, x0, tol=1e-5, max_sweeps=sweeps)
-    assert calls[0] == len(x0)
-    assert len(calls) <= 1 + sweeps * ndim
+def test_qubit_sign_branches_tie_and_the_plus_branch_wins():
+    # qubit's I_AE is even in x: the branches' maxima tie bit for bit and +
+    # (x >= 0) wins; a branch that is NaN wherever it lies never wins
+    preset = PRESETS["qubit"]
+    fids = np.array([0.6, 0.8535533906, 0.95])
+    fp, _ = security._nested_grid(preset, fids, _iae(preset))
+    assert np.array_equal(fp[0::2], fp[1::2])
+    assert all(amps[1] > 0 for _, amps in _max_iae(preset, fids))
+    for nan_side in (1.0, -1.0):
+        def half_nan(v, x, y, nan_side=nan_side):
+            return np.where(np.sign(x) == nan_side, np.nan, _iae(preset)(v, x, y))
+        best, amps = _maximize_on(preset, 0.8, half_nan)
+        assert np.sign(amps[1]) == -nan_side
+        assert best == _max_iae(preset, 0.8)[0]
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_lockstep_restart_ties_keep_the_lowest_restart(name):
-    # a step function of the amplitudes: many restarts tie, and the first
-    # among equals must win as in the scalar search
+    # a step function of the amplitudes: many level-0 points and nested
+    # starts tie, and the first among equals must win as in the scalar search
     preset = PRESETS[name]
     f_a = 0.8
     scale = math.sqrt((1 - f_a) / preset.e[-1])
@@ -852,30 +815,57 @@ def test_lockstep_restart_ties_keep_the_lowest_restart(name):
     assert (best, amps) == _scalar_maximize_on(preset, f_a, steps)
 
 
-def _philox_restart_points(lo, hi, n_restarts):
-    """The restart grid as drawn from the Philox stream the table was taken from."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    rng = np.random.Generator(np.random.Philox(key=_RESTART_SEED))
-    return np.vstack(((lo + hi) / 2.0, lo + rng.random((n_restarts - 1, len(lo))) * (hi - lo)))
+def test_local_maxima_count_a_plateau_once_and_pad_with_the_largest_points():
+    # one axis: the plateau at indices 2-4 counts once, at its first point,
+    # so the two maxima are padded with the largest other point; NaN counts
+    # as -inf
+    line = [0.0, 1.0, 3.0, 3.0, 3.0, 2.0, 2.5, 1.0, 0.5, 0.4, 0.1, 0.0, np.nan]
+    assert _local_maxima(np.array([line])).tolist() == [[2, 6, 3]]
+    assert _local_maxima(np.array([[np.nan, 1.0, np.nan]])).tolist() == [[1, 0, 2]]
+    # two axes, as at the chart pole t_1 = 0: every t_2 gives the same value,
+    # a plateau along t_2 that counts once, at t_2's first point
+    pole = np.repeat(-(np.arange(13) - 6.0) ** 2, 13).reshape(1, 13, 13)
+    assert _local_maxima(pole).tolist() == [[6 * 13, 6 * 13 + 1, 6 * 13 + 2]]
+    # one point per grid, as with no angle: one start
+    assert _local_maxima(np.array([[2.0], [np.nan]])).tolist() == [[0], [0]]
 
 
-def test_restart_table_is_the_philox_stream():
-    expected = np.random.Generator(np.random.Philox(key=_RESTART_SEED)).random(30)
-    assert np.array_equal(_RESTART_UNIFORMS, expected)
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_one_point_call_cap_gives_the_same_maxima(monkeypatch, name):
+    # every lane is bit-equal to its point alone, so the cap on the points
+    # per objective call changes no value
+    preset, fids, sizes = PRESETS[name], np.array([0.7752755323, 0.9]), []
+
+    def counted(*amps):
+        sizes.append(len(amps[0]))
+        return _iae(preset)(*amps)
+
+    expected = _maximize_on(preset, fids, counted)
+    assert max(sizes) <= security._CALL_POINTS
+    sizes.clear()
+    monkeypatch.setattr(security, "_CALL_POINTS", 1)
+    assert _maximize_on(preset, fids, counted) == expected
+    assert set(sizes) == {1}
 
 
-@pytest.mark.parametrize("n", [0, 1, 2])
-@pytest.mark.parametrize("box", ["half-pi", "asymmetric"])
-def test_restart_points_equal_the_philox_draws(n, box):
-    lo, hi = (([-math.pi / 2] * n, [math.pi / 2] * n) if box == "half-pi"
-              else ([-0.3, 1.25][:n], [0.7, 4.0][:n]))
-    assert np.array_equal(_restart_points(lo, hi, N_RESTARTS),
-                          _philox_restart_points(lo, hi, N_RESTARTS))
+@pytest.mark.parametrize("k", [1, 2, 32, 33])
+def test_pattern_search_over_zero_coordinates_returns_the_start_values(k):
+    # the universal preset's search: with no angle, level 0 is the one point
+    # of each (fidelity, sign) pair, nothing moves, and a block of
+    # fidelities costs one objective call
+    preset, calls = PRESETS["universal"], []
+    fids = np.linspace(0.5, 0.95, k)
 
+    def counted(*amps):
+        calls.append(len(amps[0]))
+        return _iae(preset)(*amps)
 
-def test_restart_points_beyond_the_table_raise():
-    with pytest.raises(ValueError, match="the restart table holds 30"):
-        _restart_points([0.0] * 3, [1.0] * 3, N_RESTARTS)
+    found = _maximize_on(preset, fids, counted)
+    assert calls == [2 * len(fids[i:i + _FIDELITY_BLOCK])
+                     for i in range(0, k, _FIDELITY_BLOCK)]
+    for f, (best, amps) in zip(fids, found):
+        start = preset.chart(float(f), np.empty(0), math.copysign(1.0, amps[1]))
+        assert (best, amps) == (float(_iae(preset)(*start)), tuple(map(float, start)))
 
 
 # (F, angle) of infeasible chart points: v^2 < 0 at angles all ``angle``
