@@ -429,6 +429,32 @@ def _local_maxima(values):
     return np.lexsort((-key, ~peak))[:, :_STARTS]
 
 
+def _nest(f, u, fu, lane, spacing):
+    """The levels after level 0 of the nested grid: a pattern search of each
+    start ``u[i]``, shape (K, n), of value ``fu[i]`` on lane ``lane[i]`` of
+    ``f(u, k)``, all K in lockstep and each bit-equal to its search alone.
+
+    Each level halves ``spacing`` and evaluates the 5^n - 1 points on +-1
+    and +-2 of it around each start; a start moves to its best new point
+    (the first among equals, NaN never) only on a strict gain.  The levels
+    stop once the spacing is below ``PARAM_TOL`` / 10.  Updates ``u`` and
+    ``fu`` in place and returns them as (fu, u).
+    """
+    n = u.shape[1]
+    offsets = np.array([o for o in itertools.product(range(-2, 3), repeat=n) if any(o)],
+                       dtype=float)
+    cand_lane, rows = np.repeat(lane, len(offsets)), np.arange(len(u))
+    while n and spacing >= PARAM_TOL / 10:
+        spacing /= 2
+        cand = u[:, None, :] + spacing * offsets  # (K, 5^n - 1, n)
+        values = f(cand.reshape(-1, n), cand_lane).reshape(len(u), -1)
+        j = np.where(np.isnan(values), -np.inf, values).argmax(axis=1)
+        top = values[rows, j]
+        move = top > fu
+        u[move], fu[move] = cand[move, j[move]], top[move]
+    return fu, u
+
+
 def _nested_grid(preset: ProtocolPreset, block, objective):
     """The inner maximization of ``_maximize_on`` on a block of M fidelities.
 
@@ -436,12 +462,11 @@ def _nested_grid(preset: ProtocolPreset, block, objective):
     [-pi/2, pi/2]^n of the chart's n angles.  Level 0 evaluates ``_GRID0``
     points per angle, both faces and t = 0 included, for every pair in one
     batch.  Each pair then nests from its ``_STARTS`` largest level-0 local
-    maxima (``_local_maxima``): every later level evaluates 5 points per
-    angle around each start's best point, on +-1 spacing of the level
-    before, so at half its spacing; a start moves to its best new point
-    (the first among equals, NaN never) only on a strict gain.  The spacing
-    halves until it is below ``PARAM_TOL`` / 10.  With no angle (n = 0)
-    level 0 is the one point of each pair.  Returns the value, shape (2M,),
+    maxima (``_local_maxima``): every later level (``_nest``) evaluates 5
+    points per angle around each start's best point, on +-1 spacing of the
+    level before, so at half its spacing, until the spacing is below
+    ``PARAM_TOL`` / 10.  With no angle (n = 0) level 0 is the one point of
+    each pair.  Returns the value, shape (2M,),
     and the angles, shape (2M, n), of each pair's best start, the first
     among equals.
     """
@@ -456,20 +481,8 @@ def _nested_grid(preset: ProtocolPreset, block, objective):
     level0 = level0.reshape(pairs, len(grid))
     start = _local_maxima(level0.reshape((pairs,) + (_GRID0,) * n))
     starts = start.shape[1]
-    u, fu = grid[start.ravel()], np.take_along_axis(level0, start, axis=1).ravel()
-    offsets = np.array([o for o in itertools.product(range(-2, 3), repeat=n) if any(o)],
-                       dtype=float)
-    cand_pair = np.repeat(np.arange(pairs), starts * len(offsets))
-    rows = np.arange(len(u))
-    spacing = math.pi / (_GRID0 - 1)
-    while n and spacing >= PARAM_TOL / 10:
-        spacing /= 2
-        cand = u[:, None, :] + spacing * offsets  # (lanes, 5^n - 1, n)
-        values = f(cand.reshape(-1, n), cand_pair).reshape(len(u), -1)
-        j = np.where(np.isnan(values), -np.inf, values).argmax(axis=1)
-        top = values[rows, j]
-        move = top > fu
-        u[move], fu[move] = cand[move, j[move]], top[move]
+    fu, u = _nest(f, grid[start.ravel()], np.take_along_axis(level0, start, axis=1).ravel(),
+                  np.repeat(np.arange(pairs), starts), math.pi / (_GRID0 - 1))
     fu = fu.reshape(pairs, starts)
     best = np.where(np.isnan(fu), -np.inf, fu).argmax(axis=1)
     return fu[np.arange(pairs), best], u.reshape(pairs, starts, n)[np.arange(pairs), best]

@@ -704,39 +704,45 @@ def _scalar_nested_grid(f, n):
     points = list(itertools.product(axis, repeat=n))
     values = [f(list(p)) for p in points]
 
-    def key(value):
-        return -math.inf if math.isnan(value) else value
-
     def is_peak(i):
         # >= each neighbour after i and > each before it, along every axis
         for a in range(n):
             stride = _GRID0 ** (n - 1 - a)
             digit = i // stride % _GRID0
-            if digit > 0 and not key(values[i]) > key(values[i - stride]):
+            if digit > 0 and not _key(values[i]) > _key(values[i - stride]):
                 return False
-            if digit < _GRID0 - 1 and not key(values[i]) >= key(values[i + stride]):
+            if digit < _GRID0 - 1 and not _key(values[i]) >= _key(values[i + stride]):
                 return False
         return True
 
-    ranked = sorted(range(len(points)), key=lambda i: (not is_peak(i), -key(values[i]), i))
-    offsets = [o for o in itertools.product(range(-2, 3), repeat=n) if any(o)]
+    ranked = sorted(range(len(points)), key=lambda i: (not is_peak(i), -_key(values[i]), i))
     best = None
     for i in ranked[:_STARTS]:
-        u, fu = list(points[i]), values[i]
-        spacing = math.pi / (_GRID0 - 1)
-        while n and spacing >= security.PARAM_TOL / 10:
-            spacing /= 2
-            top = None
-            for o in offsets:
-                cand = [u[a] + spacing * o[a] for a in range(n)]
-                fc = f(cand)
-                if top is None or key(fc) > key(top[0]):
-                    top = (fc, cand)
-            if top[0] > fu:
-                fu, u = top
-        if best is None or key(fu) > key(best[0]):
+        fu, u = _scalar_nest(f, list(points[i]), values[i], math.pi / (_GRID0 - 1))
+        if best is None or _key(fu) > _key(best[0]):
             best = (fu, u)
     return best
+
+
+def _scalar_nest(f, u, fu, spacing):
+    """The levels after level 0 from one start, one point per call of ``f``."""
+    n = len(u)
+    offsets = [o for o in itertools.product(range(-2, 3), repeat=n) if any(o)]
+    while n and spacing >= security.PARAM_TOL / 10:
+        spacing /= 2
+        top = None
+        for o in offsets:
+            cand = [u[a] + spacing * o[a] for a in range(n)]
+            fc = f(cand)
+            if top is None or _key(fc) > _key(top[0]):
+                top = (fc, cand)
+        if top[0] > fu:
+            fu, u = top
+    return fu, u
+
+
+def _key(value):
+    return -math.inf if math.isnan(value) else value
 
 
 def _scalar_maximize_on(preset, f_a, objective):
@@ -767,6 +773,59 @@ def test_lockstep_inner_maximum_equals_the_scalar_search(name, f_a):
     best, amps = _max_iae(preset, f_a)
     assert (best, amps) == _scalar_maximize_on(preset, f_a,
                                                lambda *a: _mean_information(preset, a)[1])
+
+
+def _plateaus(u):
+    # piecewise constant in u_0 (moves inside a step tie and are refused),
+    # smooth in u_1
+    return np.floor(3.0 * u[..., 0]) / 3.0 + np.sin(2.0 * u[..., -1])
+
+
+def _low_bits(u):
+    # chaotic in the low bits: the 53-bit significand modulo a prime, so
+    # points one ulp apart have unrelated values, and whether u + s is
+    # formed the same way decides the moves
+    return sum(np.fmod(np.frexp(u[..., j])[0] * 2.0 ** 53, 997.0) / 997.0
+               for j in range(u.shape[-1]))
+
+
+def _nan_band(u):
+    # NaN on the band 0.1 < u_0 < 0.5, next to the maximum of +g at
+    # u_0 = pi/6: a NaN value is never accepted, and a search that starts
+    # in the band never moves
+    return np.where(np.abs(u[..., 0] - 0.3) < 0.2, np.nan, np.sin(3.0 * u).sum(axis=-1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 32])
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+@pytest.mark.parametrize("tol,initial_step", [(1e-5, None), (1e-9, 1e-3)])
+def test_lockstep_pattern_search_moves_as_each_search_alone(monkeypatch, k, ndim, tol,
+                                                            initial_step):
+    # the nested grid's later levels from k starts at once, stopped at a
+    # spacing of tol / 10 (PARAM_TOL = tol) and begun at the level-0
+    # spacing (None) or a finer one
+    monkeypatch.setattr(security, "PARAM_TOL", tol)
+    spacing = math.pi / (_GRID0 - 1) if initial_step is None else initial_step
+    rng = np.random.default_rng(5)
+    x0 = rng.uniform(-1.2, 1.2, (k, ndim))
+    x0[3::3] = 0.5  # searches tied from the start
+    x0[0] = 0.9995  # one step of the finer spacing below a step of _plateaus
+    weight = np.where(np.arange(k) % 2 == 0, 1.0, -1.0)
+    for objective in (_plateaus, _low_bits, _nan_band):
+        def f(u, idx, objective=objective):
+            return weight[idx] * objective(u)
+        f0 = f(x0, np.arange(k))
+        fx, x = security._nest(f, x0.copy(), f0.copy(), np.arange(k), spacing)
+        assert fx.shape == (k,) and x.shape == (k, ndim)
+        # moves only on a strict gain: never down, and never off a NaN start
+        assert np.all((fx >= f0) | np.isnan(f0))
+        assert np.array_equal(x[np.isnan(f0)], x0[np.isnan(f0)])
+        for j in range(k):
+            ref_f, ref_x = _scalar_nest(
+                lambda u: float(weight[j] * objective(np.array(u))), list(x0[j]), f0[j],
+                spacing)
+            assert np.array_equal(fx[j], ref_f, equal_nan=True) and list(x[j]) == ref_x, \
+                (objective, j)
 
 
 def test_sign_branch_pick_equals_the_scalar_search():
