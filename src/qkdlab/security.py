@@ -58,12 +58,14 @@ fidelity or an array of them, each lane with its own F_A and radii.  Every
 lane of a batch is bit-equal to its point evaluated on its own, and every
 preset and caller takes this one path; the universal preset, whose
 ellipsoid leaves no angle, is its level-0 point alone.  The crossing
-solver's 13-point bracket grid is one batch, whose values are final
-(``_crossing_core``).
+solver runs level 0 once on its 13-point bracket grid and nests only the
+points from the rightmost one whose level-0 g is > 0 on: a nest never
+lowers a value, so the rightmost sign change lies among them, and the
+nested values are final (``_crossing_core``).
 
-Brent's method is ``_brentq``, a port of scipy's ``brentq.c`` that the
-tests check ``==`` against ``scipy.optimize.brentq``, so scipy is not a
-runtime dependency.  Both root-finds call it through ``_root``, which
+Brent's method is ``brent.brentq``, a port of scipy's ``brentq.c`` that
+the tests check ``==`` against ``scipy.optimize.brentq``, so scipy is not
+a runtime dependency.  Both root-finds call it through ``_root``, which
 turns a same-sign bracket, a NaN or running out of iterations into
 ``CrossingError``.
 
@@ -81,6 +83,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .brent import brentq as _brentq
 from .cloner import ClonerParams, FidelityReport, _coefficient_entries, closed_form_report
 
 LOG3 = math.log(3.0)
@@ -395,15 +398,29 @@ def _lanes(preset: ProtocolPreset, objective, f_lane, s_lane):
     sign branch ``s_lane[k]``, and ``_INFEASIBLE`` where v^2 < 0.  One call
     of ``objective`` takes at most ``_CALL_POINTS`` points; as every lane is
     bit-equal to its point alone, the cap changes no value.  Lane radii are
-    computed once."""
-    radii = preset.radii(f_lane)
+    computed once.  Each point's fidelity, sign and radii are gathered one
+    part at a time, and kept once the same array ``k`` comes again, as on
+    every level of a nest."""
+    radii, last = preset.radii(f_lane), [None, None]  # k, and its gathers once it came again
+
+    def gather(kp):
+        return f_lane[kp], s_lane[kp], radii[kp]
+
+    def chart(u, f_part, s_part, r_part):  # frees a one-off part's gathers before the objective
+        return preset.chart(f_part, u, s_part, r_part)
 
     def f(u, k):
+        parts = [slice(at, at + _CALL_POINTS) for at in range(0, len(k), _CALL_POINTS)]
+        if k is not last[0]:
+            last[:] = k, None
+        elif last[1] is None:
+            last[1] = [gather(k[part]) for part in parts]
         values = np.empty(len(k))
-        for at in range(0, len(k), _CALL_POINTS):
-            part, kp = slice(at, at + _CALL_POINTS), k[at:at + _CALL_POINTS]
-            amps = preset.chart(f_lane[kp], u[part], s_lane[kp], radii[kp])
-            values[part] = np.where(amps[0] == _INFEASIBLE, _INFEASIBLE, objective(*amps))
+        for i, part in enumerate(parts):
+            amps = chart(u[part], *(last[1][i] if last[1] else gather(k[part])))
+            out = values[part]
+            out[...] = objective(*amps)
+            out[amps[0] == _INFEASIBLE] = _INFEASIBLE
         return values
     return f
 
@@ -451,24 +468,22 @@ def _nest(f, u, fu, lane, spacing):
         j = np.where(np.isnan(values), -np.inf, values).argmax(axis=1)
         top = values[rows, j]
         move = top > fu
-        u[move], fu[move] = cand[move, j[move]], top[move]
+        np.copyto(u, cand[rows, j], where=move[:, None])
+        np.copyto(fu, top, where=move)
     return fu, u
 
 
-def _nested_grid(preset: ProtocolPreset, block, objective):
-    """The inner maximization of ``_maximize_on`` on a block of M fidelities.
+def _level0(preset: ProtocolPreset, block, objective):
+    """Level 0 of the nested grid on a block of M fidelities.
 
-    Each (fidelity, sign) pair -- pair m * 2 + s -- searches the box
+    Pair m * 2 + s is fidelity m on sign branch s; it searches the box
     [-pi/2, pi/2]^n of the chart's n angles.  Level 0 evaluates ``_GRID0``
     points per angle, both faces and t = 0 included, for every pair in one
-    batch.  Each pair then nests from its ``_STARTS`` largest level-0 local
-    maxima (``_local_maxima``): every later level (``_nest``) evaluates 5
-    points per angle around each start's best point, on +-1 spacing of the
-    level before, so at half its spacing, until the spacing is below
-    ``PARAM_TOL`` / 10.  With no angle (n = 0) level 0 is the one point of
-    each pair.  Returns the value, shape (2M,),
-    and the angles, shape (2M, n), of each pair's best start, the first
-    among equals.
+    batch, and picks each pair's ``_STARTS`` largest level-0 local maxima
+    (``_local_maxima``).  Returns the pairs' objective ``f`` (``_lanes``),
+    the starts' values, shape (2M, S), and their angles, shape (2M, S, n).
+    A pair's first start is its level-0 maximum: the first point of a
+    grid's maximum is a local maximum, and local maxima rank by value.
     """
     n = len(preset.e) - 1
     f_pair, s_pair = np.repeat(block, 2), np.tile(_BRANCHES, len(block))
@@ -480,12 +495,52 @@ def _nested_grid(preset: ProtocolPreset, block, objective):
     level0 = f(np.tile(grid, (pairs, 1)), np.repeat(np.arange(pairs), len(grid)))
     level0 = level0.reshape(pairs, len(grid))
     start = _local_maxima(level0.reshape((pairs,) + (_GRID0,) * n))
-    starts = start.shape[1]
-    fu, u = _nest(f, grid[start.ravel()], np.take_along_axis(level0, start, axis=1).ravel(),
-                  np.repeat(np.arange(pairs), starts), math.pi / (_GRID0 - 1))
-    fu = fu.reshape(pairs, starts)
-    best = np.where(np.isnan(fu), -np.inf, fu).argmax(axis=1)
-    return fu[np.arange(pairs), best], u.reshape(pairs, starts, n)[np.arange(pairs), best]
+    return f, np.take_along_axis(level0, start, axis=1), grid[start]
+
+
+def _nest_pairs(f, fu, u, pairs):
+    """The later levels (``_nest``) of ``pairs`` from their level-0 starts
+    ``fu`` and ``u`` (``_level0``'s rows of those pairs).  With no angle
+    (n = 0) level 0 is the one point of each pair.  Returns the value,
+    shape (P,), and the angles, shape (P, n), of each pair's best start,
+    the first among equals."""
+    p, starts, n = u.shape
+    fu, u = _nest(f, u.reshape(p * starts, n), fu.ravel(), np.repeat(pairs, starts),
+                  math.pi / (_GRID0 - 1))
+    fu, u = fu.reshape(p, starts), u.reshape(p, starts, n)
+    best, rows = np.where(np.isnan(fu), -np.inf, fu).argmax(axis=1), np.arange(p)
+    return fu[rows, best], u[rows, best]
+
+
+def _nested_grid(preset: ProtocolPreset, block, objective):
+    """The inner maximization of ``_maximize_on`` on a block of M fidelities:
+    level 0 (``_level0``), then every pair nested from its starts
+    (``_nest_pairs``), each later level evaluating 5 points per angle
+    around each start's best point, on +-1 spacing of the level before, so
+    at half its spacing, until the spacing is below ``PARAM_TOL`` / 10.
+    Returns each pair's value, shape (2M,), and angles, shape (2M, n).
+    """
+    f, fu, u = _level0(preset, block, objective)
+    return _nest_pairs(f, fu, u, np.arange(len(fu)))
+
+
+def _winning_branches(fp):
+    """Each fidelity's winning pair among the pair values ``fp``, shape (2M,):
+    the - branch wins if strictly above the + branch, which counts as
+    ``_INFEASIBLE`` unless above it, so + wins ties and NaN never wins."""
+    plus = np.where(fp[0::2] > _INFEASIBLE, fp[0::2], _INFEASIBLE)
+    return 2 * np.arange(len(plus)) + (fp[1::2] > plus)
+
+
+def _branch_maxima(preset: ProtocolPreset, block, fp, up):
+    """(best, amplitudes) of each fidelity of ``block`` from its pairs'
+    values ``fp`` and angles ``up``, or ``(_INFEASIBLE, None)`` when no
+    value is above ``_INFEASIBLE``; one ``chart`` call gives the winners'
+    amplitudes."""
+    win = _winning_branches(fp)
+    amps = preset.chart(block, up[win], _BRANCHES[win % 2])
+    return [(float(fp[w]), tuple(float(a[m]) for a in amps)) if fp[w] > _INFEASIBLE
+            else (_INFEASIBLE, None) for m, w in enumerate(win)]
 
 
 def _maximize_on(preset: ProtocolPreset, f_a, objective):
@@ -499,10 +554,8 @@ def _maximize_on(preset: ProtocolPreset, f_a, objective):
 
     ``f_a`` is one fidelity, or a 1-D array of them searched together in
     blocks of at most ``_FIDELITY_BLOCK`` by ``_nested_grid``, each lane
-    with its own F_A and sign and bit-equal to its point alone.  Each
-    fidelity's - branch wins if strictly above its + branch, which counts
-    as ``_INFEASIBLE`` unless above it: + wins ties and NaN never wins.  One
-    ``chart`` call per block gives the winners' amplitudes.  Returns (best,
+    with its own F_A and sign and bit-equal to its point alone; the sign
+    branches are picked by ``_winning_branches``.  Returns (best,
     amplitudes) for one fidelity, ``(_INFEASIBLE, None)`` when no value is
     above ``_INFEASIBLE``, and a list of such pairs for an array.
     """
@@ -510,12 +563,7 @@ def _maximize_on(preset: ProtocolPreset, f_a, objective):
     found = []
     for start in range(0, len(fids), _FIDELITY_BLOCK):
         block = fids[start:start + _FIDELITY_BLOCK]
-        fp, up = _nested_grid(preset, block, objective)
-        plus = np.where(fp[0::2] > _INFEASIBLE, fp[0::2], _INFEASIBLE)
-        win = 2 * np.arange(len(block)) + (fp[1::2] > plus)
-        amps = preset.chart(block, up[win], _BRANCHES[win % 2])
-        found += [(float(fp[w]), tuple(float(a[m]) for a in amps)) if fp[w] > _INFEASIBLE
-                  else (_INFEASIBLE, None) for m, w in enumerate(win)]
+        found += _branch_maxima(preset, block, *_nested_grid(preset, block, objective))
     return found if np.ndim(f_a) else found[0]
 
 
@@ -523,8 +571,8 @@ def _iae(preset: ProtocolPreset):
     """I_AE in nats, averaged over the protocol bases, as an objective of
     amplitude arrays; I_AB is not computed."""
     def objective(*amps):
-        i_ae = _basis_information(preset, amps)[1]
-        return sum(i_ae) / len(i_ae)
+        i_ae = _basis_information(preset, amps)[1]  # never -0.0, so 0 + I and I / 1 are I
+        return i_ae[0] if len(i_ae) == 1 else sum(i_ae) / len(i_ae)
     return objective
 
 
@@ -535,65 +583,6 @@ def _iab_nats(f_a: float, dim: int) -> float:
 
 # ---------------------------------------------------------------------------
 # Brent's method
-
-
-def _brentq(f, a, b, xtol, rtol, maxiter):
-    """Root of f in [a, b] by Brent's method: a port of scipy's ``brentq.c``.
-
-    Step for step the same floating-point operations as scipy's C routine
-    and its Python wrapper: f is called at a, then b; an exact zero there
-    is returned; the bracket is tested by sign bit; each step interpolates
-    (secant), extrapolates (inverse quadratic) or bisects, and moves at
-    least delta = (xtol + rtol |x|) / 2.  A NaN from f, a same-sign
-    bracket or ``maxiter`` steps raise scipy's errors with its messages.
-    """
-    def call(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre = call(xpre)
-    fcur = call(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # C gives inf or nan here, which bisects
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis  # bisect
-        else:
-            spre = scur = sbis  # bisect
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def _root(g, lo, hi, what, maxiter):
@@ -637,10 +626,16 @@ def _crossing_core(preset_name: str) -> tuple[float, tuple, float, int]:
     """Base-independent crossing solve; returns (F*, params items, residual nats, iters).
 
     Brent's method finds the root of g(F) = max I_AE(F) - I_AB(F) inside
-    the rightmost sign change of g on a 13-point grid.  The grid's inner
-    maxima are one ``_maximize_on`` batch, each equal to that fidelity's
-    maximum alone, so Brent reads its two endpoint values from the grid;
-    ``g`` maximizes only the fidelities off the grid.  Points are amplitude
+    the rightmost sign change of g on a 13-point grid.  Level 0 of the
+    nested grid runs once on all 13 points (``_level0``), and only the
+    points from the rightmost one whose level-0 g is > 0 on are nested
+    (``_nest_pairs``).  That is exact: a nest moves only on a strict gain
+    and each pair's level-0 maximum is one of its starts, so a point's
+    final g is at least its level-0 g, and the rightmost sign change lies
+    among the nested points.  If g stays > 0 on all of them, the rest of
+    the grid is nested too.  The nested values equal each fidelity's
+    maximum alone, so Brent reads its two endpoint values from them; ``g``
+    maximizes only the fidelities off the grid.  Points are amplitude
     tuples throughout; the parameter names are attached once, to the
     returned items.  ``iters`` counts every g request, the 13 grid points
     included.  A Brent run that does not converge raises ``CrossingError``.
@@ -649,20 +644,28 @@ def _crossing_core(preset_name: str) -> tuple[float, tuple, float, int]:
     d = preset.dimension
     lo, hi = 1.0 / d + 1e-9, 1.0 - 1e-9
     grid = np.linspace(lo, hi, 13).tolist()
+    iab = [_iab_nats(f, d) for f in grid]
     iae = _iae(preset)
-    solved = dict(zip(grid, _maximize_on(preset, np.array(grid), iae)))
-    gv = [solved[f][0] - _iab_nats(f, d) for f in grid]
-    evals = len(grid)
-
-    bracket = None
-    for i in range(len(grid) - 1):
-        if gv[i] > 0.0 >= gv[i + 1]:
-            bracket = i  # rightmost sign change wins
+    f, fu, u = _level0(preset, np.array(grid), iae)
+    fp0 = fu[:, 0]  # each pair's level-0 maximum, a lower bound of its final value
+    g0 = fp0[_winning_branches(fp0)] - iab
+    right = max([m for m in range(len(grid)) if g0[m] > 0.0], default=0)
+    solved, gv, bracket = {}, {}, None
+    for first, last in (right, len(grid)), (0, right):  # the rest, if g > 0 on all of them
+        pairs = np.arange(2 * first, 2 * last)
+        found = _branch_maxima(preset, np.array(grid[first:last]),
+                               *_nest_pairs(f, fu[pairs], u[pairs], pairs))
+        for m, pair in zip(range(first, last), found):
+            solved[grid[m]], gv[m] = pair, pair[0] - iab[m]
+        bracket = max((i for i in range(first, last - 1) if gv[i] > 0.0 >= gv[i + 1]),
+                      default=None)  # rightmost sign change wins
+        if bracket is not None or not right:
+            break
     if bracket is None:
         raise CrossingError(
             f"no information crossing found for preset {preset_name!r} in "
             f"[{lo:.4f}, {hi:.4f}]")
-    ends = grid[bracket:bracket + 2]
+    ends, evals = grid[bracket:bracket + 2], len(grid)
 
     def g(f_a: float) -> float:
         nonlocal evals

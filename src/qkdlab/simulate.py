@@ -98,6 +98,9 @@ class PairedIndexSifting:
 SiftingRule = Union[SameIndexSifting, PairedIndexSifting]
 
 _UNIFORM4 = (0.25, 0.25, 0.25, 0.25)
+#: the most rounds one session takes: about 9 h at 30e6 rounds/s on one
+#: core of a 2-vCPU Xeon VM
+_ROUNDS_MAX = 10 ** 12
 
 
 @dataclass(frozen=True)
@@ -112,6 +115,8 @@ class SimConfig:
     def __post_init__(self):
         if self.rounds < 1:
             raise ValueError("rounds must be at least 1")
+        if self.rounds > _ROUNDS_MAX:
+            raise ValueError(f"rounds must be at most {_ROUNDS_MAX}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         for name in ("alice_weights", "bob_weights"):

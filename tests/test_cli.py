@@ -503,6 +503,40 @@ def test_simulate_unreadable_config_exits_1(runner, tmp_path, name, message):
     assert "Usage:" not in result.output
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("rounds", [simulate._ROUNDS_MAX + 1, 10 ** 330], ids=["max+1", "1e330"])
+def test_simulate_with_too_many_rounds_exits_1_before_any_table(runner, monkeypatch, tmp_path,
+                                                                rounds, source):
+    # 10^330 rounds ran until killed; the bound refuses them before any
+    # table is built
+    def no_tables(*args, **kwargs):
+        raise AssertionError("the session built its tables")
+
+    monkeypatch.setattr(simulate, "_round_tables", no_tables)
+    if source == "flag":
+        args = ["simulate", "--rounds", str(rounds)]
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"rounds": rounds, "seed": 0}))
+        args = ["simulate", "--config", str(path)]
+    result = runner.invoke(main, args)
+    assert_usage_error(result, f"rounds must be at most {simulate._ROUNDS_MAX}")
+    assert source == "flag" or "Usage:" not in result.output
+
+
+def test_survey_with_too_many_rounds_exits_1(runner, monkeypatch):
+    def no_survey(config):
+        raise AssertionError("the survey ran")
+
+    monkeypatch.setattr(simulate, "basis_correlation_survey", no_survey)
+    result = runner.invoke(main, ["survey", "--rounds", str(simulate._ROUNDS_MAX + 1)])
+    assert_usage_error(result, f"rounds must be at most {simulate._ROUNDS_MAX}")
+
+
+def test_a_session_of_the_most_rounds_is_accepted():
+    assert simulate.SimConfig(rounds=simulate._ROUNDS_MAX, seed=0).rounds == 10 ** 12
+
+
 def test_survey_negative_seed_exits_1(runner):
     result = runner.invoke(main, ["survey", "--rounds", "10", "--seed", "-1"])
     assert_usage_error(result, "seed must be nonnegative")

@@ -386,51 +386,92 @@ def _bracket_grid(preset):
     return np.linspace(1 / preset.dimension + 1e-9, 1 - 1e-9, 13)
 
 
+# grid points nested by a cold solve: from the rightmost one whose level-0 g
+# is > 0 to the right end; universal has no angle, so its nests do nothing
+NESTED_GRID_POINTS = {"3deb": 6, "universal": 6, "2mub": 5, "qubit": 5}
+
+
 @pytest.fixture(scope="module", params=sorted(PRESETS))
 def recorded_cold_solve(request):
-    """A cold crossing solve with every I_AE maximization recorded."""
-    maximize_on, calls = security._maximize_on, []
+    """A cold crossing solve with its grid's level 0, its grid nests and
+    every I_AE maximization recorded."""
+    calls = {"level0": [], "nested": [], "maximize": []}
+    level0, branch_maxima = security._level0, security._branch_maxima
+    maximize_on, inside = security._maximize_on, []
+
+    def level0_spy(preset, block, objective):
+        found = level0(preset, block, objective)
+        if not inside:
+            calls["level0"].append((list(block), found))
+        return found
+
+    def branch_spy(preset, block, fp, up):
+        found = branch_maxima(preset, block, fp, up)
+        if not inside:
+            calls["nested"].append((list(block), found))
+        return found
 
     def maximize_spy(preset, f_a, objective):
-        found = maximize_on(preset, f_a, objective)
-        calls.append((f_a, found))
+        inside.append(f_a)
+        try:
+            found = maximize_on(preset, f_a, objective)
+        finally:
+            inside.pop()
+        calls["maximize"].append((f_a, found))
         return found
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(security, "_level0", level0_spy)
+        mp.setattr(security, "_branch_maxima", branch_spy)
         mp.setattr(security, "_maximize_on", maximize_spy)
         result = _crossing_core.__wrapped__(request.param)
     return PRESETS[request.param], result, calls
 
 
+def _level0_g(preset, grid, fu):
+    """g at level 0 of each grid point, from its pairs' level-0 maxima."""
+    fp0 = fu[:, 0]
+    return [fp0[w] - _iab_nats(f, preset.dimension)
+            for f, w in zip(grid, security._winning_branches(fp0))]
+
+
 def test_bracket_endpoints_are_polished_once_and_equal_the_point_maxima(recorded_cold_solve):
-    # the whole grid is one batch, maximized once, and its values are final
+    # level 0 runs once over the whole grid; the grid points from the
+    # rightmost one positive at level 0 on are nested, each once, and the
+    # nested values are final: each equals that fidelity's maximum alone
     preset, result, calls = recorded_cold_solve
     assert result == _crossing_core(preset.name)
     grid = list(_bracket_grid(preset))
-    batches = [(f_a, found) for f_a, found in calls if np.ndim(f_a)]
-    assert len(batches) == 1 and list(batches[0][0]) == grid
-    for f, pair in zip(grid, batches[0][1]):
+    assert [block for block, _ in calls["level0"]] == [grid]
+    nested = [(f, pair) for block, found in calls["nested"] for f, pair in zip(block, found)]
+    fids = [f for f, _ in nested]
+    assert fids == grid[-NESTED_GRID_POINTS[preset.name]:]
+    g0 = _level0_g(preset, grid, calls["level0"][0][1][1])
+    assert g0[grid.index(fids[0])] > 0.0 and all(g <= 0.0 for g in g0[grid.index(fids[0]) + 1:])
+    assert fids[0] < result[0] < fids[-1]
+    for f, pair in nested:
         assert pair == _max_iae(preset, float(f))
 
 
 def test_brent_maximizes_only_away_from_the_bracket_endpoints(recorded_cold_solve):
-    # 13 grid values and Brent's two endpoint values come from the grid batch
+    # 13 grid values and Brent's two endpoint values come from the grid
     preset, (_, _, _, iterations), calls = recorded_cold_solve
-    single = [f_a for f_a, _ in calls[1:]]
+    single = [f_a for f_a, _ in calls["maximize"]]
     assert all(np.ndim(f) == 0 for f in single)
     assert len(single) == len(set(single)) == iterations - 15
     assert not set(single) & set(_bracket_grid(preset))
 
 
-# objective calls per stage of a cold crossing solve -- the grid's batch,
-# then each Brent step -- and the g count; a kernel that keeps every float
-# bit-equal leaves every count as it is.  A stage makes one level-0 call
-# per 1024 points, then one call per level, 32 levels, for each 1024
+# objective calls per stage of a cold crossing solve -- the grid (its level
+# 0, then the nests of its points from the rightmost one positive at level
+# 0), then each Brent step -- and the g count; a kernel that keeps every
+# float bit-equal leaves every count as it is.  A stage makes one level-0
+# call per 1024 points, then one call per level, 32 levels, for each 1024
 # points of a level; universal has no angle and no level after 0
 STAGE_CALLS = {
     "3deb": ([33] * 5, 19),
     "universal": ([1] * 6, 20),
-    "2mub": ([69] + [33] * 5, 20),
+    "2mub": ([37] + [33] * 5, 20),
     "qubit": ([33] * 6, 20),
 }
 
@@ -456,19 +497,161 @@ def test_cold_solve_makes_the_pinned_objective_calls_per_stage(monkeypatch, name
 def test_grid_signs_read_both_sign_branches(monkeypatch, lane):
     # qubit's I_AE is even in x, so its two branches are mirror images and
     # either alone brackets the crossing; one branch pushed far down in the
-    # grid batch must not move the solve, as the other ties it bit for bit
+    # grid's level 0 and in its nests must not move the solve or the grid
+    # points it nests, as the other ties it bit for bit
     expected = _crossing_core("qubit")
-    nested = security._nested_grid
+    level0, nest_pairs, grid_lanes, nested = security._level0, security._nest_pairs, [], []
 
-    def one_branch_low(preset, block, objective):
-        fp, up = nested(preset, block, objective)
+    def level0_low(preset, block, objective):
+        f, fu, u = level0(preset, block, objective)
         if len(block) > 1:
+            grid_lanes.append(f)
+            fu = fu.copy()
+            fu[lane::2] -= 10.0
+        return f, fu, u
+
+    def nest_low(f, fu, u, pairs):
+        fp, up = nest_pairs(f, fu, u, pairs)
+        if f in grid_lanes:
+            nested.append(pairs.tolist())
             fp = fp.copy()
-            fp[lane::2] -= 10.0
+            fp[pairs % 2 == lane] -= 10.0
         return fp, up
 
-    monkeypatch.setattr(security, "_nested_grid", one_branch_low)
+    monkeypatch.setattr(security, "_level0", level0_low)
+    monkeypatch.setattr(security, "_nest_pairs", nest_low)
     assert _crossing_core.__wrapped__("qubit") == expected
+    assert len(grid_lanes) == 1
+    assert nested == [list(range(26 - 2 * NESTED_GRID_POINTS["qubit"], 26))]
+
+
+def _full_grid_crossing(name):
+    """The crossing solve with all 13 grid points nested in one
+    ``_maximize_on`` batch: the reference of ``_crossing_core``, which
+    nests only the grid points that can hold the rightmost sign change."""
+    preset = PRESETS[name]
+    d = preset.dimension
+    lo, hi = 1.0 / d + 1e-9, 1.0 - 1e-9
+    grid = np.linspace(lo, hi, 13).tolist()
+    iae = security._iae(preset)
+    solved = dict(zip(grid, _maximize_on(preset, np.array(grid), iae)))
+    gv = [solved[f][0] - _iab_nats(f, d) for f in grid]
+    evals = len(grid)
+    bracket = None
+    for i in range(len(grid) - 1):
+        if gv[i] > 0.0 >= gv[i + 1]:
+            bracket = i  # rightmost sign change wins
+    if bracket is None:
+        raise CrossingError(f"no information crossing found for preset {name!r} in "
+                            f"[{lo:.4f}, {hi:.4f}]")
+
+    def g(f_a):
+        nonlocal evals
+        evals += 1
+        if f_a not in solved:
+            solved[f_a] = _maximize_on(preset, f_a, iae)
+        return solved[f_a][0] - _iab_nats(f_a, d)
+
+    f_star = security._root(g, grid[bracket], grid[bracket + 1], f"preset {name!r}", 200)
+    best, amps = solved[f_star]
+    residual = abs(best - _iab_nats(f_star, d))
+    if residual > security.RESIDUAL_TOL * math.log(2.0):
+        raise CrossingError(f"crossing solver did not converge for {name!r}: "
+                            f"residual {residual:.2e}")
+    return f_star, tuple(sorted(zip(preset.free_params, amps))), residual, evals
+
+
+def _solve_or_error(solve, name):
+    try:
+        return solve(name)
+    except CrossingError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_crossing_equals_the_full_grid_batch(name):
+    assert _crossing_core.__wrapped__(name) == _full_grid_crossing(name)
+
+
+_F_GRID = np.linspace(1 / 3 + 1e-9, 1 - 1e-9, 13)  # 3deb's bracket grid
+_T_TOP = 0.75  # chart angle of the hill's top, 0.035 from the level-0 point pi/4
+
+
+def _shaped_iae(g_of_f, bump_of_f):
+    """A 3deb I_AE objective that sets g(F) = max I_AE - I_AB by hand: I_AB
+    plus ``g_of_f(F)``, a hill of height 0.01 in the chart angle t that
+    peaks at ``_T_TOP``, and a bump of height ``bump_of_f(F)`` and width
+    0.005 on its top, which level 0 misses (exp(-49)) and nesting finds."""
+    def objective(v, x, y):
+        f = v * v + 2.0 * y * y
+        t = np.arcsin(np.clip(y / np.sqrt((1.0 - f) / 4.0), -1.0, 1.0))
+        e = (1.0 - f) / 2.0
+        iab = math.log(3.0) - _entropy_nats(np.stack([f, e, e]))
+        return (iab + g_of_f(f) + 0.01 * np.cos(t - _T_TOP)
+                + bump_of_f(f) * np.exp(-((t - _T_TOP) / 0.005) ** 2))
+    return lambda preset: objective
+
+
+def _tent(center, height, width=0.03):
+    return lambda f: height * np.maximum(0.0, 1.0 - np.abs(f - center) / width)
+
+
+def _recorded_grid_stages(monkeypatch):
+    """The grid's level-0 values and the pairs of every nest, as recorded."""
+    level0, nest_pairs, seen = security._level0, security._nest_pairs, {"nests": []}
+
+    def level0_spy(preset, block, objective):
+        found = level0(preset, block, objective)
+        seen.setdefault("level0", found[1])
+        return found
+
+    def nest_spy(f, fu, u, pairs):
+        seen["nests"].append(pairs.tolist())
+        return nest_pairs(f, fu, u, pairs)
+
+    monkeypatch.setattr(security, "_level0", level0_spy)
+    monkeypatch.setattr(security, "_nest_pairs", nest_spy)
+    return seen
+
+
+def test_a_point_lifted_by_nesting_moves_the_bracket_right(monkeypatch):
+    # g = 0.76 - F at level 0, so the level-0 signs change between grid
+    # points 7 and 8; a bump at point 10 that only nesting finds lifts g
+    # there from -0.13 to +0.17, and the bracket moves to points 10 and 11
+    monkeypatch.setattr(security, "_iae", _shaped_iae(lambda f: 0.75 - f,
+                                                      _tent(_F_GRID[10], 0.3)))
+    expected = _full_grid_crossing("3deb")
+    seen = _recorded_grid_stages(monkeypatch)
+    result = _crossing_core.__wrapped__("3deb")
+    assert result == expected
+    g0 = _level0_g(PRESETS["3deb"], _F_GRID.tolist(), seen["level0"])
+    assert g0[7] > 0.0 >= g0[8] and g0[10] <= 0.0
+    assert _F_GRID[10] < result[0] < _F_GRID[11]
+    # points 7 to 12 nested together, then one fidelity per Brent step
+    assert seen["nests"][0] == list(range(14, 26))
+    assert all(pairs == [0, 1] for pairs in seen["nests"][1:])
+
+
+@pytest.mark.parametrize("g_of_f,crossing", [
+    (lambda f: 0.2 - _tent(_F_GRID[4], 0.5)(f), True),  # g <= 0 at point 4 alone
+    (lambda f: 0.2 + 0.0 * f, False),  # g > 0 everywhere
+    (lambda f: -0.2 + 0.0 * f, False),  # g < 0 everywhere, at level 0 too
+], ids=["dip", "above", "below"])
+def test_a_nested_part_above_zero_falls_back_to_the_whole_grid(monkeypatch, g_of_f, crossing):
+    # when g stays > 0 on every nested point, the rest of the grid is nested
+    # too and read as the full batch reads it: the same bracket and root, or
+    # the same CrossingError
+    monkeypatch.setattr(security, "_iae", _shaped_iae(g_of_f, lambda f: 0.0 * f))
+    expected = _solve_or_error(_full_grid_crossing, "3deb")
+    seen = _recorded_grid_stages(monkeypatch)
+    assert _solve_or_error(_crossing_core.__wrapped__, "3deb") == expected
+    assert isinstance(expected, tuple) == crossing
+    if crossing:
+        assert _F_GRID[3] < expected[0] < _F_GRID[4]
+    if g_of_f(0.5) > 0:  # point 12 alone, then points 0 to 11
+        assert seen["nests"][:2] == [[24, 25], list(range(24))]
+    else:  # no point positive at level 0: the whole grid at once
+        assert seen["nests"][0] == list(range(26))
 
 
 def _lift_right_endpoint(monkeypatch):
@@ -489,13 +672,9 @@ def _cap_brent_iterations(monkeypatch):
 
 
 def _sink_the_grid(monkeypatch):
-    nested = security._nested_grid
-
-    def sunk(preset, block, objective):
-        fp, up = nested(preset, block, objective)
-        return fp - 10.0, up
-
-    monkeypatch.setattr(security, "_nested_grid", sunk)
+    # I_AE pushed far below I_AB: g < 0 at every grid point
+    iae = security._iae
+    monkeypatch.setattr(security, "_iae", lambda preset: lambda *amps: iae(preset)(*amps) - 10.0)
 
 
 @pytest.mark.parametrize("break_solver,message", [
