@@ -9,7 +9,7 @@ from .cloner import (AmplitudeMatrix, ClonerParams, CloneOutputs, FidelityReport
                      clone_state, closed_form_report, eve_joint_distribution,
                      fidelity, fourier_dual, phase_covariance_check,
                      phi_cloner_matrix, tilde_amplitudes, tilde_coefficients)
-from .qudit import (BasisSpec, DensityMatrix, Operator, StateVector, bell_state,
+from .qudit import (BasisSpec, DensityMatrix, StateVector, bell_state,
                     conjugate_phi_basis_state, error_operator, max_entangled,
                     optimal_bases, partial_trace, phi_basis_state,
                     tilde_bell_state)
@@ -21,7 +21,6 @@ from .security import (CrossingError, CrossingResult, ErrorRateRow, InfoReport,
                        resolve_preset, shannon_entropy, symmetric_point,
                        thresholds)
 from .simulate import (Channel, CloningAttackChannel, ComparisonRecord,
-                       DepolarizingChannel, IdealChannel, PairedIndexSifting,
-                       SameIndexSifting, SimConfig, SimResult, SurveyResult,
-                       basis_correlation_survey, empirical_vs_analytic,
-                       round_distribution, run_session)
+                       DepolarizingChannel, PairedIndexSifting, SimConfig,
+                       SimResult, SurveyResult, basis_correlation_survey,
+                       empirical_vs_analytic, round_distribution, run_session)

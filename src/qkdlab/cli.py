@@ -8,9 +8,10 @@ result), emission, and the exit codes: 0 success, 1 usage or input error
 (any ValueError, or an OSError reading or writing a file), 2 numerical
 non-convergence (CrossingError).  A bad option prints click's usage
 banner; a file fault -- an OSError, or a malformed --config file
-(ConfigError) -- prints one Error: line.  A command body parses its own
-options, raising ValueError on bad input as the library does, calls the
-library and returns its inputs and result, or finished CSV text.
+(ConfigError) or one nested too deeply to echo -- prints one Error: line.
+A command body parses its own options, raising ValueError on bad input as
+the library does, calls the library and returns its inputs and result, or
+finished CSV text.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def _optimal_attack_params() -> ClonerParams:
 def _parse_channel(spec: str) -> simulate.Channel:
     low = spec.strip().lower()
     if low == "ideal":
-        return simulate.IdealChannel()
+        return simulate.DepolarizingChannel(1.0)
     if low.startswith(("depol:", "depolarizing:")):
         try:
             v = float(low.split(":", 1)[1])
@@ -100,10 +101,10 @@ def _parse_channel(spec: str) -> simulate.Channel:
         f"unknown channel {spec!r}; use ideal, depol:V or clone:v,x,y[,z]|optimal")
 
 
-def _parse_sifting(spec: str) -> simulate.SiftingRule:
+def _parse_sifting(spec: str) -> simulate.PairedIndexSifting:
     low = spec.strip().lower()
     if low == "same":
-        return simulate.SameIndexSifting()
+        return simulate.PairedIndexSifting()
     if low.startswith("pairs:"):
         try:
             pairs = tuple(
@@ -115,9 +116,7 @@ def _parse_sifting(spec: str) -> simulate.SiftingRule:
     raise ValueError(f"unknown sifting rule {spec!r}; use same or pairs:i-j,...")
 
 
-def _parse_weights(flag: str, spec: str | None) -> tuple[float, ...]:
-    if spec is None:
-        return (0.25, 0.25, 0.25, 0.25)
+def _parse_weights(flag: str, spec: str) -> tuple[float, ...]:
     try:
         return tuple(float(p) for p in spec.split(","))
     except ValueError:
@@ -159,6 +158,8 @@ def command(name: str):
                 sys.exit(2)
             except (OSError, ConfigError) as exc:
                 raise click.ClickException(str(exc))
+            except RecursionError:  # the envelope nests an echoed config two levels deeper
+                raise click.ClickException("input nested too deeply to echo") from None
             except ValueError as exc:
                 raise click.UsageError(str(exc))
 
@@ -183,7 +184,7 @@ def bases():
             {
                 "index": i,
                 "phi": b.phi,
-                "states": [s.to_json() for s in b.states()],
+                "states": b.matrix().T,
             }
             for i, b in enumerate(specs)
         ],
@@ -211,7 +212,7 @@ def cloner_eval(params_spec, normalize, base):
         else:
             params.require_normalized(remedy="drop --no-normalize to rescale")
     result = asdict(security.info_report(params, base=base))
-    result["amplitude_matrix"] = phi_cloner_matrix(params).to_json()
+    result["amplitude_matrix"] = phi_cloner_matrix(params).a
     inputs = {"params": {"v": params.v, "x": params.x, "y": params.y, "z": params.z},
               "base": base, "normalize": normalize}
     return inputs, result
@@ -274,21 +275,21 @@ def simulate_cmd(rounds, seed, channel_spec, sifting_spec, alice_weights, bob_we
             with open(config_path) as fh:
                 data = json.load(fh)
             config = simulate.SimConfig.from_json(data)
-        except RecursionError:  # json and repr recurse once per nesting level
+            channel_spec = jsonable(data.get("channel", {"type": "ideal"}))
+            sifting_spec = jsonable(data.get("sifting", {"rule": "same"}))
+        except RecursionError:  # json, repr and the echo recurse once per nesting level
             raise ConfigError(f"config {config_path!r} is nested too deeply") from None
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        channel_spec = data.get("channel", {"type": "ideal"})
-        sifting_spec = data.get("sifting", {"rule": "same"})
     elif rounds is None:
         raise ValueError("--rounds is required (or pass --config)")
     else:
-        config = simulate.SimConfig(
-            rounds=rounds, seed=seed,
-            channel=_parse_channel(channel_spec),
-            alice_weights=_parse_weights("--alice-weights", alice_weights),
-            bob_weights=_parse_weights("--bob-weights", bob_weights),
-            sifting=_parse_sifting(sifting_spec))
+        weights = {f"{who}_weights": _parse_weights(f"--{who}-weights", spec)
+                   for who, spec in (("alice", alice_weights), ("bob", bob_weights))
+                   if spec is not None}
+        config = simulate.SimConfig(rounds=rounds, seed=seed,
+                                    channel=_parse_channel(channel_spec),
+                                    sifting=_parse_sifting(sifting_spec), **weights)
 
     if dump_csv:
         # integer rows, written as each chunk of rounds is sampled

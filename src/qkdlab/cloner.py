@@ -110,15 +110,6 @@ class AmplitudeMatrix:
         """p[m, n] = |a[m, n]|^2."""
         return np.abs(self.a) ** 2
 
-    def to_json(self) -> list[list[list[float]]]:
-        """Row-major [re, im] pairs."""
-        return [[[float(c.real), float(c.imag)] for c in row] for row in self.a]
-
-    @staticmethod
-    def from_json(data) -> "AmplitudeMatrix":
-        a = np.array([[complex(re, im) for re, im in row] for row in data])
-        return AmplitudeMatrix(a)
-
 
 def phi_cloner_matrix(params: ClonerParams) -> AmplitudeMatrix:
     """Constrained amplitude matrix [[v,x,x],[y,y,y],[z,z,z]].
@@ -180,7 +171,7 @@ def _cloner_terms(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
     Both arrays are read-only, so every caller can share them.
     """
-    return tuple((error_operator(m, nn, n).entries, bell_state(m, (-nn) % n, n).amps)
+    return tuple((error_operator(m, nn, n), bell_state(m, (-nn) % n, n).amps)
                  for m in range(n) for nn in range(n))
 
 

@@ -57,31 +57,6 @@ class StateVector:
         """<self|other>."""
         return complex(np.vdot(self.amps, other.amps))
 
-    def to_json(self) -> list[list[float]]:
-        """Amplitudes as [re, im] pairs (debug/CLI output format)."""
-        return [[float(a.real), float(a.imag)] for a in self.amps]
-
-
-@dataclass
-class Operator:
-    """Square complex matrix acting on a single register."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
-        if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
-            raise ValueError("operator must be a square matrix")
-        self.entries.flags.writeable = False
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def is_unitary(self, tol: float = TOL) -> bool:
-        eye = self.entries @ self.entries.conj().T
-        return bool(np.max(np.abs(eye - np.eye(self.dim))) <= tol)
-
 
 @dataclass
 class DensityMatrix:
@@ -131,9 +106,6 @@ class BasisSpec:
     def state(self, l: int) -> StateVector:
         return phi_basis_state(self.phi, l)
 
-    def states(self) -> list[StateVector]:
-        return [StateVector(c, (3,)) for c in self.matrix().T]
-
     def matrix(self) -> np.ndarray:
         """The three basis states as columns."""
         return phase_basis(self.phi)
@@ -171,18 +143,19 @@ def max_entangled(n: int) -> StateVector:
     return StateVector(amps, (n, n))
 
 
-def error_operator(m: int, n: int, dim: int = 3) -> Operator:
+def error_operator(m: int, n: int, dim: int = 3) -> np.ndarray:
     """Unitary shifting |k> by m (mod dim) with phase exp(2 pi i k n / dim).
 
     Shifts the computational basis by ``m`` units and the Fourier-transformed
-    basis by ``n`` units.
+    basis by ``n`` units.  The (dim, dim) matrix is read-only.
     """
     if not (0 <= m < dim and 0 <= n < dim):
         raise ValueError(f"shift indices ({m},{n}) out of range for dim {dim}")
     u = np.zeros((dim, dim), dtype=complex)
     for k in range(dim):
         u[(k + m) % dim, k] = np.exp(2j * math.pi * k * n / dim)
-    return Operator(u)
+    u.flags.writeable = False
+    return u
 
 
 def bell_state(m: int, n: int, dim: int = 3) -> StateVector:

@@ -99,8 +99,8 @@ _GRID0 = 13
 _STARTS = 3
 #: the most points one objective call takes
 _CALL_POINTS = 1024
-#: fidelities per batch of the inner maximizer: at least the 13 of the
-#: crossing solver's bracket grid, and a bound on a sweep's memory
+#: fidelities per batch of the inner maximizer: it bounds a sweep's memory
+#: (``_crossing_core`` runs ``_level0`` on its 13 grid points directly)
 _FIDELITY_BLOCK = 32
 _INFEASIBLE = -1e18
 _BRANCHES = np.array([1.0, -1.0])

@@ -27,9 +27,9 @@ rounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
-from typing import ClassVar, Union
+from typing import Union
 
 import numpy as np
 
@@ -46,15 +46,11 @@ _BASES = np.array([b.matrix() for b in optimal_bases()])
 
 
 @dataclass(frozen=True)
-class IdealChannel:
-    """The entangled state unchanged: the depolarizing channel at visibility 1."""
-
-    visibility: ClassVar[float] = 1.0
-
-
-@dataclass(frozen=True)
 class DepolarizingChannel:
-    """Entangled state admixed with unbiased noise of weight 1 - visibility."""
+    """Entangled state admixed with unbiased noise of weight 1 - visibility.
+
+    At visibility 1 it is the ideal source, the entangled state unchanged.
+    """
 
     visibility: float
 
@@ -73,29 +69,21 @@ class CloningAttackChannel:
         self.params.require_normalized()
 
 
-Channel = Union[IdealChannel, DepolarizingChannel, CloningAttackChannel]
-
-
-@dataclass(frozen=True)
-class SameIndexSifting:
-    """Keep rounds where both parties picked the same basis index."""
-
-    pairs: ClassVar = ((0, 0), (1, 1), (2, 2), (3, 3))
+Channel = Union[DepolarizingChannel, CloningAttackChannel]
 
 
 @dataclass(frozen=True)
 class PairedIndexSifting:
-    """Keep rounds whose (sender, receiver) basis pair is in an accept list."""
+    """Keep rounds whose (sender, receiver) basis pair is in an accept list;
+    by default the rounds where both parties picked the same basis index."""
 
-    pairs: tuple[tuple[int, int], ...]
+    pairs: tuple[tuple[int, int], ...] = ((0, 0), (1, 1), (2, 2), (3, 3))
 
     def __post_init__(self):
         for i, j in self.pairs:
             if not (0 <= i < 4 and 0 <= j < 4):
                 raise ValueError(f"basis pair ({i},{j}) out of range")
 
-
-SiftingRule = Union[SameIndexSifting, PairedIndexSifting]
 
 _UNIFORM4 = (0.25, 0.25, 0.25, 0.25)
 #: the most rounds one session takes: about 9 h at 30e6 rounds/s on one
@@ -107,10 +95,10 @@ _ROUNDS_MAX = 10 ** 12
 class SimConfig:
     rounds: int
     seed: int
-    channel: Channel = field(default_factory=IdealChannel)
+    channel: Channel = DepolarizingChannel(1.0)
     alice_weights: tuple[float, ...] = _UNIFORM4
     bob_weights: tuple[float, ...] = _UNIFORM4
-    sifting: SiftingRule = field(default_factory=SameIndexSifting)
+    sifting: PairedIndexSifting = PairedIndexSifting()
 
     def __post_init__(self):
         if self.rounds < 1:
@@ -145,7 +133,7 @@ class SimConfig:
                 raise ValueError("config 'channel' and 'sifting' must be JSON objects")
             kind = ch.get("type", "ideal")
             if kind == "ideal":
-                channel: Channel = IdealChannel()
+                channel: Channel = DepolarizingChannel(1.0)
             elif kind == "depolarizing":
                 channel = DepolarizingChannel(_json_number("visibility", ch["visibility"]))
             elif kind == "cloning":
@@ -158,7 +146,7 @@ class SimConfig:
             else:
                 raise ValueError(f"unknown channel type {kind!r}")
             if sift.get("rule", "same") == "same":
-                sifting: SiftingRule = SameIndexSifting()
+                sifting = PairedIndexSifting()
             elif sift["rule"] == "pairs":
                 pairs = sift["pairs"]
                 if not (isinstance(pairs, list) and all(
@@ -192,7 +180,7 @@ def _json_number(key: str, x) -> float:
 def round_distribution(channel: Channel, alice_basis: int, bob_basis: int) -> np.ndarray:
     """Exact outcome table for one basis pair.
 
-    Ideal and depolarizing channels give P[a, b]; the cloning attack gives
+    The depolarizing channel gives P[a, b]; the cloning attack gives
     P[a, b, e_b, e_c] where e_b is the attacker's clone outcome (measured
     in the receiver's basis) and e_c her machine outcome (measured in the
     conjugate basis).
@@ -210,10 +198,10 @@ def _round_tables(channel: Channel, pairs) -> list[np.ndarray]:
 
     On the maximally entangled state the pair (i, j) gives
     P[a, b] = |<a_i|b_j>|^2 / 3: projecting the receiver's half on the
-    conjugate state b_j* leaves the sender's half in b_j.  The ideal channel
-    is the depolarizing one at V = 1, V * P + (1 - V) / 9.
+    conjugate state b_j* leaves the sender's half in b_j.  The depolarizing
+    channel at visibility V gives V * P + (1 - V) / 9.
     """
-    if isinstance(channel, (IdealChannel, DepolarizingChannel)):
+    if isinstance(channel, DepolarizingChannel):
         v = channel.visibility
         tables = [v * (np.abs(_BASES[i].conj().T @ _BASES[j]) ** 2 / 3.0) + (1.0 - v) / 9.0
                   for i, j in pairs]
@@ -458,7 +446,7 @@ def _best_relabeled_agreement(table9: np.ndarray) -> float:
 
 def basis_correlation_survey(config: SimConfig) -> SurveyResult:
     """Enumerate which basis pairs are (after relabeling) perfectly correlated."""
-    if not isinstance(config.channel, IdealChannel):
+    if config.channel != DepolarizingChannel(1.0):
         raise ValueError("survey is defined for the ideal channel")
     exact = np.array([_best_relabeled_agreement(t)
                       for t in _round_tables(config.channel, _PAIRS)]).reshape(4, 4)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
@@ -435,6 +436,16 @@ def test_cloner_eval_non_numeric_params_exit_1(runner):
     assert_usage_error(result, "expected numbers")
 
 
+def _no_tables(*args, **kwargs):
+    raise AssertionError("the session built its tables")
+
+
+def _deep_config(key, depth):
+    """A config file whose ``key`` object holds lists nested ``depth`` deep."""
+    return (f'{{"rounds": 10, "seed": 0, "{key}": {{"x": ' + "[" * depth + "]" * depth
+            + "}}")
+
+
 @pytest.mark.parametrize("config,message", [
     ({"seed": 5}, "missing 'rounds'"),
     ({"rounds": 3000}, "missing 'seed'"),
@@ -478,18 +489,46 @@ def test_cloner_eval_non_numeric_params_exit_1(runner):
      "'alice_weights' takes numbers within the float range"),
     ({"rounds": 10, "seed": 0, "channel": {"type": "cloning", "params": [-10 ** 330, 0, 0, 0]}},
      "'params' takes numbers within the float range"),
+    # json.load reads it, but the input echo recursed past the limit
+    (_deep_config("channel", 600), "nested too deeply"),
 ], ids=["no-rounds", "no-seed", "string-rounds", "null-seed", "no-visibility",
         "zero-params", "null-weights", "nan-weights", "inf-pair", "fractional-pair",
         "bool-pair", "bool-weights", "string-visibility", "bool-visibility",
         "string-params", "deep-nesting", "one-index-pair", "three-index-pair",
         "string-pairs", "two-params", "five-params", "huge-visibility", "huge-weight",
-        "huge-params"])
-def test_simulate_malformed_config_exits_1(runner, tmp_path, config, message):
+        "huge-params", "deep-echo"])
+def test_simulate_malformed_config_exits_1(runner, monkeypatch, tmp_path, config, message):
+    monkeypatch.setattr(simulate, "_round_tables", _no_tables)
     path = tmp_path / "config.json"
     path.write_text(config if isinstance(config, str) else json.dumps(config))
     result = runner.invoke(main, ["simulate", "--config", str(path)])
     assert_usage_error(result, message)
     assert "Usage:" not in result.output  # the fault is in the file, not the flags
+
+
+def test_simulate_config_at_every_nesting_depth_exits_0_or_1(runner, tmp_path):
+    # near the deepest echo the stack allows, each depth either runs or
+    # exits 1 with one Error: line; the envelope nests the echo two levels
+    # deeper than the check made before the session
+    path = tmp_path / "config.json"
+
+    def exit_code(depth):
+        path.write_text(_deep_config("sifting", depth))
+        result = runner.invoke(main, ["simulate", "--config", str(path), "--no-timestamp"])
+        assert result.exception is None or isinstance(result.exception, SystemExit), (
+            depth, repr(result.exception))
+        assert "Traceback" not in result.output and "Usage:" not in result.output, depth
+        return result.exit_code
+
+    ok, refused = 1, 2000
+    assert exit_code(ok) == 0 and exit_code(refused) == 1
+    while refused - ok > 1:
+        mid = (ok + refused) // 2
+        if exit_code(mid) == 0:
+            ok = mid
+        else:
+            refused = mid
+    assert [exit_code(d) for d in range(ok - 3, ok + 9)] == [0] * 4 + [1] * 8
 
 
 @pytest.mark.parametrize("name,message", [
@@ -509,10 +548,7 @@ def test_simulate_with_too_many_rounds_exits_1_before_any_table(runner, monkeypa
                                                                 rounds, source):
     # 10^330 rounds ran until killed; the bound refuses them before any
     # table is built
-    def no_tables(*args, **kwargs):
-        raise AssertionError("the session built its tables")
-
-    monkeypatch.setattr(simulate, "_round_tables", no_tables)
+    monkeypatch.setattr(simulate, "_round_tables", _no_tables)
     if source == "flag":
         args = ["simulate", "--rounds", str(rounds)]
     else:
@@ -573,14 +609,16 @@ def test_cloner_eval_identity(runner):
 
 
 def test_cloner_eval_amplitude_matrix_roundtrip(runner):
+    import numpy as np
     from qkdlab.cloner import AmplitudeMatrix, ClonerParams, phi_cloner_matrix
     payload = run_json(runner, ["cloner-eval", "--params", "0.8320,0.1711,0.2038",
                                 "--no-timestamp"])
-    mat = AmplitudeMatrix.from_json(payload["result"]["amplitude_matrix"])
+    # the matrix prints as rows of [re, im] pairs
+    mat = AmplitudeMatrix(np.array([[complex(re, im) for re, im in row]
+                                    for row in payload["result"]["amplitude_matrix"]]))
     expected = phi_cloner_matrix(
         ClonerParams(0.8320, 0.1711, 0.2038, 0.2038).normalized())
     assert abs(mat.norm_squared - 1.0) <= 1e-9  # 10-digit serialization
-    import numpy as np
     assert np.max(np.abs(mat.a - expected.a)) <= 1e-9
 
 
@@ -804,3 +842,74 @@ def test_sweep_error_contract(preset, points, start, stop):
                                                 "qubit", "EKERT91"])))
 def test_crossing_error_contract(preset):
     assert_contract(CliRunner(), ["crossing", f"--preset={preset}", "--no-timestamp"])
+
+
+# JSON values for generated config files.  Every integer either is a
+# session of at most 2,000 rounds or lies beyond what SimConfig accepts, so
+# no generated config runs a long session.
+_JSON_INT = st.one_of(st.integers(-3, 2000),
+                      st.sampled_from([simulate._ROUNDS_MAX + 1, 2 ** 64, 10 ** 330,
+                                       -10 ** 330]))
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), _JSON_INT, st.floats(), st.text(max_size=8)),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(st.text(max_size=8), children, max_size=4)),
+    max_leaves=8)
+# a changed field takes an edge value of each JSON type, or any JSON tree
+_EDGE_VALUES = st.sampled_from([10 ** 330, -10 ** 330, 2 ** 64, simulate._ROUNDS_MAX + 1, -1,
+                                0, 1.5, -0.5, math.nan, math.inf, True, False, None, "0.5",
+                                "", [], [[0.5]], {}])
+_VALID_CONFIGS = [
+    {"rounds": 2000, "seed": 3},
+    {"rounds": 500, "seed": 0, "channel": {"type": "depolarizing", "visibility": 0.7},
+     "sifting": {"rule": "pairs", "pairs": [[0, 0], [1, 3]]},
+     "alice_weights": [0.1, 0.2, 0.3, 0.4]},
+    {"rounds": 100, "seed": 7,
+     "channel": {"type": "cloning", "params": [0.832, 0.1711, 0.2038, 0.2038]},
+     "sifting": {"rule": "same"}, "bob_weights": [0.25, 0.25, 0.25, 0.25]},
+]
+
+
+def _paths(node, path=()):
+    """The key path of every field and list item under ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(
+        node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def _config_texts(draw):
+    """A JSON tree of any shape, or a valid config with one field changed:
+    replaced, deleted, or given a duplicate key."""
+    if draw(st.integers(0, 3)) == 0:
+        return json.dumps(draw(_JSON))
+    config = json.loads(json.dumps(draw(st.sampled_from(_VALID_CONFIGS))))
+    *steps, key = draw(st.sampled_from(list(_paths(config))))
+    parent = config
+    for step in steps:
+        parent = parent[step]
+    change = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+    value = draw(st.one_of(_EDGE_VALUES, _JSON))
+    if change == "delete":
+        del parent[key]
+    elif change == "replace" or parent is not config:
+        parent[key] = value
+    else:  # json.load keeps the later of two equal keys
+        return json.dumps(config)[:-1] + f", {json.dumps(key)}: {json.dumps(value)}}}"
+    return json.dumps(config)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(text=_config_texts())
+def test_simulate_config_file_error_contract(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(text)
+        args = ["simulate", "--config", str(path), "--no-timestamp"]
+        result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 1), (text, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        text, repr(result.exception))
+    assert "Traceback" not in result.output and "Usage:" not in result.output, text

@@ -145,20 +145,25 @@ def test_max_entangled_reduced_states_maximally_mixed():
 
 
 def test_error_operator_special_cases():
-    assert np.allclose(error_operator(0, 0).entries, np.eye(3), atol=TOL)
-    e10 = error_operator(1, 0).entries
+    assert np.allclose(error_operator(0, 0), np.eye(3), atol=TOL)
+    e10 = error_operator(1, 0)
     assert np.allclose(e10 @ np.array([1, 0, 0]), np.array([0, 1, 0]), atol=TOL)
-    e01 = error_operator(0, 1).entries
+    e01 = error_operator(0, 1)
     for k in range(3):
         v = np.zeros(3)
         v[k] = 1
         assert np.allclose(e01 @ v, np.exp(2j * np.pi * k / 3) * v, atol=TOL)
 
 
+def assert_unitary(u):
+    assert np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) <= TOL
+
+
 def test_error_operators_unitary():
     for m in range(3):
         for n in range(3):
-            assert error_operator(m, n).is_unitary()
+            assert_unitary(error_operator(m, n))
+            assert not error_operator(m, n).flags.writeable  # callers share the arrays
 
 
 def test_error_operator_range():
@@ -185,7 +190,7 @@ def test_dimension_two_constructions():
     assert np.allclose(ent.amps, np.array([1, 0, 0, 1]) / math.sqrt(2), atol=TOL)
     for m in range(2):
         for n in range(2):
-            assert error_operator(m, n, dim=2).is_unitary()
+            assert_unitary(error_operator(m, n, dim=2))
     states = [bell_state(m, n, dim=2) for m in range(2) for n in range(2)]
     gram = np.array([[a.overlap(b) for b in states] for a in states])
     assert np.max(np.abs(gram - np.eye(4))) <= TOL
@@ -305,8 +310,3 @@ def test_basis_spec_reduces_phi():
                        conjugate_phi_basis_state(0.5, 1).amps, atol=TOL)
 
 
-def test_state_to_json_re_im_pairs():
-    data = phi_basis_state(0.0, 1).to_json()
-    assert len(data) == 3 and all(len(pair) == 2 for pair in data)
-    assert abs(data[0][0] - 1 / math.sqrt(3)) <= TOL
-    assert abs(data[1][1] - (1 / math.sqrt(3)) * math.sin(2 * math.pi / 3)) <= TOL

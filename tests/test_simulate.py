@@ -14,8 +14,7 @@ from qkdlab.qudit import (BasisSpec, conjugate_phi_basis_state, max_entangled,
                           optimal_bases, phi_basis_state)
 from qkdlab.security import crossing_point, eve_information
 from qkdlab.simulate import (CloningAttackChannel, DepolarizingChannel,
-                             IdealChannel, PairedIndexSifting, SameIndexSifting,
-                             SimConfig, basis_correlation_survey,
+                             PairedIndexSifting, SimConfig, basis_correlation_survey,
                              empirical_vs_analytic, mi_bias_bound,
                              plugin_mutual_information, round_distribution,
                              run_session)
@@ -38,7 +37,7 @@ ATTACK = CloningAttackChannel(
 
 def test_ideal_same_basis_is_delta_correlated():
     for i in range(4):
-        table = round_distribution(IdealChannel(), i, i)
+        table = round_distribution(DepolarizingChannel(1.0), i, i)
         assert np.allclose(table, np.eye(3) / 3, atol=1e-12)
 
 
@@ -55,7 +54,7 @@ def test_depolarizing_agreement_matches_fidelity_map():
 
 
 def test_all_tables_normalized():
-    channels = [IdealChannel(), DepolarizingChannel(0.7),
+    channels = [DepolarizingChannel(1.0), DepolarizingChannel(0.7),
                 CloningAttackChannel(optimal_params())]
     for ch in channels:
         for i in range(4):
@@ -76,8 +75,8 @@ def kron_table(i: int, j: int) -> np.ndarray:
     return p
 
 
-@pytest.mark.parametrize("channel", [IdealChannel()] + [DepolarizingChannel(v) for v in
-                                                      (0.0, 0.3, 0.6962, 1.0)],
+@pytest.mark.parametrize("channel", [DepolarizingChannel(v) for v in
+                                     (1.0, 0.0, 0.3, 0.6962, 1.0)],
                          ids=["ideal", "depol-0", "depol-0.3", "depol-0.6962", "depol-1"])
 def test_noise_tables_equal_the_kron_route(channel):
     v = channel.visibility
@@ -87,14 +86,9 @@ def test_noise_tables_equal_the_kron_route(channel):
         assert np.max(np.abs(table - expected)) <= 1e-15, (i, j)
 
 
-def test_ideal_channel_is_depolarizing_at_visibility_one():
-    assert np.array_equal(simulate._round_tables(IdealChannel(), simulate._PAIRS),
-                          simulate._round_tables(DepolarizingChannel(1.0), simulate._PAIRS))
-
-
 def test_bad_basis_and_channel_params():
     with pytest.raises(ValueError):
-        round_distribution(IdealChannel(), 4, 0)
+        round_distribution(DepolarizingChannel(1.0), 4, 0)
     with pytest.raises(ValueError):
         DepolarizingChannel(1.2)
 
@@ -232,7 +226,7 @@ def test_session_deterministic():
 
 def test_empirical_frequencies_match_tables_chisquare():
     # goodness of fit of sampled counts against the exact tables, fixed seed
-    channels = [IdealChannel(), DepolarizingChannel(0.7),
+    channels = [DepolarizingChannel(1.0), DepolarizingChannel(0.7),
                 CloningAttackChannel(optimal_params())]
     for ch in channels:
         res = run_session(SimConfig(rounds=100_000, seed=20, channel=ch))
@@ -255,11 +249,11 @@ def test_empirical_frequencies_match_tables_chisquare():
             assert p > 0.001, (ch, i, j, p)
 
 
-@pytest.mark.parametrize("channel", [IdealChannel(), DepolarizingChannel(0.5), ATTACK],
+@pytest.mark.parametrize("channel", [DepolarizingChannel(1.0), DepolarizingChannel(0.5), ATTACK],
                          ids=["ideal", "depolarizing", "attack"])
 def test_same_index_sifting_is_the_diagonal_pair_list(channel):
     base = dict(rounds=20_000, seed=4, channel=channel, alice_weights=(0.1, 0.2, 0.3, 0.4))
-    same = run_session(SimConfig(**base, sifting=SameIndexSifting()))
+    same = run_session(SimConfig(**base, sifting=PairedIndexSifting()))
     listed = run_session(SimConfig(
         **base, sifting=PairedIndexSifting(((0, 0), (1, 1), (2, 2), (3, 3)))))
     for f in dataclasses.fields(same):
@@ -441,6 +435,19 @@ def test_survey_requires_ideal_channel():
     with pytest.raises(ValueError):
         basis_correlation_survey(SimConfig(rounds=100, seed=0,
                                            channel=DepolarizingChannel(0.5)))
+    with pytest.raises(ValueError):
+        basis_correlation_survey(SimConfig(rounds=100, seed=0, channel=ATTACK))
+
+
+def test_survey_takes_the_ideal_source_as_a_library_caller_builds_it():
+    # the default channel and an explicit visibility of 1 are one source
+    default = basis_correlation_survey(SimConfig(rounds=2_000, seed=5))
+    for channel in (DepolarizingChannel(1.0), DepolarizingChannel(1)):
+        res = basis_correlation_survey(SimConfig(rounds=2_000, seed=5, channel=channel))
+        assert np.array_equal(res.exact, default.exact)
+        assert np.array_equal(res.empirical, default.empirical)
+        assert (res.perfect_pairs, res.conjugate_pairing) == (
+            default.perfect_pairs, default.conjugate_pairing)
 
 
 # --- streaming engine against the mask-per-pair reference -----------------------
@@ -471,7 +478,7 @@ def reference_session(config: SimConfig) -> dict:
         e_b, e_c = (cells // 3) % 3, cells % 3
     else:
         a, b = cells // 3, cells % 3
-    if isinstance(config.sifting, SameIndexSifting):
+    if config.sifting.pairs == PairedIndexSifting().pairs:
         sift = ai == bj
     else:
         accept = np.zeros((4, 4), dtype=bool)
@@ -519,7 +526,7 @@ def assert_same_statistics(res, ref: dict) -> None:
 
 
 CHANNELS = {
-    "ideal": IdealChannel(),
+    "ideal": DepolarizingChannel(1.0),
     "depolarizing": DepolarizingChannel(0.6962),
     "attack": ATTACK,
     "identity-attack": CloningAttackChannel(ClonerParams.identity()),
@@ -652,7 +659,7 @@ def test_session_memory_does_not_grow_with_rounds():
     assert large < 64e6
 
 
-@pytest.mark.parametrize("channel", [ATTACK, IdealChannel()], ids=["attack", "ideal"])
+@pytest.mark.parametrize("channel", [ATTACK, DepolarizingChannel(1.0)], ids=["attack", "ideal"])
 def test_session_working_memory_stays_under_one_and_a_half_mb(channel):
     # a chunk of 8,192 rounds takes about 0.9 MB at its traced peak; the
     # first session's one-off costs (table build, imports) are left out
