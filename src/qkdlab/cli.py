@@ -150,7 +150,7 @@ def command(name: str):
                            "inputs": dict(inputs), "seed": seed[0] if seed else None}
                     if not no_timestamp:
                         env["timestamp"] = datetime.now(timezone.utc).isoformat()
-                    env["result"] = jsonable(result)
+                    env["result"] = result
                     out = dumps(env)
                 _emit(out, output)
             except CrossingError as exc:

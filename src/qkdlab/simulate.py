@@ -15,7 +15,10 @@ session comes from one Philox stream keyed by the seed, three raw 64-bit
 outputs per round, drawn in chunks of rounds one after another.  Each
 output's top 53 bits are the integer k behind the uniform k * 2**-53 that
 ``Generator.random`` would make of it, and every comparison with a
-cumulative probability is made exactly on k.  Round r consumes outputs
+cumulative probability is made exactly on k.  A round takes one gather
+from a guide of 4,096 buckets per basis pair, indexed by the top bits of
+its three outputs; the few rounds whose bucket a threshold splits fall
+back to a binary search on the same integers.  Round r consumes outputs
 3r to 3r + 2 whatever the chunk size, so any partitioning of rounds
 reproduces identical results, equal to sampling from the single
 (rounds, 3) table ``Generator.random`` returns.  A session keeps only the
@@ -254,10 +257,12 @@ class SimResult:
 
 
 # Rounds drawn per step.  It bounds a session's working memory and changes
-# no result.  A chunk's arrays take about 110 bytes per round, a traced peak
-# of about 0.9 MB at 2**13 rounds (tracemalloc).  Larger chunks page-fault
-# more (a 4e6-round session made 590 minor faults at 2**13, 2,216 at 2**15);
-# at 2**12 the per-chunk Python overhead, about 33 us, slowed it by 6-16%.
+# no result.  A chunk's arrays take about 107 bytes per round, a traced peak
+# of 0.88 MB at 2**13 rounds (tracemalloc).  With the earlier sampler,
+# which looked up each basis and the cell separately, larger chunks
+# page-faulted more (a 4e6-round session made 590 minor faults at 2**13,
+# 2,216 at 2**15); at 2**12 the per-chunk Python overhead, about 33 us,
+# slowed it by 6-16%.
 _CHUNK = 1 << 13
 
 # Generator.random returns k * 2**-53, where k is the top 53 bits of one
@@ -266,9 +271,10 @@ _CHUNK = 1 << 13
 _GRID = 1 << 53
 
 # Each table row's key range is cut into 2**_GUIDE_BITS equal buckets.  A
-# draw whose bucket holds no key needs no search (at most K - 1 of the
-# 1024 buckets of a row hold one).
-_GUIDE_BITS = 10
+# draw whose bucket holds no key needs no search: at most K - 1 of the 4096
+# buckets of a row hold one, 1.01% of the attack tables' buckets (3.63% at
+# 10 bits).
+_GUIDE_BITS = 12
 
 
 def _cell_search(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -279,62 +285,90 @@ def _cell_search(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     its first K - 1 cells; for a draw u = k * 2**-53, ceil(c * 2**53) <= k
     holds exactly when c <= u.  The last cell needs no key: a u past every
     other threshold lands there, as the clipped float ``searchsorted`` puts
-    it.  Bucket g is the key range [g, g + 1) << (53 - _GUIDE_BITS);
-    ``guide[g]`` is the flat index p * K + cell that every key in it maps
-    to, or -1 where a key splits the bucket.
+    it.  Bucket g of row p is the key range (p << 53) + [g, g + 1) <<
+    (53 - _GUIDE_BITS); ``guide[(p << _GUIDE_BITS) + g]`` is the flat index
+    p * K + cell that every key in it maps to, or -1 where a key splits the
+    bucket.  The int16 guide ends in one more -1, the entry that
+    :func:`_outcome_index` clips every split round onto.  It is built a row
+    at a time, which keeps its temporaries small.
     """
+    rows, cells = cum.shape
     scaled = np.minimum(np.ceil(cum[:, :-1] * _GRID), _GRID).astype(np.int64)
-    rows = np.arange(len(cum), dtype=np.int64)[:, None] << 53
-    keys = (scaled + rows).reshape(-1)
-    starts = np.arange((len(cum) << _GUIDE_BITS) + 1, dtype=np.int64) << (53 - _GUIDE_BITS)
-    below = np.searchsorted(keys, starts[:-1], side="right")
-    whole = below == np.searchsorted(keys, starts[1:])
-    return keys, np.where(whole, below + (np.arange(len(below)) >> _GUIDE_BITS), -1)
+    edges = np.arange((1 << _GUIDE_BITS) + 1, dtype=np.int64) << (53 - _GUIDE_BITS)
+    guide = np.full((rows << _GUIDE_BITS) + 1, -1, dtype=np.int16)
+    for p, row in enumerate(scaled):
+        below = np.searchsorted(row, edges[:-1], side="right")
+        whole = below == np.searchsorted(row, edges[1:])
+        guide[p << _GUIDE_BITS:(p + 1) << _GUIDE_BITS][whole] = below[whole] + p * cells
+    return (scaled + (np.arange(rows, dtype=np.int64)[:, None] << 53)).reshape(-1), guide
 
 
-def _cell_index(search: tuple[np.ndarray, np.ndarray], key: np.ndarray) -> np.ndarray:
-    """Flat index p * K + cell of each draw key (p << 53) + k.
+def _outcome_search(cum: np.ndarray, alice_weights, bob_weights) -> tuple[np.ndarray, ...]:
+    """The tables :func:`_outcome_index` reads.
 
-    Equal to p * K + min(searchsorted(cum[p], k * 2**-53, side="right"), K - 1)
-    for every integer k in [0, 2**53).  The keys of earlier rows all lie at
-    or below a draw's key and those of later rows above it, so counting the
-    keys at or below it counts p * (K - 1) keys before the draw's own row.
-    Where the draw's bucket holds no key the guide gives the index;
-    elsewhere a binary search does.
+    ``cum`` holds the cumulative outcome table of basis pair (i, j) in row
+    4 * i + j.  A basis index is the cell of a one-row table of the weights.
+    Each basis guide holds its pick already shifted into place in the cell
+    guide's index, (4 * i) << _GUIDE_BITS for the sender and j <<
+    _GUIDE_BITS for the receiver; a bucket that a threshold splits holds an
+    offset at or past the cell guide's trailing -1.
     """
-    keys, guide = search
-    index = guide[key >> (53 - _GUIDE_BITS)]
-    split = np.flatnonzero(index < 0)
-    key = key[split]
-    index[split] = np.searchsorted(keys, key, side="right") + (key >> 53)
+    keys, guide = _cell_search(cum)
+    search = [keys, guide]
+    for weights, shift in ((alice_weights, _GUIDE_BITS + 2), (bob_weights, _GUIDE_BITS)):
+        basis_keys, basis_guide = _cell_search(np.cumsum(weights)[None, :])
+        pick = basis_guide[:-1].astype(np.int64)
+        search += [basis_keys, np.where(pick < 0, len(guide) - 1, pick << shift)]
+    return tuple(search)
+
+
+def _outcome_index(search: tuple[np.ndarray, ...], raw: np.ndarray) -> np.ndarray:
+    """Flat histogram index pair * K + cell of each row of raw outputs.
+
+    Row r of the (n, 3) uint64 ``raw`` holds the outputs behind the
+    sender's basis, the receiver's basis and the outcome cell; their top
+    53 bits are the integers k of ``Generator.random``.  Each round takes
+    one gather from the cell guide, at the two basis guides' picks plus the
+    cell draw's bucket.  A round where any of the three buckets is split
+    lands on the trailing -1, and one fallback resolves its two bases and
+    its cell by binary search on the same integers k, counting the keys at
+    or below each (the keys of earlier rows all lie at or below a draw's
+    key (p << 53) + k, those of later rows above it).
+    """
+    keys, guide, alice_keys, alice_pick, bob_keys, bob_pick = search
+    # one bucket temporary serves all three outputs: with a second one per
+    # chunk, glibc trimmed and re-faulted the heap every chunk (about 30,000
+    # minor faults in a 4e6-round session against 460)
+    shift = 64 - _GUIDE_BITS
+    bucket = raw[:, 0] >> shift
+    index = alice_pick.take(bucket.view(np.int64))
+    np.right_shift(raw[:, 1], shift, out=bucket)
+    index += bob_pick.take(bucket.view(np.int64))
+    np.right_shift(raw[:, 2], shift, out=bucket)
+    index += bucket.view(np.int64)
+    index = guide.take(index, mode="clip")
+    split = (index < 0).nonzero()[0]
+    k = (raw[split] >> 11).view(np.int64)
+    pair = alice_keys.searchsorted(k[:, 0], side="right") * 4
+    pair += bob_keys.searchsorted(k[:, 1], side="right")
+    index[split] = keys.searchsorted((pair << 53) + k[:, 2], side="right") + pair
     return index
 
 
 def _sample_outcomes(config: SimConfig, cum: np.ndarray):
-    """Stream bases and outcome cells, ``_CHUNK`` rounds at a time.
+    """Stream outcome indices, ``_CHUNK`` rounds at a time.
 
     ``cum`` holds the cumulative outcome table of basis pair (i, j) in row
     4 * i + j.  Yields, per chunk and in round order, the first round
-    number, the two basis indices and each round's flat histogram index
-    pair * K + cell.  Round r reads raw outputs 3r to 3r + 2, the ones
-    behind row r of ``Generator.random((rounds, 3))``.
+    number and each round's flat histogram index (4 * i + j) * K + cell.
+    Round r reads raw outputs 3r to 3r + 2, the ones behind row r of
+    ``Generator.random((rounds, 3))``.
     """
-    cells = _cell_search(cum)
-    # a basis index is the cell of a one-row table of the weights
-    alice = _cell_search(np.cumsum(config.alice_weights)[None, :])
-    bob = _cell_search(np.cumsum(config.bob_weights)[None, :])
+    search = _outcome_search(cum, config.alice_weights, config.bob_weights)
     bitgen = np.random.Philox(np.random.SeedSequence(config.seed))
     for start in range(0, config.rounds, _CHUNK):
         n = min(_CHUNK, config.rounds - start)
-        k = bitgen.random_raw(3 * n)
-        k >>= 11
-        k = k.view(np.int64).reshape(n, 3)
-        ai = _cell_index(alice, k[:, 0])
-        bj = _cell_index(bob, k[:, 1])
-        key = 4 * ai + bj
-        key <<= 53
-        key += k[:, 2]
-        yield start, ai, bj, _cell_index(cells, key)
+        yield start, _outcome_index(search, bitgen.random_raw(3 * n).reshape(n, 3))
 
 
 def run_session(config: SimConfig, on_rounds=None) -> SimResult:
@@ -349,11 +383,11 @@ def run_session(config: SimConfig, on_rounds=None) -> SimResult:
     tables = np.array([t.reshape(-1) for t in _round_tables(config.channel, _PAIRS)])
     cells = tables.shape[1]
     hist = np.zeros(16 * cells, dtype=np.int64)
-    for start, ai, bj, index in _sample_outcomes(config, np.cumsum(tables, axis=1)):
+    for start, index in _sample_outcomes(config, np.cumsum(tables, axis=1)):
         hist += np.bincount(index, minlength=16 * cells)
         if on_rounds is not None:
-            cell = index % cells
-            on_rounds(np.column_stack([np.arange(start, start + len(index)), ai, bj,
+            pair, cell = np.divmod(index, cells)
+            on_rounds(np.column_stack([np.arange(start, start + len(index)), pair >> 2, pair & 3,
                                        cell // (cells // 3), cell // (cells // 9) % 3]))
     return _session_statistics(config, hist.reshape(16, cells))
 

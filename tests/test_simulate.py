@@ -575,10 +575,11 @@ def boundary_draws(cum: np.ndarray) -> np.ndarray:
     """53-bit draws k at and beside every threshold of ``cum`` and every
     guide-bucket edge, followed by 100,000 draws of the generator."""
     grid = 2.0 ** -53
+    buckets = 1 << simulate._GUIDE_BITS
     u_gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(0))).random(100_000)
     candidates = {0.0, 1.0 - grid}
-    candidates.update(k / 1024 for k in range(1024))
-    candidates.update(k / 1024 - grid for k in range(1, 1025))
+    candidates.update(k / buckets for k in range(buckets))
+    candidates.update(k / buckets - grid for k in range(1, buckets + 1))
     for c in cum.ravel():
         for v in (c, np.nextafter(c, 0.0), np.nextafter(c, 2.0)):
             # snap down and up onto the values the generator can return
@@ -588,6 +589,21 @@ def boundary_draws(cum: np.ndarray) -> np.ndarray:
     # the integer lookups rely on the generator returning multiples of 2**-53
     assert np.array_equal(u / grid, np.floor(u / grid))
     return u, (u / grid).astype(np.int64)
+
+
+def outcome_index(cum, k, alice_weights=simulate._UNIFORM4, bob_weights=simulate._UNIFORM4):
+    """The engine's flat index of rounds whose (n, 3) 53-bit draws are ``k``.
+
+    Each raw output is k << 11 with its 11 low bits set, bits the lookup
+    must ignore."""
+    raw = (k.astype(np.uint64) << np.uint64(11)) | np.uint64(0x7FF)
+    return simulate._outcome_index(simulate._outcome_search(cum, alice_weights, bob_weights),
+                                   raw)
+
+
+def expected_cell(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF cell of each uniform u, as the float ``searchsorted`` puts it."""
+    return np.clip(np.searchsorted(cum, u, side="right"), 0, len(cum) - 1)
 
 
 def test_cell_lookup_exact_at_cdf_boundaries():
@@ -609,11 +625,12 @@ def test_cell_lookup_exact_at_cdf_boundaries():
     cells = cum.shape[1]
     u, k = boundary_draws(cum)
 
-    search = simulate._cell_search(cum)
     for p, row_cum in enumerate(cum):
-        expected = np.clip(np.searchsorted(row_cum, u, side="right"), 0, cells - 1)
-        assert np.array_equal(simulate._cell_index(search, (p << 53) + k),
-                              p * cells + expected), p
+        # uniform weights: the draw (2i + 1) / 8 picks basis i, mid-bucket
+        i, j = divmod(p, 4)
+        bases = np.array([2 * i + 1, 2 * j + 1], dtype=np.int64) << 50
+        draws = np.column_stack([np.broadcast_to(bases, (len(k), 2)), k])
+        assert np.array_equal(outcome_index(cum, draws), p * cells + expected_cell(row_cum, u)), p
 
 
 @pytest.mark.parametrize("weights", [
@@ -626,12 +643,40 @@ def test_cell_lookup_exact_at_cdf_boundaries():
 def test_basis_pick_exact_at_cdf_boundaries(weights):
     # dyadic thresholds land on guide-bucket starts, and one grid step
     # below a start is the last draw of a bucket; a cumulative sum can
-    # reach 1 before the last basis, or end just under 1
+    # reach 1 before the last basis, or end just under 1.  Both parties use
+    # the weights, on the draws in opposite orders.
     cum = np.cumsum(weights)
     u, k = boundary_draws(cum)
-    expected = np.clip(np.searchsorted(cum, u, side="right"), 0, 3)
-    assert np.array_equal(simulate._cell_index(simulate._cell_search(cum[None, :]), k),
-                          expected)
+    cells = np.cumsum(np.full((16, 9), 1 / 9), axis=1)
+    index = outcome_index(cells, np.column_stack([k, k[::-1], k]), weights, weights)
+    pair = 4 * expected_cell(cum, u) + expected_cell(cum, u[::-1])
+    assert np.array_equal(index, pair * 9 + expected_cell(cells[0], u))
+
+
+def test_split_sender_receiver_and_cell_buckets_share_one_fallback():
+    # a sender threshold, a receiver threshold and a cell threshold each
+    # split a guide bucket; one chunk holds every mix of draws on either
+    # side of each threshold and draws in whole buckets, the first bucket
+    # among them, where a split basis bucket's offset past the cell guide
+    # is smallest
+    alice_weights, bob_weights = (0.1, 0.2, 0.3, 0.4), (0.3, 0.3, 0.2, 0.2)
+    cells = np.cumsum(np.full((16, 9), 1 / 9), axis=1)
+    shift = 53 - simulate._GUIDE_BITS
+    columns = []
+    for cum, threshold, whole in ((np.cumsum(alice_weights), 0.1, 0.05),
+                                  (np.cumsum(bob_weights), 0.3, 0.5), (cells[0], 1 / 9, 0.5)):
+        edge = math.ceil(threshold * 2 ** 53)
+        draws = np.array([edge - 1, edge, 0, int(whole * 2 ** 53)], dtype=np.int64)
+        # the threshold's bucket is split, the other draws' are whole
+        guide = simulate._cell_search(cum[None, :])[1]
+        assert guide[edge >> shift] == -1 and (guide[draws[2:] >> shift] >= 0).all()
+        columns.append(draws)
+    k = np.array(np.meshgrid(*columns, indexing="ij")).reshape(3, -1).T
+    u = k * 2.0 ** -53
+    pair = (4 * expected_cell(np.cumsum(alice_weights), u[:, 0])
+            + expected_cell(np.cumsum(bob_weights), u[:, 1]))
+    assert np.array_equal(outcome_index(cells, k, alice_weights, bob_weights),
+                          pair * 9 + expected_cell(cells[0], u[:, 2]))
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2 ** 40])
