@@ -6,20 +6,15 @@ Monte Carlo protocol sessions."""
 __version__ = "0.1.0"
 
 from .cloner import (AmplitudeMatrix, ClonerParams, CloneOutputs, FidelityReport,
-                     clone_state, closed_form_report, eve_joint_distribution,
-                     fidelity, fourier_dual, phase_covariance_check,
-                     phi_cloner_matrix, tilde_amplitudes, tilde_coefficients)
-from .qudit import (BasisSpec, DensityMatrix, StateVector, bell_state,
-                    conjugate_phi_basis_state, error_operator, max_entangled,
-                    optimal_bases, partial_trace, phi_basis_state,
-                    tilde_bell_state)
+                     clone_state, closed_form_report, fourier_dual, phi_cloner_matrix)
+from .qudit import (BasisSpec, DensityMatrix, StateVector, conjugate_phi_basis_state,
+                    error_operator, optimal_bases, partial_trace, phi_basis_state)
 from .security import (CrossingError, CrossingResult, ErrorRateRow, InfoReport,
                        PRESETS, ProtocolPreset, SymmetricResult,
                        ThresholdConstants, bob_information, ck_rate_bound,
                        crossing_point, error_rate_table, eve_information,
                        fidelity_from_visibility, info_report, information_sweep,
-                       resolve_preset, shannon_entropy, symmetric_point,
-                       thresholds)
+                       resolve_preset, symmetric_point, thresholds)
 from .simulate import (Channel, CloningAttackChannel, ComparisonRecord,
                        DepolarizingChannel, PairedIndexSifting, SimConfig,
                        SimResult, SurveyResult, basis_correlation_survey,

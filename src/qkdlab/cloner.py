@@ -20,7 +20,8 @@ constrained form
 
 with v^2 + 2x^2 + 3y^2 + 3z^2 = 1.  Every cloner of this family copies
 all states of every phase basis with the same fidelity (checked
-numerically by :func:`phase_covariance_check`).
+numerically by ``test_phase_covariance_of_constrained_cloners`` in
+``tests/test_cloner.py``).
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qudit import (BasisSpec, DensityMatrix, StateVector, bell_state,
-                    error_operator, partial_trace, phi_basis_state)
+from .qudit import DensityMatrix, StateVector, error_operator, partial_trace
 
 PARAM_NORM_TOL = 1e-8
 SYMMETRY_TOL = 1e-10
@@ -81,10 +81,6 @@ class ClonerParams:
             raise ValueError(f"y != z ({self.y} vs {self.z}); "
                              "this quantity assumes the y = z tie")
 
-    @staticmethod
-    def identity() -> "ClonerParams":
-        return ClonerParams(1.0, 0.0, 0.0, 0.0)
-
 
 @dataclass
 class AmplitudeMatrix:
@@ -101,10 +97,6 @@ class AmplitudeMatrix:
     @property
     def dim(self) -> int:
         return self.a.shape[0]
-
-    @property
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.a) ** 2))
 
     def weights(self) -> np.ndarray:
         """p[m, n] = |a[m, n]|^2."""
@@ -136,19 +128,6 @@ def fourier_dual(mat: AmplitudeMatrix) -> AmplitudeMatrix:
     return AmplitudeMatrix(b)
 
 
-def tilde_amplitudes(mat: AmplitudeMatrix) -> AmplitudeMatrix:
-    """Amplitudes of the same cloner rewritten in the phase bases.
-
-    Index relation: atilde[n, -m mod N] = a[m, n].
-    """
-    n = mat.dim
-    at = np.empty_like(mat.a)
-    for p in range(n):
-        for q in range(n):
-            at[p, q] = mat.a[(-q) % n, p]
-    return AmplitudeMatrix(at)
-
-
 @dataclass
 class CloneOutputs:
     """Tripartite cloner output plus both reduced clones.
@@ -169,10 +148,17 @@ class CloneOutputs:
 def _cloner_terms(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """(U_{m,nn} matrix, |B_{m,-nn}> amplitudes) of each term, nn fastest.
 
-    Both arrays are read-only, so every caller can share them.
+    The Bell state |B_{m,k}> = n^{-1/2} sum_j exp(2 pi i j k / n) |j>|j+m>
+    is the transposed U_{m,k} over sqrt(n), read row-major.  Both arrays
+    are read-only, so every caller can share them.
     """
-    return tuple((error_operator(m, nn, n), bell_state(m, (-nn) % n, n).amps)
-                 for m in range(n) for nn in range(n))
+    terms = []
+    for m in range(n):
+        for nn in range(n):
+            bell = (error_operator(m, (-nn) % n, n).T / math.sqrt(n)).reshape(-1)
+            bell.flags.writeable = False
+            terms.append((error_operator(m, nn, n), bell))
+    return tuple(terms)
 
 
 def clone_amplitudes(mat: AmplitudeMatrix, amps: np.ndarray) -> np.ndarray:
@@ -219,16 +205,6 @@ def clone_state(mat: AmplitudeMatrix, input_state: StateVector) -> CloneOutputs:
     return CloneOutputs(joint_state, rho_a, rho_b, dev_a, dev_b)
 
 
-def fidelity(rho: DensityMatrix, psi: StateVector) -> float:
-    """<psi| rho |psi>."""
-    if rho.dim != psi.dim:
-        raise ValueError("dimension mismatch between state and density matrix")
-    val = complex(psi.amps.conj() @ rho.entries @ psi.amps)
-    if abs(val.imag) > 1e-12:
-        raise ValueError(f"fidelity came out non-real: {val!r}")
-    return float(val.real)
-
-
 @dataclass(frozen=True)
 class FidelityReport:
     """Closed-form fidelities and disturbances of the two clones.
@@ -273,99 +249,23 @@ def closed_form_report(params: ClonerParams) -> FidelityReport:
     return FidelityReport(f_a, d_a, d_a, f_b, d_b1, d_b2, symmetric)
 
 
-def phase_covariance_check(mat: AmplitudeMatrix, phi_grid) -> float:
-    """Largest gap between state-level phase-basis fidelity and sum_m p[m,0].
-
-    For constrained matrices the gap is at numerical noise (<= 1e-10); a
-    generic normalized matrix shows a phi-dependent fidelity and fails by
-    a visible margin, so the check discriminates.
-    """
-    reference = float(mat.weights()[:, 0].sum())
-    worst = 0.0
-    for phi in phi_grid:
-        for l in range(3):
-            psi = phi_basis_state(phi, l)
-            out = clone_state(mat, psi)
-            worst = max(worst, abs(fidelity(out.rho_a, psi) - reference))
-    return worst
-
-
-def coefficient_rows(v: float, s: float, t: float, y: float, d: int = 3):
-    """Coefficient rows c[m, :] of a tied amplitude mask in a phase basis.
+def _coefficient_entries(v, s, t, y, d: int = 3):
+    """The four distinct coefficients ((c[0, 0], c[0, 1]), (c[m, 0], c[m, 1]))
+    of a tied amplitude mask in a phase basis of dimension d.
 
     The mask has a[0, 0] = v, s in the rest of column 0, t in the rest of
-    row 0 and y everywhere else.  In a phase basis of dimension d its rows
-    are
+    row 0 and y everywhere else.  Its coefficient rows, the row-wise Fourier
+    transform of the amplitudes rewritten in the phase bases
+    (atilde[n, -m mod d] = a[m, n]), are
 
         c[0]   = (v + (d-1) s, v - s, ..., v - s)
         c[m>0] = (t + (d-1) y, t - y, ..., t - y)
 
-    the row-wise Fourier transform of the rewritten amplitudes (see
-    :func:`tilde_amplitudes`), built from the four distinct entries of
-    ``_coefficient_entries``, which every protocol preset reads.
+    so every other entry of a row repeats its second one, and every row
+    m > 0 repeats row 1.  Every protocol preset reads these entries.
     """
-    k = d - 1
-    (p, q), (r, u) = _coefficient_entries(v, s, t, y, d)
-    return ((p,) + (q,) * k,) + ((r,) + (u,) * k,) * k
-
-
-def _coefficient_entries(v, s, t, y, d: int = 3):
-    """((c[0, 0], c[0, 1]), (c[m, 0], c[m, 1])) of :func:`coefficient_rows`:
-    every other entry of a row repeats its second one, and every row m > 0
-    repeats row 1."""
     k = d - 1
     return (v + k * s, v - s), (t + k * y, t - y)
-
-
-def tilde_coefficients(params: ClonerParams) -> np.ndarray:
-    """Coefficients ct[m, j] of the y = z cloner expanded in a phase basis.
-
-    These are the rows of :func:`coefficient_rows` for the mask
-    [[v,x,x],[y,y,y],[y,y,y]]; they are checked against their definition,
-    the row-wise Fourier transform of the rewritten amplitudes, before
-    being returned.
-    """
-    params.require_normalized()
-    params.require_symmetric()
-    v, x, y = params.v, params.x, params.y
-    ct = np.array(coefficient_rows(v, y, x, y))
-
-    at = tilde_amplitudes(phi_cloner_matrix(params)).a
-    w = np.exp(2j * math.pi * np.outer(np.arange(3), np.arange(3)) / 3.0)
-    ct_def = at @ w.T
-    if np.max(np.abs(ct_def.imag)) > 1e-12 or np.max(np.abs(ct_def.real - ct)) > 1e-12:
-        raise AssertionError("closed-form tilde coefficients disagree with "
-                             "their Fourier definition")
-    return ct
-
-
-def eve_joint_distribution(params: ClonerParams, k: int,
-                           verify_phi: float = math.pi / 6.0) -> np.ndarray:
-    """Outcome table P[alpha, beta, gamma] of the full attack on |k_phi>.
-
-    alpha is the receiver's outcome (register A, phase basis), beta the
-    attacker's clone outcome (register B, same basis), gamma the machine
-    outcome (register C, conjugate basis).  Only triples with
-    alpha - k == gamma - beta (mod 3) occur; the common difference is the
-    receiver's error.  The table is validated against the squared
-    amplitudes of the explicitly constructed clone state at ``verify_phi``.
-    """
-    if k not in (0, 1, 2):
-        raise ValueError(f"input index must be 0, 1 or 2, got {k}")
-    ct = tilde_coefficients(params)
-    table = np.zeros((3, 3, 3))
-    for m in range(3):
-        for beta in range(3):
-            table[(k + m) % 3, beta, (beta + m) % 3] = ct[m, (k - beta) % 3] ** 2 / 3.0
-    if abs(table.sum() - 1.0) > 1e-12:
-        raise AssertionError("attack outcome table does not sum to 1")
-
-    cols = BasisSpec(verify_phi).matrix()
-    state_table = readout_table(clone_amplitudes(phi_cloner_matrix(params), cols[:, k]), cols)
-    if np.max(np.abs(table - state_table)) > 1e-12:
-        raise AssertionError("attack outcome table disagrees with the "
-                             "state-level construction")
-    return table
 
 
 def readout_table(joint: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -7,8 +7,7 @@ Conventions, fixed once and used everywhere:
 * Equality checks are absolute with tolerance 1e-12.  Every construction
   here involves only roots of unity and short sums, so there are no
   conditioning issues.
-* States that differ by a global phase are treated as equal; compare with
-  :func:`overlap_modulus`.
+* States that differ by a global phase are treated as equal.
 
 Dimension ``N`` is a runtime parameter, but only N=3 (and N=2 where the
 qubit comparison needs it) are exercised by the rest of the package.
@@ -52,10 +51,6 @@ class StateVector:
     @property
     def dim(self) -> int:
         return self.amps.size
-
-    def overlap(self, other: "StateVector") -> complex:
-        """<self|other>."""
-        return complex(np.vdot(self.amps, other.amps))
 
 
 @dataclass
@@ -103,9 +98,6 @@ class BasisSpec:
     def __post_init__(self):
         object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
 
-    def state(self, l: int) -> StateVector:
-        return phi_basis_state(self.phi, l)
-
     def matrix(self) -> np.ndarray:
         """The three basis states as columns."""
         return phase_basis(self.phi)
@@ -133,16 +125,6 @@ def optimal_bases() -> list[BasisSpec]:
     return [BasisSpec(TWO_PI * i / 12.0) for i in range(4)]
 
 
-def max_entangled(n: int) -> StateVector:
-    """N^{-1/2} sum_k |k>|k> on two N-dimensional registers."""
-    if n < 2:
-        raise ValueError(f"need dimension >= 2, got {n}")
-    amps = np.zeros(n * n, dtype=complex)
-    for k in range(n):
-        amps[k * n + k] = 1.0 / math.sqrt(n)
-    return StateVector(amps, (n, n))
-
-
 def error_operator(m: int, n: int, dim: int = 3) -> np.ndarray:
     """Unitary shifting |k> by m (mod dim) with phase exp(2 pi i k n / dim).
 
@@ -156,40 +138,6 @@ def error_operator(m: int, n: int, dim: int = 3) -> np.ndarray:
         u[(k + m) % dim, k] = np.exp(2j * math.pi * k * n / dim)
     u.flags.writeable = False
     return u
-
-
-def bell_state(m: int, n: int, dim: int = 3) -> StateVector:
-    """Generalized Bell state: N^{-1/2} sum_k exp(2 pi i k n / N) |k>|k+m>."""
-    if not (0 <= m < dim and 0 <= n < dim):
-        raise ValueError(f"Bell indices ({m},{n}) out of range for dim {dim}")
-    amps = np.zeros(dim * dim, dtype=complex)
-    for k in range(dim):
-        amps[k * dim + (k + m) % dim] = np.exp(2j * math.pi * k * n / dim)
-    return StateVector(amps / math.sqrt(dim), (dim, dim))
-
-
-def tilde_bell_state(m: int, n: int, phi: float) -> StateVector:
-    """Bell-type state written in the phase bases:
-
-    3^{-1/2} sum_k exp(2 pi i k n / 3) |k_phi> |(k+m)_phi*>.
-    """
-    if not (0 <= m < 3 and 0 <= n < 3):
-        raise ValueError(f"indices ({m},{n}) out of range")
-    basis = phase_basis(phi)
-    amps = np.zeros(9, dtype=complex)
-    for k in range(3):
-        w = np.exp(2j * math.pi * k * n / 3.0)
-        amps += w * np.kron(basis[:, k], basis[:, (k + m) % 3].conj())
-    return StateVector(amps / math.sqrt(3.0), (3, 3))
-
-
-def tensor(*states: StateVector) -> StateVector:
-    amps = states[0].amps
-    factors: tuple[int, ...] = states[0].factors
-    for s in states[1:]:
-        amps = np.kron(amps, s.amps)
-        factors = factors + s.factors
-    return StateVector(amps, factors)
 
 
 def as_density(state: StateVector | DensityMatrix) -> DensityMatrix:
@@ -222,8 +170,3 @@ def partial_trace(state: StateVector | DensityMatrix,
     kept_dims = tuple(dims[i] for i in keep)
     d = math.prod(kept_dims)
     return DensityMatrix(t.reshape(d, d), kept_dims)
-
-
-def overlap_modulus(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|; equals 1 iff the states agree up to a global phase."""
-    return abs(a.overlap(b))

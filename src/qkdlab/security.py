@@ -141,20 +141,6 @@ def _base_label(base) -> str:
     return str(int(b)) if b == int(b) else str(b)
 
 
-def shannon_entropy(p, base=2) -> float:
-    """-sum p_i log(p_i); entries below 1e-15 contribute nothing."""
-    lb = _log_of_base(base)
-    p = tuple(p)  # read twice below; a one-pass iterable must still work
-    total = 0.0
-    for pi in p:
-        if not pi >= -1e-12:  # also true for NaN
-            raise ValueError(f"probability {pi!r} is negative or not a number")
-        total += pi
-    if not abs(total - 1.0) <= 1e-9:
-        raise ValueError(f"probabilities sum to {total!r}, not 1")
-    return float(_entropy_nats(p)) / lb
-
-
 def _entropy_nats(ps, spread=None):
     """-sum_i p_i log(p_i) in nats over the leading axis of ``ps``, with
     p_i = ps[spread[i]] if ``spread`` is given (indices may repeat).
@@ -377,15 +363,6 @@ def preset_information(preset, values: dict[str, float], base=2) -> tuple[float,
     lb = _log_of_base(base)
     i_ab, i_ae = _mean_information(preset, preset.amplitudes_of(values))
     return float(i_ab) / lb, float(i_ae) / lb
-
-
-def preset_fidelity(preset, values: dict[str, float]) -> float:
-    """Protocol-averaged fidelity of the receiver's clone: the mean weight
-    of the error-free row m = 0 over the protocol bases."""
-    preset = resolve_preset(preset)
-    entries = preset.entries(*preset.amplitudes_of(values))
-    return (sum(sum(row0[b] * row0[b] for b in _spread(preset.dimension)) for row0, _ in entries)
-            / (len(entries) * preset.dimension))
 
 
 # ---------------------------------------------------------------------------

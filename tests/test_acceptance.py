@@ -11,9 +11,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from qkdlab.cloner import (ClonerParams, clone_state, closed_form_report,
-                           fidelity, phase_covariance_check, phi_cloner_matrix)
-from qkdlab.qudit import StateVector, optimal_bases
+from oracles import fidelity, phase_covariance_check
+from qkdlab.cloner import ClonerParams, clone_state, closed_form_report, phi_cloner_matrix
+from qkdlab.qudit import StateVector, optimal_bases, phi_basis_state
 from qkdlab.security import (_crossing_core, crossing_point, error_rate_table,
                              eve_information, fidelity_from_visibility,
                              symmetric_point, thresholds)
@@ -132,7 +132,7 @@ def test_criterion_7_oracle_equivalence_suite():
         for _ in range(100):
             params = ClonerParams(*rng.normal(size=4)).normalized()
             phi = rng.uniform(0, 2 * np.pi)
-            psi = optimal_bases()[rng.integers(0, 4)].state(rng.integers(0, 3)) \
+            psi = phi_basis_state(optimal_bases()[rng.integers(0, 4)].phi, rng.integers(0, 3)) \
                 if rng.random() < 0.5 else _random_phase_state(rng, phi)
             out = clone_state(phi_cloner_matrix(params), psi)
             worst_mix = max(worst_mix, out.mixture_dev_a, out.mixture_dev_b)
@@ -148,14 +148,16 @@ def test_criterion_7_oracle_equivalence_suite():
             mat = phi_cloner_matrix(params)
             for basis in optimal_bases():
                 for l in range(3):
-                    psi = basis.state(l)
+                    psi = phi_basis_state(basis.phi, l)
                     out = clone_state(mat, psi)
                     worst_closed = max(
                         worst_closed,
                         abs(fidelity(out.rho_a, psi) - rep.f_a),
                         abs(fidelity(out.rho_b, psi) - rep.f_b),
-                        abs(fidelity(out.rho_a, basis.state((l + 1) % 3)) - rep.d_a1),
-                        abs(fidelity(out.rho_b, basis.state((l + 1) % 3)) - rep.d_b1))
+                        abs(fidelity(out.rho_a, phi_basis_state(basis.phi, (l + 1) % 3))
+                            - rep.d_a1),
+                        abs(fidelity(out.rho_b, phi_basis_state(basis.phi, (l + 1) % 3))
+                            - rep.d_b1))
         check(worst_closed <= 1e-10, f"closed-form gap {worst_closed:.2e}")
 
         grid = np.linspace(0, 2 * np.pi, 24, endpoint=False)
@@ -167,7 +169,6 @@ def test_criterion_7_oracle_equivalence_suite():
 
 
 def _random_phase_state(rng, phi: float) -> StateVector:
-    from qkdlab.qudit import phi_basis_state
     return phi_basis_state(phi, int(rng.integers(0, 3)))
 
 

@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdlab.cloner import (AmplitudeMatrix, ClonerParams, clone_state,
-                           closed_form_report, coefficient_rows,
-                           eve_joint_distribution, fidelity,
-                           fourier_dual, phase_covariance_check,
-                           phi_cloner_matrix, tilde_amplitudes,
-                           tilde_coefficients)
+from oracles import (IDENTITY, bell_state, coefficient_rows, eve_joint_distribution,
+                     fidelity, norm_squared, phase_covariance_check, preset_fidelity,
+                     tilde_amplitudes, tilde_coefficients)
+from qkdlab.cloner import (AmplitudeMatrix, ClonerParams, _cloner_terms, clone_state,
+                           closed_form_report, fourier_dual, phi_cloner_matrix)
 from qkdlab.qudit import (DensityMatrix, error_operator, optimal_bases,
                           phi_basis_state)
-from qkdlab.security import PRESETS, preset_fidelity
+from qkdlab.security import PRESETS
 
 # rounded published solution of the crossing problem; off the constraint
 # surface by ~2e-5, so analysis functions get the normalized version
@@ -44,7 +43,7 @@ def test_matrix_rows():
 
 
 def test_identity_cloner_matrix():
-    mat = phi_cloner_matrix(ClonerParams.identity())
+    mat = phi_cloner_matrix(IDENTITY)
     expected = np.zeros((3, 3))
     expected[0, 0] = 1.0
     assert np.allclose(mat.a, expected, atol=1e-15)
@@ -54,7 +53,7 @@ def test_uniform_params_have_unit_norm():
     p = ClonerParams(1 / 3, 1 / 3, 1 / 3, 1 / 3)
     assert abs(p.norm_squared - 1.0) <= 1e-15
     mat = phi_cloner_matrix(p)
-    assert abs(mat.norm_squared - 1.0) <= 1e-12
+    assert abs(norm_squared(mat) - 1.0) <= 1e-12
 
 
 def test_rounded_published_values_close_to_surface():
@@ -63,14 +62,14 @@ def test_rounded_published_values_close_to_surface():
     with pytest.raises(ValueError):
         phi_cloner_matrix(ROUNDED_OPTIMUM)  # deviation 1.9e-5 > 1e-8
     mat = phi_cloner_matrix(ROUNDED_OPTIMUM.normalized())
-    assert abs(mat.norm_squared - 1.0) <= 1e-12
+    assert abs(norm_squared(mat) - 1.0) <= 1e-12
 
 
 # --- Fourier duality ---------------------------------------------------------
 
 
 def test_dual_of_identity_cloner_is_flat():
-    b = fourier_dual(phi_cloner_matrix(ClonerParams.identity()))
+    b = fourier_dual(phi_cloner_matrix(IDENTITY))
     assert np.allclose(b.a, np.full((3, 3), 1 / 3), atol=1e-12)
 
 
@@ -87,7 +86,7 @@ def test_dual_preserves_norm_on_random_matrices():
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         a /= np.linalg.norm(a)
         mat = AmplitudeMatrix(a)
-        assert abs(fourier_dual(mat).norm_squared - mat.norm_squared) <= 1e-12
+        assert abs(norm_squared(fourier_dual(mat)) - norm_squared(mat)) <= 1e-12
 
 
 def test_dual_is_self_inverse_convention():
@@ -107,7 +106,7 @@ def test_dual_is_self_inverse_convention():
 
 def test_identity_cloner_copies_perfectly():
     psi = phi_basis_state(0.9, 2)
-    out = clone_state(phi_cloner_matrix(ClonerParams.identity()), psi)
+    out = clone_state(phi_cloner_matrix(IDENTITY), psi)
     assert np.max(np.abs(out.rho_a.entries - np.outer(psi.amps, psi.amps.conj()))) <= 1e-12
     assert abs(fidelity(out.rho_a, psi) - 1.0) <= 1e-12
 
@@ -124,7 +123,7 @@ def test_identity_cloner_second_clone_is_useless():
     expected = fidelity(DensityMatrix(mix), psi)
     assert abs(expected - 1 / 3) <= 1e-12
 
-    out = clone_state(phi_cloner_matrix(ClonerParams.identity()), psi)
+    out = clone_state(phi_cloner_matrix(IDENTITY), psi)
     assert abs(fidelity(out.rho_b, psi) - 1 / 3) <= 1e-12
 
 
@@ -144,6 +143,16 @@ def test_mixture_identities_within_1e12():
         out = clone_state(phi_cloner_matrix(params), psi)
         assert out.mixture_dev_a <= 1e-12
         assert out.mixture_dev_b <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_cloner_terms_bell_vectors_equal_the_bell_states_bitwise(d):
+    # the terms build |B_{m,-n}> from the shift matrices; the oracle sums
+    # it term by term, and every bit must agree
+    pairs = [(m, n) for m in range(d) for n in range(d)]
+    for (m, n), (_, bell) in zip(pairs, _cloner_terms(d), strict=True):
+        assert not bell.flags.writeable  # callers share the arrays
+        assert np.array_equal(bell, bell_state(m, (-n) % d, d).amps), (m, n)
 
 
 def test_clone_state_rejects_wrong_dimension():
@@ -185,7 +194,7 @@ def test_optimal_cloner_computational_basis_fidelity():
 
 
 def test_closed_form_identity_cloner():
-    rep = closed_form_report(ClonerParams.identity())
+    rep = closed_form_report(IDENTITY)
     assert rep.f_a == 1.0 and rep.d_a1 == 0.0
     assert abs(rep.f_b - 1 / 3) <= 1e-15
     assert abs(rep.d_b1 - 1 / 3) <= 1e-15
@@ -207,12 +216,12 @@ def test_closed_forms_match_state_level_all_bases():
         mat = phi_cloner_matrix(params)
         for basis in optimal_bases():
             for l in range(3):
-                psi = basis.state(l)
+                psi = phi_basis_state(basis.phi, l)
                 out = clone_state(mat, psi)
                 assert abs(fidelity(out.rho_a, psi) - rep.f_a) <= 1e-10
                 assert abs(fidelity(out.rho_b, psi) - rep.f_b) <= 1e-10
-                d1 = basis.state((l + 1) % 3)
-                d2 = basis.state((l + 2) % 3)
+                d1 = phi_basis_state(basis.phi, (l + 1) % 3)
+                d2 = phi_basis_state(basis.phi, (l + 2) % 3)
                 assert abs(fidelity(out.rho_a, d1) - rep.d_a1) <= 1e-10
                 assert abs(fidelity(out.rho_a, d2) - rep.d_a2) <= 1e-10
                 assert abs(fidelity(out.rho_b, d1) - rep.d_b1) <= 1e-10
@@ -286,7 +295,7 @@ def test_norm_squared_overflows_to_inf():
 def test_phase_covariance_of_constrained_cloners():
     assert phase_covariance_check(phi_cloner_matrix(OPTIMUM), PHI_GRID) <= 1e-10
     assert phase_covariance_check(
-        phi_cloner_matrix(ClonerParams.identity()), PHI_GRID) <= 1e-14
+        phi_cloner_matrix(IDENTITY), PHI_GRID) <= 1e-14
 
 
 def test_phase_covariance_check_discriminates():
@@ -314,7 +323,7 @@ def test_tilde_amplitudes_index_relation():
 
 
 def test_tilde_coefficients_identity_cloner():
-    ct = tilde_coefficients(ClonerParams.identity())
+    ct = tilde_coefficients(IDENTITY)
     assert np.allclose(ct[0], 1.0, atol=1e-15)
     assert np.allclose(ct[1:], 0.0, atol=1e-15)
 
@@ -399,7 +408,7 @@ def test_preset_chart_lands_on_the_fixed_fidelity_surface(name):
 
 
 def test_eve_joint_identity_cloner():
-    table = eve_joint_distribution(ClonerParams.identity(), 0)
+    table = eve_joint_distribution(IDENTITY, 0)
     expected = np.zeros((3, 3, 3))
     expected[0].flat[::4] = 1 / 3  # alpha=0; beta=gamma uniform
     # alpha = k = 0 always, beta uniform, gamma = beta

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from click.testing import CliRunner
 
+from oracles import IDENTITY, preset_fidelity, shannon_entropy
 from qkdlab import security
 from qkdlab.cli import main
 from qkdlab.cloner import ClonerParams, _coefficient_entries, closed_form_report
@@ -22,9 +23,8 @@ from qkdlab.security import (CrossingError, _FIDELITY_BLOCK, _GRID0, _INFEASIBLE
                              ck_rate_bound, crossing_point, error_rate_table,
                              eve_information,
                              fidelity_from_visibility, info_report,
-                             information_sweep, preset_fidelity,
-                             preset_information, resolve_preset, PRESETS,
-                             shannon_entropy, symmetric_point, thresholds)
+                             information_sweep, preset_information,
+                             resolve_preset, PRESETS, symmetric_point, thresholds)
 
 ROUNDED_OPTIMUM = ClonerParams(0.8320, 0.1711, 0.2038, 0.2038).normalized()
 
@@ -107,7 +107,7 @@ def test_bob_information_strictly_increasing(f, step):
 
 
 def test_eve_information_identity_cloner_is_zero():
-    assert abs(eve_information(ClonerParams.identity(), base=2)) <= 1e-12
+    assert abs(eve_information(IDENTITY, base=2)) <= 1e-12
 
 
 def test_eve_conditional_vector_at_optimum():
@@ -817,7 +817,7 @@ def test_info_report_at_optimum():
 
 
 def test_info_report_identity():
-    rep = info_report(ClonerParams.identity(), base=3)
+    rep = info_report(IDENTITY, base=3)
     assert abs(rep.i_ab - 1.0) <= 1e-12
     assert abs(rep.i_ae) <= 1e-12
     assert abs(rep.r_bound - 1.0) <= 1e-12

@@ -6,18 +6,17 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from oracles import IDENTITY, eve_joint_distribution, max_entangled, mi_bias_bound
 from qkdlab import simulate
 from qkdlab.cli import _parse_channel
-from qkdlab.cloner import (ClonerParams, clone_state, closed_form_report,
-                           eve_joint_distribution, phi_cloner_matrix)
-from qkdlab.qudit import (BasisSpec, conjugate_phi_basis_state, max_entangled,
-                          optimal_bases, phi_basis_state)
+from qkdlab.cloner import ClonerParams, clone_state, closed_form_report, phi_cloner_matrix
+from qkdlab.qudit import (BasisSpec, conjugate_phi_basis_state, optimal_bases,
+                          phi_basis_state)
 from qkdlab.security import crossing_point, eve_information
 from qkdlab.simulate import (CloningAttackChannel, DepolarizingChannel,
                              PairedIndexSifting, SimConfig, basis_correlation_survey,
-                             empirical_vs_analytic, mi_bias_bound,
-                             plugin_mutual_information, round_distribution,
-                             run_session)
+                             empirical_vs_analytic, plugin_mutual_information,
+                             round_distribution, run_session)
 
 
 PHIS = tuple(b.phi for b in optimal_bases())
@@ -122,7 +121,7 @@ def test_attack_tables_equal_the_closed_form_outcome_tables():
     # the state route (clone the flying qutrit, read it out) against the
     # closed-form table of the same attack on sifted pairs, cell by cell
     rng = np.random.default_rng(2718)
-    cloners = [ATTACK.params, ClonerParams.identity()]
+    cloners = [ATTACK.params, IDENTITY]
     for _ in range(3):
         v, x, y = rng.normal(size=3)
         cloners.append(ClonerParams(v, x, y, y).normalized())
@@ -151,7 +150,7 @@ def test_attack_tables_equal_the_clone_state_route_bitwise():
     # the session clones each flying state once for all four receiver
     # bases; neither that nor skipping clone_state's checks moves a bit
     rng = np.random.default_rng(2718)
-    cloners = [ATTACK.params, ClonerParams.identity()]
+    cloners = [ATTACK.params, IDENTITY]
     for _ in range(3):
         v, x, y = rng.normal(size=3)
         cloners.append(ClonerParams(v, x, y, y).normalized())
@@ -366,6 +365,17 @@ def test_empirical_vs_analytic_at_optimum():
                - (math.log2(3) - _h3(1 - rec.analytic_qber))) <= 1e-9
 
 
+def test_empirical_vs_analytic_rejects_a_broken_tie_before_sampling(monkeypatch):
+    def no_session(config):
+        raise AssertionError("the session ran before the cloner was checked")
+
+    monkeypatch.setattr(simulate, "run_session", no_session)
+    cfg = SimConfig(rounds=2_000_000, seed=2, channel=CloningAttackChannel(
+        ClonerParams(0.8, 0.2, 0.2, 0.25).normalized()))
+    with pytest.raises(ValueError, match="y != z"):
+        empirical_vs_analytic(cfg)
+
+
 def _h3(f):
     probs = [f, (1 - f) / 2, (1 - f) / 2]
     return -sum(p * math.log2(p) for p in probs if p > 0)
@@ -382,7 +392,7 @@ def test_empirical_vs_analytic_requires_enough_rounds():
 
 def test_identity_attack_leaks_nothing():
     cfg = SimConfig(rounds=100_000, seed=17,
-                    channel=CloningAttackChannel(ClonerParams.identity()))
+                    channel=CloningAttackChannel(IDENTITY))
     res = run_session(cfg)
     assert res.qber == 0.0
     bound = mi_bias_bound(27, res.sifted_count, base=2)
@@ -394,7 +404,7 @@ def test_plugin_bias_decays_with_rounds():
     values = {}
     for rounds in (20_000, 200_000):
         res = run_session(SimConfig(rounds=rounds, seed=23,
-                                    channel=CloningAttackChannel(ClonerParams.identity())))
+                                    channel=CloningAttackChannel(IDENTITY)))
         values[rounds] = res.empirical_i_ae
         assert res.empirical_i_ae <= mi_bias_bound(27, res.sifted_count, base=2)
     assert values[200_000] < values[20_000]
@@ -529,7 +539,7 @@ CHANNELS = {
     "ideal": DepolarizingChannel(1.0),
     "depolarizing": DepolarizingChannel(0.6962),
     "attack": ATTACK,
-    "identity-attack": CloningAttackChannel(ClonerParams.identity()),
+    "identity-attack": CloningAttackChannel(IDENTITY),
 }
 
 
