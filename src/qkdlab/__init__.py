@@ -5,10 +5,9 @@ Monte Carlo protocol sessions."""
 
 __version__ = "0.1.0"
 
-from .cloner import (AmplitudeMatrix, ClonerParams, CloneOutputs, FidelityReport,
-                     clone_state, closed_form_report, fourier_dual, phi_cloner_matrix)
-from .qudit import (BasisSpec, DensityMatrix, StateVector, conjugate_phi_basis_state,
-                    error_operator, optimal_bases, partial_trace, phi_basis_state)
+from .cloner import (ClonerParams, FidelityReport, clone_state, closed_form_report,
+                     fourier_dual, phi_cloner_matrix)
+from .qudit import BasisSpec, conjugate_phi_basis_state, error_operator, optimal_bases
 from .security import (CrossingError, CrossingResult, ErrorRateRow, InfoReport,
                        PRESETS, ProtocolPreset, SymmetricResult,
                        ThresholdConstants, bob_information, ck_rate_bound,

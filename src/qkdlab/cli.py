@@ -212,7 +212,7 @@ def cloner_eval(params_spec, normalize, base):
         else:
             params.require_normalized(remedy="drop --no-normalize to rescale")
     result = asdict(security.info_report(params, base=base))
-    result["amplitude_matrix"] = phi_cloner_matrix(params).a
+    result["amplitude_matrix"] = phi_cloner_matrix(params)
     inputs = {"params": {"v": params.v, "x": params.x, "y": params.y, "z": params.z},
               "base": base, "normalize": normalize}
     return inputs, result

@@ -1,7 +1,8 @@
 """Qutrit cloning machines built from a 3x3 amplitude matrix.
 
-A cloner is specified by complex amplitudes ``a[m, n]`` attached to the
-shift/phase error operators.  Acting on an input state |psi> it produces
+A cloner is specified by complex amplitudes ``a[m, n]``, a plain (3, 3)
+array, attached to the shift/phase error operators.  The one cloning map,
+:func:`clone_state`, takes the amplitudes of an input state |psi> to
 
     sum_{m,n} a[m,n] (U_{m,n}|psi>)_A  |B_{m,-n mod 3}>_{B,C}
 
@@ -9,7 +10,7 @@ on three registers: A is the imperfect copy resent to the receiver, B is
 the copy kept by the attacker, C is the machine (ancilla).  Tracing the
 joint state gives the two clones as mixtures of shifted/phased inputs
 weighted by |a[m,n]|^2 (clone A) and by the squared Fourier-dual
-amplitudes |b[m,n]|^2 (clone B).
+amplitudes |b[m,n]|^2 (clone B); ``tests/oracles.py`` checks both.
 
 The attack on the phase-basis protocol restricts the amplitudes to the
 constrained form
@@ -33,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qudit import DensityMatrix, StateVector, error_operator, partial_trace
+from .qudit import error_operator
 
 PARAM_NORM_TOL = 1e-8
 SYMMETRY_TOL = 1e-10
@@ -82,29 +83,8 @@ class ClonerParams:
                              "this quantity assumes the y = z tie")
 
 
-@dataclass
-class AmplitudeMatrix:
-    """N x N complex cloner amplitudes a[m, n], unit Frobenius norm."""
-
-    a: np.ndarray
-
-    def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=complex)
-        if self.a.ndim != 2 or self.a.shape[0] != self.a.shape[1]:
-            raise ValueError("amplitude matrix must be square")
-        self.a.flags.writeable = False
-
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
-
-    def weights(self) -> np.ndarray:
-        """p[m, n] = |a[m, n]|^2."""
-        return np.abs(self.a) ** 2
-
-
-def phi_cloner_matrix(params: ClonerParams) -> AmplitudeMatrix:
-    """Constrained amplitude matrix [[v,x,x],[y,y,y],[z,z,z]].
+def phi_cloner_matrix(params: ClonerParams) -> np.ndarray:
+    """Constrained amplitude matrix [[v,x,x],[y,y,y],[z,z,z]], read-only complex.
 
     Raises unless the parameters sit on the normalization surface within
     1e-8.  The returned matrix is always exactly unit Frobenius norm.
@@ -112,36 +92,23 @@ def phi_cloner_matrix(params: ClonerParams) -> AmplitudeMatrix:
     params.require_normalized()
     params = params.normalized()
     v, x, y, z = params.v, params.x, params.y, params.z
-    return AmplitudeMatrix(np.array([[v, x, x], [y, y, y], [z, z, z]]))
+    a = np.array([[v, x, x], [y, y, y], [z, z, z]], dtype=complex)
+    a.flags.writeable = False
+    return a
 
 
-def fourier_dual(mat: AmplitudeMatrix) -> AmplitudeMatrix:
-    """b[m,n] = (1/N) sum_{x,y} exp(2 pi i (n x - m y) / N) a[x,y].
+def fourier_dual(mat: np.ndarray) -> np.ndarray:
+    """b[m,n] = (1/N) sum_{x,y} exp(2 pi i (n x - m y) / N) a[x,y], read-only.
 
     The kernel is unitary, so norms are preserved, and self-inverse: the
     inverse transform is the same operation, with no index reflection
     (frozen by the convention test in the suite).
     """
-    n = mat.dim
+    n = len(mat)
     w = np.exp(2j * math.pi * np.outer(np.arange(n), np.arange(n)) / n)
-    b = np.einsum("nx,my,xy->mn", w, w.conj(), mat.a) / n
-    return AmplitudeMatrix(b)
-
-
-@dataclass
-class CloneOutputs:
-    """Tripartite cloner output plus both reduced clones.
-
-    ``mixture_dev_a``/``mixture_dev_b`` report the largest entrywise gap
-    between each reduced state and its independent mixture-formula
-    construction; both are ~1e-15 for a correctly normalized cloner.
-    """
-
-    joint: StateVector
-    rho_a: DensityMatrix
-    rho_b: DensityMatrix
-    mixture_dev_a: float
-    mixture_dev_b: float
+    b = np.einsum("nx,my,xy->mn", w, w.conj(), mat) / n
+    b.flags.writeable = False
+    return b
 
 
 @lru_cache(maxsize=None)
@@ -161,48 +128,29 @@ def _cloner_terms(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(terms)
 
 
-def clone_amplitudes(mat: AmplitudeMatrix, amps: np.ndarray) -> np.ndarray:
-    """Amplitudes of the (A, B, C) output for the input amplitudes ``amps``.
+def clone_state(mat: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """Apply the cloning map to the amplitudes of a single-qudit input.
 
-    The joint state of :func:`clone_state`, with neither its input checks
-    nor its reduced states.
+    ``mat`` is the square amplitude matrix a[m, n] of unit Frobenius norm
+    and ``amps`` the unit (n,) input, so the map is an isometry.  Returns
+    the read-only (n**3,) amplitudes of the joint state on the registers
+    (A, B, C) = (receiver's clone, attacker's clone, machine), first factor
+    slowest.
     """
-    n = mat.dim
-    joint = np.zeros(n**3, dtype=complex)
-    for (shift, bell), weight in zip(_cloner_terms(n), mat.a.reshape(-1)):
-        joint += weight * np.outer(shift @ amps, bell).reshape(-1)
-    return joint
-
-
-def clone_state(mat: AmplitudeMatrix, input_state: StateVector) -> CloneOutputs:
-    """Apply the cloning map to a single-qutrit input.
-
-    Registers of the joint state are ordered (A, B, C) = (receiver's clone,
-    attacker's clone, machine), first factor slowest.
-    """
-    n = mat.dim
-    if input_state.dim != n:
-        raise ValueError("input dimension does not match the cloner")
-    if abs(np.linalg.norm(input_state.amps) - 1.0) > 1e-9:
+    n = len(mat)
+    if mat.shape != (n, n):
+        raise ValueError(f"amplitude matrix must be square, got shape {mat.shape}")
+    if amps.shape != (n,):
+        raise ValueError(f"input of shape {amps.shape} does not match the cloner")
+    if not abs(np.linalg.norm(mat) - 1.0) <= 1e-9:  # also true for NaN
+        raise ValueError("amplitude matrix must have unit Frobenius norm")
+    if not abs(np.linalg.norm(amps) - 1.0) <= 1e-9:
         raise ValueError("input state must be normalized")
-
-    joint_state = StateVector(clone_amplitudes(mat, input_state.amps), (n, n, n))
-    rho_a = partial_trace(joint_state, keep=(0,))
-    rho_b = partial_trace(joint_state, keep=(1,))
-
-    p = mat.weights().reshape(-1)
-    q = fourier_dual(mat).weights().reshape(-1)
-    mix_a = np.zeros((n, n), dtype=complex)
-    mix_b = np.zeros((n, n), dtype=complex)
-    for (shift, _), pw, qw in zip(_cloner_terms(n), p, q):
-        shifted = shift @ input_state.amps
-        proj = np.outer(shifted, shifted.conj())
-        mix_a += pw * proj
-        mix_b += qw * proj
-    dev_a = float(np.max(np.abs(mix_a - rho_a.entries)))
-    dev_b = float(np.max(np.abs(mix_b - rho_b.entries)))
-
-    return CloneOutputs(joint_state, rho_a, rho_b, dev_a, dev_b)
+    joint = np.zeros(n**3, dtype=complex)
+    for (shift, bell), weight in zip(_cloner_terms(n), mat.reshape(-1)):
+        joint += weight * np.outer(shift @ amps, bell).reshape(-1)
+    joint.flags.writeable = False
+    return joint
 
 
 @dataclass(frozen=True)
@@ -239,7 +187,7 @@ def closed_form_report(params: ClonerParams) -> FidelityReport:
         d_b1 = d_b2 = (v * v + 2 * x * x + 3 * y * y - 4 * x * y - 2 * v * y) / 3.0
         symmetric = True
     else:
-        q = fourier_dual(phi_cloner_matrix(params)).weights()
+        q = np.abs(fourier_dual(phi_cloner_matrix(params))) ** 2
         f_b = float(q[:, 0].sum())
         d_b1 = float(q[:, 1].sum())
         d_b2 = float(q[:, 2].sum())

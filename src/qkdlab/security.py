@@ -126,11 +126,15 @@ class CrossingError(RuntimeError):
 
 
 def _log_of_base(base) -> float:
+    """ln(base); ValueError unless the base is "e" or a finite number above 1."""
     if base in ("e", "E", math.e):
         return 1.0
-    b = float(base)
-    if b <= 1.0:
-        raise ValueError(f"log base must exceed 1, got {base!r}")
+    try:
+        b = float(base)
+    except (TypeError, ValueError):
+        b = math.nan
+    if not 1.0 < b < math.inf:  # also true for NaN
+        raise ValueError(f"log base must be a finite number above 1, got {base!r}")
     return math.log(b)
 
 
@@ -666,9 +670,9 @@ def _crossing_core(preset_name: str) -> tuple[float, tuple, float, int]:
 def crossing_point(preset="3deb", base=2) -> CrossingResult:
     """Locate the fidelity where the attacker's information meets the receiver's."""
     preset = resolve_preset(preset)
+    lb = _log_of_base(base)
     f_star, items, residual_nats, iters = _crossing_core(preset.name)
     vals = dict(items)
-    lb = _log_of_base(base)
     i_ab, i_ae = preset_information(preset, vals, base=base)
     return CrossingResult(
         preset=preset.name,

@@ -36,7 +36,7 @@ from typing import Union
 
 import numpy as np
 
-from .cloner import (ClonerParams, clone_amplitudes, closed_form_report, phi_cloner_matrix,
+from .cloner import (ClonerParams, clone_state, closed_form_report, phi_cloner_matrix,
                      readout_table)
 from .qudit import optimal_bases
 from .security import _entropy_nats, eve_information
@@ -226,7 +226,7 @@ def _attack_tables(params: ClonerParams, pairs) -> list[np.ndarray]:
     pairs read it out."""
     mat = phi_cloner_matrix(params)
     flying = _BASES.conj()
-    joints = {i: [clone_amplitudes(mat, np.ascontiguousarray(state)) for state in flying[i].T]
+    joints = {i: [clone_state(mat, np.ascontiguousarray(state)) for state in flying[i].T]
               for i in {i for i, _ in pairs}}
     return [np.array([readout_table(joint, flying[j]) for joint in joints[i]]) / 3.0
             for i, j in pairs]

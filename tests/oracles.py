@@ -1,26 +1,129 @@
 """State-level oracles for the tests.
 
-The library keeps the closed forms and the arrays a session needs; the
-tests check them against these explicit constructions: entangled and Bell
-states, state overlaps, clone fidelities read off reduced states, the
-phase-basis rewriting of a cloner and its outcome tables, entropies from
-their definition, and the plug-in information bias allowance.
+The library keeps the closed forms and the plain arrays a session needs;
+the tests check them against these explicit constructions: checked state
+and density-matrix types with partial traces, entangled and Bell states,
+state overlaps, both reduced clones with their mixture cross-check, clone
+fidelities read off reduced states, the phase-basis rewriting of a cloner
+and its outcome tables, entropies from their definition, and the plug-in
+information bias allowance.
+
+Equality checks on states are absolute with tolerance ``TOL`` = 1e-12.
+Every construction here involves only roots of unity and short sums, so
+there are no conditioning issues.  States that differ by a global phase
+are treated as equal.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from qkdlab.cloner import (AmplitudeMatrix, ClonerParams, _coefficient_entries,
-                           clone_amplitudes, clone_state, phi_cloner_matrix,
-                           readout_table)
-from qkdlab.qudit import (BasisSpec, DensityMatrix, StateVector, phase_basis,
-                          phi_basis_state)
+from qkdlab.cloner import (ClonerParams, _cloner_terms, _coefficient_entries, clone_state,
+                           fourier_dual, phi_cloner_matrix, readout_table)
+from qkdlab.qudit import BasisSpec, phase_basis
 from qkdlab.security import _entropy_nats, _log_of_base, _spread, resolve_preset
 
+TOL = 1e-12
+
 # --- states ------------------------------------------------------------------
+
+
+@dataclass
+class StateVector:
+    """Pure state of one or more qudits, unit norm enforced at construction."""
+
+    amps: np.ndarray
+    factors: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        self.amps = np.asarray(self.amps, dtype=complex).reshape(-1)
+        if not self.factors:
+            self.factors = (self.amps.size,)
+        self.factors = tuple(int(f) for f in self.factors)
+        if math.prod(self.factors) != self.amps.size:
+            raise ValueError(
+                f"factors {self.factors} do not multiply to dim {self.amps.size}")
+        norm = np.linalg.norm(self.amps)
+        if abs(norm - 1.0) > TOL:
+            raise ValueError(f"state not normalized: |psi| = {norm!r}")
+        self.amps.flags.writeable = False
+
+    @property
+    def dim(self) -> int:
+        return self.amps.size
+
+
+@dataclass
+class DensityMatrix:
+    """Hermitian, unit-trace, positive-semidefinite operator."""
+
+    entries: np.ndarray
+    factors: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        self.entries = np.asarray(self.entries, dtype=complex)
+        d = self.entries.shape[0]
+        if self.entries.ndim != 2 or self.entries.shape[1] != d:
+            raise ValueError("density matrix must be square")
+        if not self.factors:
+            self.factors = (d,)
+        self.factors = tuple(int(f) for f in self.factors)
+        if math.prod(self.factors) != d:
+            raise ValueError("factors inconsistent with dimension")
+        if np.max(np.abs(self.entries - self.entries.conj().T)) > TOL:
+            raise ValueError("density matrix not Hermitian")
+        if abs(np.trace(self.entries).real - 1.0) > TOL:
+            raise ValueError("density matrix trace != 1")
+        if np.min(np.linalg.eigvalsh(self.entries)) < -1e-10:
+            raise ValueError("density matrix has a negative eigenvalue")
+        self.entries.flags.writeable = False
+
+    @property
+    def dim(self) -> int:
+        return self.entries.shape[0]
+
+
+def as_density(state: StateVector | DensityMatrix) -> DensityMatrix:
+    if isinstance(state, DensityMatrix):
+        return state
+    return DensityMatrix(np.outer(state.amps, state.amps.conj()), state.factors)
+
+
+def partial_trace(state: StateVector | DensityMatrix,
+                  keep: int | tuple[int, ...] | list[int]) -> DensityMatrix:
+    """Trace out every subsystem not listed in ``keep``."""
+    rho = as_density(state)
+    dims = list(rho.factors)
+    n = len(dims)
+    if isinstance(keep, int):
+        keep = (keep,)
+    keep = sorted(set(int(i) for i in keep))
+    if not keep:
+        raise ValueError("keep must name at least one subsystem")
+    if any(i < 0 or i >= n for i in keep):
+        raise ValueError(f"keep={keep} inconsistent with {n} subsystems")
+    t = rho.entries.reshape(dims + dims)
+    removed = 0
+    for i in range(n):
+        if i in keep:
+            continue
+        ax = i - removed
+        t = np.trace(t, axis1=ax, axis2=ax + (n - removed))
+        removed += 1
+    kept_dims = tuple(dims[i] for i in keep)
+    d = math.prod(kept_dims)
+    return DensityMatrix(t.reshape(d, d), kept_dims)
+
+
+def phi_basis_state(phi: float, l: int) -> StateVector:
+    """Column l of :func:`qkdlab.qudit.phase_basis`."""
+    if l not in (0, 1, 2):
+        raise ValueError(f"index must be 0, 1 or 2, got {l}")
+    return StateVector(np.ascontiguousarray(phase_basis(phi)[:, int(l)]), (3,))
+
 
 
 def overlap(a: StateVector, b: StateVector) -> complex:
@@ -82,22 +185,66 @@ def tensor(*states: StateVector) -> StateVector:
 IDENTITY = ClonerParams(1.0, 0.0, 0.0, 0.0)
 
 
-def norm_squared(mat: AmplitudeMatrix) -> float:
+@dataclass
+class CloneOutputs:
+    """Tripartite cloner output plus both reduced clones.
+
+    ``mixture_dev_a``/``mixture_dev_b`` report the largest entrywise gap
+    between each reduced state and its independent mixture-formula
+    construction; both are ~1e-15 for a correctly normalized cloner.
+    """
+
+    joint: StateVector
+    rho_a: DensityMatrix
+    rho_b: DensityMatrix
+    mixture_dev_a: float
+    mixture_dev_b: float
+
+
+def clone_outputs(mat: np.ndarray, psi: StateVector) -> CloneOutputs:
+    """:func:`qkdlab.cloner.clone_state` of ``psi`` with both reduced clones,
+    each also rebuilt as the mixture of shifted/phased inputs weighted by
+    |a[m,n]|^2 (clone A) or by the squared Fourier-dual amplitudes (clone B).
+
+    Registers of the joint state are ordered (A, B, C) = (receiver's clone,
+    attacker's clone, machine), first factor slowest.
+    """
+    n = len(mat)
+    joint_state = StateVector(clone_state(mat, psi.amps), (n, n, n))
+    rho_a = partial_trace(joint_state, keep=(0,))
+    rho_b = partial_trace(joint_state, keep=(1,))
+
+    p = (np.abs(mat) ** 2).reshape(-1)
+    q = (np.abs(fourier_dual(mat)) ** 2).reshape(-1)
+    mix_a = np.zeros((n, n), dtype=complex)
+    mix_b = np.zeros((n, n), dtype=complex)
+    for (shift, _), pw, qw in zip(_cloner_terms(n), p, q):
+        shifted = shift @ psi.amps
+        proj = np.outer(shifted, shifted.conj())
+        mix_a += pw * proj
+        mix_b += qw * proj
+    dev_a = float(np.max(np.abs(mix_a - rho_a.entries)))
+    dev_b = float(np.max(np.abs(mix_b - rho_b.entries)))
+
+    return CloneOutputs(joint_state, rho_a, rho_b, dev_a, dev_b)
+
+
+def norm_squared(mat: np.ndarray) -> float:
     """sum |a[m, n]|^2."""
-    return float(np.sum(np.abs(mat.a) ** 2))
+    return float(np.sum(np.abs(mat) ** 2))
 
 
-def tilde_amplitudes(mat: AmplitudeMatrix) -> AmplitudeMatrix:
+def tilde_amplitudes(mat: np.ndarray) -> np.ndarray:
     """Amplitudes of the same cloner rewritten in the phase bases.
 
     Index relation: atilde[n, -m mod N] = a[m, n].
     """
-    n = mat.dim
-    at = np.empty_like(mat.a)
+    n = len(mat)
+    at = np.empty_like(mat)
     for p in range(n):
         for q in range(n):
-            at[p, q] = mat.a[(-q) % n, p]
-    return AmplitudeMatrix(at)
+            at[p, q] = mat[(-q) % n, p]
+    return at
 
 
 def fidelity(rho: DensityMatrix, psi: StateVector) -> float:
@@ -110,19 +257,19 @@ def fidelity(rho: DensityMatrix, psi: StateVector) -> float:
     return float(val.real)
 
 
-def phase_covariance_check(mat: AmplitudeMatrix, phi_grid) -> float:
+def phase_covariance_check(mat: np.ndarray, phi_grid) -> float:
     """Largest gap between state-level phase-basis fidelity and sum_m p[m,0].
 
     For constrained matrices the gap is at numerical noise (<= 1e-10); a
     generic normalized matrix shows a phi-dependent fidelity and fails by
     a visible margin, so the check discriminates.
     """
-    reference = float(mat.weights()[:, 0].sum())
+    reference = float((np.abs(mat) ** 2)[:, 0].sum())
     worst = 0.0
     for phi in phi_grid:
         for l in range(3):
             psi = phi_basis_state(phi, l)
-            out = clone_state(mat, psi)
+            out = clone_outputs(mat, psi)
             worst = max(worst, abs(fidelity(out.rho_a, psi) - reference))
     return worst
 
@@ -159,7 +306,7 @@ def tilde_coefficients(params: ClonerParams) -> np.ndarray:
     v, x, y = params.v, params.x, params.y
     ct = np.array(coefficient_rows(v, y, x, y))
 
-    at = tilde_amplitudes(phi_cloner_matrix(params)).a
+    at = tilde_amplitudes(phi_cloner_matrix(params))
     w = np.exp(2j * math.pi * np.outer(np.arange(3), np.arange(3)) / 3.0)
     ct_def = at @ w.T
     if np.max(np.abs(ct_def.imag)) > 1e-12 or np.max(np.abs(ct_def.real - ct)) > 1e-12:
@@ -190,7 +337,7 @@ def eve_joint_distribution(params: ClonerParams, k: int,
         raise AssertionError("attack outcome table does not sum to 1")
 
     cols = BasisSpec(verify_phi).matrix()
-    state_table = readout_table(clone_amplitudes(phi_cloner_matrix(params), cols[:, k]), cols)
+    state_table = readout_table(clone_state(phi_cloner_matrix(params), cols[:, k]), cols)
     if np.max(np.abs(table - state_table)) > 1e-12:
         raise AssertionError("attack outcome table disagrees with the "
                              "state-level construction")

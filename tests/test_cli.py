@@ -611,16 +611,16 @@ def test_cloner_eval_identity(runner):
 
 def test_cloner_eval_amplitude_matrix_roundtrip(runner):
     import numpy as np
-    from qkdlab.cloner import AmplitudeMatrix, ClonerParams, phi_cloner_matrix
+    from qkdlab.cloner import ClonerParams, phi_cloner_matrix
     payload = run_json(runner, ["cloner-eval", "--params", "0.8320,0.1711,0.2038",
                                 "--no-timestamp"])
     # the matrix prints as rows of [re, im] pairs
-    mat = AmplitudeMatrix(np.array([[complex(re, im) for re, im in row]
-                                    for row in payload["result"]["amplitude_matrix"]]))
+    mat = np.array([[complex(re, im) for re, im in row]
+                    for row in payload["result"]["amplitude_matrix"]])
     expected = phi_cloner_matrix(
         ClonerParams(0.8320, 0.1711, 0.2038, 0.2038).normalized())
     assert abs(norm_squared(mat) - 1.0) <= 1e-9  # 10-digit serialization
-    assert np.max(np.abs(mat.a - expected.a)) <= 1e-9
+    assert np.max(np.abs(mat - expected)) <= 1e-9
 
 
 def test_cloner_eval_broken_tie_exits_1(runner):

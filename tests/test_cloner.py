@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (IDENTITY, bell_state, coefficient_rows, eve_joint_distribution,
-                     fidelity, norm_squared, phase_covariance_check, preset_fidelity,
+from oracles import (IDENTITY, DensityMatrix, StateVector, bell_state, clone_outputs,
+                     coefficient_rows, eve_joint_distribution, fidelity, norm_squared,
+                     phase_covariance_check, phi_basis_state, preset_fidelity,
                      tilde_amplitudes, tilde_coefficients)
-from qkdlab.cloner import (AmplitudeMatrix, ClonerParams, _cloner_terms, clone_state,
-                           closed_form_report, fourier_dual, phi_cloner_matrix)
-from qkdlab.qudit import (DensityMatrix, error_operator, optimal_bases,
-                          phi_basis_state)
+from qkdlab.cloner import (ClonerParams, _cloner_terms, clone_state, closed_form_report,
+                           fourier_dual, phi_cloner_matrix)
+from qkdlab.qudit import error_operator, optimal_bases
 from qkdlab.security import PRESETS
 
 # rounded published solution of the crossing problem; off the constraint
@@ -37,7 +37,7 @@ def random_params(rng) -> ClonerParams:
 
 def test_matrix_rows():
     mat = phi_cloner_matrix(ClonerParams(0.5, 0.5, 0.25, 0.25).normalized())
-    a = mat.a.real
+    a = mat.real
     assert a[0, 1] == a[0, 2]
     assert np.all(a[1] == a[1, 0]) and np.all(a[2] == a[2, 0])
 
@@ -46,7 +46,7 @@ def test_identity_cloner_matrix():
     mat = phi_cloner_matrix(IDENTITY)
     expected = np.zeros((3, 3))
     expected[0, 0] = 1.0
-    assert np.allclose(mat.a, expected, atol=1e-15)
+    assert np.allclose(mat, expected, atol=1e-15)
 
 
 def test_uniform_params_have_unit_norm():
@@ -70,14 +70,14 @@ def test_rounded_published_values_close_to_surface():
 
 def test_dual_of_identity_cloner_is_flat():
     b = fourier_dual(phi_cloner_matrix(IDENTITY))
-    assert np.allclose(b.a, np.full((3, 3), 1 / 3), atol=1e-12)
+    assert np.allclose(b, np.full((3, 3), 1 / 3), atol=1e-12)
 
 
 def test_dual_of_flat_matrix_is_identity_cloner():
-    b = fourier_dual(AmplitudeMatrix(np.full((3, 3), 1 / 3)))
+    b = fourier_dual(np.full((3, 3), 1 / 3))
     expected = np.zeros((3, 3))
     expected[0, 0] = 1.0
-    assert np.allclose(b.a, expected, atol=1e-12)
+    assert np.allclose(b, expected, atol=1e-12)
 
 
 def test_dual_preserves_norm_on_random_matrices():
@@ -85,8 +85,7 @@ def test_dual_preserves_norm_on_random_matrices():
     for _ in range(100):
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         a /= np.linalg.norm(a)
-        mat = AmplitudeMatrix(a)
-        assert abs(norm_squared(fourier_dual(mat)) - norm_squared(mat)) <= 1e-12
+        assert abs(norm_squared(fourier_dual(a)) - norm_squared(a)) <= 1e-12
 
 
 def test_dual_is_self_inverse_convention():
@@ -96,9 +95,8 @@ def test_dual_is_self_inverse_convention():
     for _ in range(20):
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         a /= np.linalg.norm(a)
-        mat = AmplitudeMatrix(a)
-        twice = fourier_dual(fourier_dual(mat))
-        assert np.max(np.abs(twice.a - mat.a)) <= 1e-12
+        twice = fourier_dual(fourier_dual(a))
+        assert np.max(np.abs(twice - a)) <= 1e-12
 
 
 # --- cloning map -------------------------------------------------------------
@@ -106,7 +104,7 @@ def test_dual_is_self_inverse_convention():
 
 def test_identity_cloner_copies_perfectly():
     psi = phi_basis_state(0.9, 2)
-    out = clone_state(phi_cloner_matrix(IDENTITY), psi)
+    out = clone_outputs(phi_cloner_matrix(IDENTITY), psi)
     assert np.max(np.abs(out.rho_a.entries - np.outer(psi.amps, psi.amps.conj()))) <= 1e-12
     assert abs(fidelity(out.rho_a, psi) - 1.0) <= 1e-12
 
@@ -123,7 +121,7 @@ def test_identity_cloner_second_clone_is_useless():
     expected = fidelity(DensityMatrix(mix), psi)
     assert abs(expected - 1 / 3) <= 1e-12
 
-    out = clone_state(phi_cloner_matrix(IDENTITY), psi)
+    out = clone_outputs(phi_cloner_matrix(IDENTITY), psi)
     assert abs(fidelity(out.rho_b, psi) - 1 / 3) <= 1e-12
 
 
@@ -131,7 +129,7 @@ def test_optimal_cloner_fidelity_on_phase_states():
     mat = phi_cloner_matrix(OPTIMUM)
     for phi in (0.0, np.pi / 6, 1.234):
         psi = phi_basis_state(phi, 0)
-        out = clone_state(mat, psi)
+        out = clone_outputs(mat, psi)
         assert abs(fidelity(out.rho_a, psi) - 0.7753) <= 5e-4
 
 
@@ -140,7 +138,7 @@ def test_mixture_identities_within_1e12():
     for _ in range(20):
         params = random_params(rng)
         psi = phi_basis_state(rng.uniform(0, 2 * np.pi), rng.integers(0, 3))
-        out = clone_state(phi_cloner_matrix(params), psi)
+        out = clone_outputs(phi_cloner_matrix(params), psi)
         assert out.mixture_dev_a <= 1e-12
         assert out.mixture_dev_b <= 1e-12
 
@@ -156,10 +154,33 @@ def test_cloner_terms_bell_vectors_equal_the_bell_states_bitwise(d):
 
 
 def test_clone_state_rejects_wrong_dimension():
-    from qkdlab.qudit import StateVector
     qubit = StateVector(np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
-        clone_state(phi_cloner_matrix(OPTIMUM), qubit)
+        clone_outputs(phi_cloner_matrix(OPTIMUM), qubit)
+
+
+@pytest.mark.parametrize("mat, amps", [
+    (np.full((3, 4), 1 / math.sqrt(12)), np.array([1.0, 0.0, 0.0])),
+    (2 * phi_cloner_matrix(IDENTITY), np.array([1.0, 0.0, 0.0])),
+    (phi_cloner_matrix(IDENTITY), np.array([1.0, 0.0])),
+    (phi_cloner_matrix(IDENTITY), np.array([[1.0], [0.0], [0.0]])),
+    (phi_cloner_matrix(IDENTITY), np.array([1.1, 0.0, 0.0])),
+    (phi_cloner_matrix(IDENTITY), np.array([math.nan, 0.0, 0.0])),
+], ids=["matrix-3x4", "matrix-norm-2", "input-2", "input-3x1", "norm-1.1", "norm-nan"])
+def test_clone_state_guards_its_inputs(mat, amps):
+    # the one cloning map checks its own inputs: a non-square matrix would
+    # otherwise be cut short by the zip over its n * n terms, and a matrix
+    # or input off the unit sphere would give joint amplitudes off it too
+    with pytest.raises(ValueError):
+        clone_state(mat, amps)
+
+
+def test_cloner_arrays_are_read_only():
+    mat = phi_cloner_matrix(OPTIMUM)
+    assert mat.shape == (3, 3) and mat.dtype == complex and not mat.flags.writeable
+    assert not fourier_dual(mat).flags.writeable
+    joint = clone_state(mat, phi_basis_state(0.4, 1).amps)
+    assert joint.shape == (27,) and not joint.flags.writeable
 
 
 # --- fidelity ----------------------------------------------------------------
@@ -184,9 +205,8 @@ def test_fidelity_dimension_mismatch():
 
 def test_optimal_cloner_computational_basis_fidelity():
     mat = phi_cloner_matrix(OPTIMUM)
-    from qkdlab.qudit import StateVector
     one = StateVector(np.array([0, 1, 0], complex))
-    out = clone_state(mat, one)
+    out = clone_outputs(mat, one)
     assert abs(fidelity(out.rho_a, one) - 0.7507) <= 1e-3
 
 
@@ -217,7 +237,7 @@ def test_closed_forms_match_state_level_all_bases():
         for basis in optimal_bases():
             for l in range(3):
                 psi = phi_basis_state(basis.phi, l)
-                out = clone_state(mat, psi)
+                out = clone_outputs(mat, psi)
                 assert abs(fidelity(out.rho_a, psi) - rep.f_a) <= 1e-10
                 assert abs(fidelity(out.rho_b, psi) - rep.f_b) <= 1e-10
                 d1 = phi_basis_state(basis.phi, (l + 1) % 3)
@@ -236,7 +256,7 @@ def test_closed_form_flags_broken_tie():
     # state-level oracle still matches the dual-weight route
     mat = phi_cloner_matrix(params)
     psi = phi_basis_state(0.77, 1)
-    out = clone_state(mat, psi)
+    out = clone_outputs(mat, psi)
     assert abs(fidelity(out.rho_b, psi) - rep.f_b) <= 1e-10
     assert abs(rep.f_b + rep.d_b1 + rep.d_b2 - 1.0) <= 1e-10
 
@@ -248,10 +268,10 @@ def test_exchanging_clone_roles_via_dual():
     for _ in range(10):
         params = random_symmetric_params(rng)
         rep = closed_form_report(params)
-        q = fourier_dual(phi_cloner_matrix(params)).weights()
+        q = np.abs(fourier_dual(phi_cloner_matrix(params))) ** 2
         assert abs(q[:, 0].sum() - rep.f_b) <= 1e-10
         assert abs(q[:, 1].sum() - rep.d_b1) <= 1e-10
-        p = phi_cloner_matrix(params).weights()
+        p = np.abs(phi_cloner_matrix(params)) ** 2
         assert abs(p[:, 0].sum() - rep.f_a) <= 1e-10
 
 
@@ -305,7 +325,7 @@ def test_phase_covariance_check_discriminates():
     for _ in range(20):
         a = rng.normal(size=(3, 3))
         a /= np.linalg.norm(a)
-        deviations.append(phase_covariance_check(AmplitudeMatrix(a), grid))
+        deviations.append(phase_covariance_check(a, grid))
     deviations = np.array(deviations)
     assert deviations.max() > 1e-3
     assert (deviations > 1e-3).sum() >= 16  # generic matrices fail visibly
@@ -316,10 +336,10 @@ def test_phase_covariance_check_discriminates():
 
 def test_tilde_amplitudes_index_relation():
     mat = phi_cloner_matrix(OPTIMUM)
-    at = tilde_amplitudes(mat).a
+    at = tilde_amplitudes(mat)
     for m in range(3):
         for n in range(3):
-            assert at[n, (-m) % 3] == mat.a[m, n]
+            assert at[n, (-m) % 3] == mat[m, n]
 
 
 def test_tilde_coefficients_identity_cloner():
@@ -354,7 +374,7 @@ def tied_mask(d, v, row0, col0, rest):
     a[0, 1:] = row0
     a[1:, 0] = col0
     a[0, 0] = v
-    return AmplitudeMatrix(a)
+    return a
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -367,7 +387,7 @@ def test_preset_rows_match_fourier_definition(d):
     w = np.exp(2j * math.pi * np.outer(np.arange(d), np.arange(d)) / d)
 
     def definition(mat):
-        return tilde_amplitudes(mat).a @ w.T
+        return tilde_amplitudes(mat) @ w.T
 
     for _ in range(50):
         v, x, xp, y = rng.normal(size=4)
@@ -402,7 +422,7 @@ def test_preset_chart_lands_on_the_fixed_fidelity_surface(name):
         angles = list(rng.uniform(-math.pi / 2, math.pi / 2, len(preset.e) - 1))
         for sign in (1.0, -1.0):
             amps = preset.chart(f_a, angles, sign)
-            assert abs(np.linalg.norm(preset_mask(preset, amps).a) - 1.0) <= 1e-12
+            assert abs(np.linalg.norm(preset_mask(preset, amps)) - 1.0) <= 1e-12
             values = dict(zip(preset.free_params, amps))
             assert abs(preset_fidelity(preset, values) - f_a) <= 1e-12
 

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (bell_state, max_entangled, overlap, overlap_modulus, tensor,
+from oracles import (DensityMatrix, StateVector, bell_state, max_entangled, overlap,
+                     overlap_modulus, partial_trace, phi_basis_state, tensor,
                      tilde_bell_state)
-from qkdlab.qudit import (BasisSpec, DensityMatrix, StateVector,
-                          conjugate_phi_basis_state, error_operator,
-                          optimal_bases, partial_trace, phase_basis, phi_basis_state)
+from qkdlab.qudit import (BasisSpec, conjugate_phi_basis_state, error_operator,
+                          optimal_bases, phase_basis)
 
 TOL = 1e-12
 OMEGA = np.exp(2j * np.pi / 3)
@@ -48,7 +48,12 @@ def test_phase_basis_equals_the_per_state_formulas_bitwise():
             assert np.array_equal(basis[:, l], reference_state(phi, l)), (phi, l)
             assert np.array_equal(basis.conj()[:, l], reference_conjugate_state(phi, l))
             assert np.array_equal(phi_basis_state(phi, l).amps, basis[:, l])
-            assert np.array_equal(conjugate_phi_basis_state(phi, l).amps, basis.conj()[:, l])
+            assert np.array_equal(conjugate_phi_basis_state(phi, l), basis.conj()[:, l])
+
+
+def test_conjugate_phi_basis_state_is_a_read_only_array():
+    s = conjugate_phi_basis_state(0.7, 2)
+    assert isinstance(s, np.ndarray) and s.shape == (3,) and not s.flags.writeable
 
 
 def test_phi_basis_index_out_of_range():
@@ -75,8 +80,8 @@ def test_phi_basis_orthonormal_on_grid():
 
 def test_conjugate_basis_orthonormal_on_grid():
     for phi in PHI_GRID:
-        gram = np.array([[overlap(conjugate_phi_basis_state(phi, a),
-                                  conjugate_phi_basis_state(phi, b))
+        gram = np.array([[overlap(StateVector(conjugate_phi_basis_state(phi, a)),
+                                  StateVector(conjugate_phi_basis_state(phi, b)))
                           for b in range(3)] for a in range(3)])
         assert np.max(np.abs(gram - np.eye(3))) <= TOL
 
@@ -84,13 +89,13 @@ def test_conjugate_basis_orthonormal_on_grid():
 @given(phis, st.integers(min_value=0, max_value=2))
 @settings(max_examples=50)
 def test_conjugate_is_elementwise_conjugate(phi, l):
-    assert np.allclose(conjugate_phi_basis_state(phi, l).amps,
+    assert np.allclose(conjugate_phi_basis_state(phi, l),
                        phi_basis_state(phi, l).amps.conj(), atol=TOL)
 
 
 def test_conjugate_phi0_l0_real():
     s = conjugate_phi_basis_state(0.0, 0)
-    assert np.allclose(s.amps, phi_basis_state(0.0, 0).amps, atol=TOL)
+    assert np.allclose(s, phi_basis_state(0.0, 0).amps, atol=TOL)
 
 
 def test_optimal_bases_angles():
@@ -132,7 +137,8 @@ def test_correlation_identity_on_grid():
     for phi in PHI_GRID:
         for l in range(3):
             for lp in range(3):
-                bra = tensor(phi_basis_state(phi, l), conjugate_phi_basis_state(phi, lp))
+                bra = tensor(phi_basis_state(phi, l),
+                             StateVector(conjugate_phi_basis_state(phi, lp)))
                 val = overlap(bra, ent)
                 expected = (1 / math.sqrt(3)) if l == lp else 0.0
                 assert abs(val - expected) <= TOL
@@ -265,7 +271,7 @@ def test_partial_trace_product_state():
 
 def test_partial_trace_preserves_trace():
     state = tensor(phi_basis_state(0.3, 0), phi_basis_state(2.1, 1),
-                   conjugate_phi_basis_state(0.9, 2))
+                   StateVector(conjugate_phi_basis_state(0.9, 2)))
     for keep in [(0,), (1,), (2,), (0, 1), (1, 2), (0, 2)]:
         rho = partial_trace(state, keep)
         assert abs(np.trace(rho.entries).real - 1.0) <= TOL
@@ -308,6 +314,6 @@ def test_basis_spec_reduces_phi():
     assert abs(spec.phi - 0.5) <= 1e-12
     assert np.allclose(phi_basis_state(spec.phi, 1).amps, phi_basis_state(0.5, 1).amps, atol=TOL)
     assert np.allclose(BasisSpec(0.5).matrix().conj()[:, 1],
-                       conjugate_phi_basis_state(0.5, 1).amps, atol=TOL)
+                       conjugate_phi_basis_state(0.5, 1), atol=TOL)
 
 

@@ -194,6 +194,24 @@ def test_crossing_base_invariance():
         assert res.residual <= 1e-8
 
 
+@pytest.mark.parametrize("base", [math.nan, math.inf, "1e400", None, "nan"], ids=repr)
+def test_log_bases_that_are_not_finite_numbers_above_one_are_rejected(monkeypatch, base):
+    def solve(*args):
+        raise AssertionError("the crossing was solved before its log base was checked")
+
+    monkeypatch.setattr(security, "_crossing_core", solve)
+    with pytest.raises(ValueError, match="log base"):
+        bob_information(0.9, base=base)
+    with pytest.raises(ValueError, match="log base"):
+        eve_information(ROUNDED_OPTIMUM, base=base)
+    with pytest.raises(ValueError, match="log base"):
+        info_report(ROUNDED_OPTIMUM, base=base)
+    with pytest.raises(ValueError, match="log base"):
+        information_sweep("3deb", 0.70, 0.85, 3, base=base)
+    with pytest.raises(ValueError, match="log base"):
+        crossing_point("3deb", base=base)
+
+
 def test_crossing_result_params_fit_cloner():
     res = crossing_point("3deb")
     params = res.cloner_params().normalized()

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from oracles import IDENTITY, eve_joint_distribution, max_entangled, mi_bias_bound
+from oracles import (IDENTITY, eve_joint_distribution, max_entangled, mi_bias_bound,
+                     phi_basis_state)
 from qkdlab import simulate
 from qkdlab.cli import _parse_channel
 from qkdlab.cloner import ClonerParams, clone_state, closed_form_report, phi_cloner_matrix
-from qkdlab.qudit import (BasisSpec, conjugate_phi_basis_state, optimal_bases,
-                          phi_basis_state)
+from qkdlab.qudit import BasisSpec, conjugate_phi_basis_state, optimal_bases
 from qkdlab.security import crossing_point, eve_information
 from qkdlab.simulate import (CloningAttackChannel, DepolarizingChannel,
                              PairedIndexSifting, SimConfig, basis_correlation_survey,
@@ -69,7 +69,7 @@ def kron_table(i: int, j: int) -> np.ndarray:
     for a in range(3):
         bra_a = phi_basis_state(PHIS[i], a).amps
         for b in range(3):
-            bra_b = conjugate_phi_basis_state(PHIS[j], b).amps
+            bra_b = conjugate_phi_basis_state(PHIS[j], b)
             p[a, b] = abs(np.kron(bra_a, bra_b).conj() @ ent) ** 2
     return p
 
@@ -140,7 +140,7 @@ def clone_state_table(params: ClonerParams, i: int, j: int) -> np.ndarray:
     rows = []
     for a in range(3):
         flying = conjugate_phi_basis_state(PHIS[i], a)
-        t = clone_state(mat, flying).joint.amps.reshape(3, 3, 3)
+        t = clone_state(mat, flying).reshape(3, 3, 3)
         amps = np.einsum("abc,ai,bj,ck->ijk", t, cols.conj(), cols.conj(), cols)
         rows.append(np.abs(amps) ** 2)
     return np.array(rows) / 3.0
@@ -148,7 +148,7 @@ def clone_state_table(params: ClonerParams, i: int, j: int) -> np.ndarray:
 
 def test_attack_tables_equal_the_clone_state_route_bitwise():
     # the session clones each flying state once for all four receiver
-    # bases; neither that nor skipping clone_state's checks moves a bit
+    # bases, and that moves no bit; both routes pass clone_state's checks
     rng = np.random.default_rng(2718)
     cloners = [ATTACK.params, IDENTITY]
     for _ in range(3):
