@@ -10,7 +10,7 @@ Usage:
 import argparse
 import math
 
-from qkdlab.security import (crossing_point, error_rate_table, eve_information,
+from qkdlab.security import (PRESETS, crossing_point, error_rate_table, eve_information,
                              symmetric_point, thresholds)
 from qkdlab.simulate import (CloningAttackChannel, DepolarizingChannel,
                              SimConfig, empirical_vs_analytic, run_session)
@@ -23,7 +23,7 @@ def main():
     args = ap.parse_args()
 
     print("== information crossing points ==")
-    for preset in ("3deb", "universal", "2mub", "qubit"):
+    for preset in PRESETS:
         res = crossing_point(preset, base=2)
         pstr = ", ".join(f"{k}={v:+.4f}" for k, v in res.params_star.items())
         print(f"  {preset:10s} F_A* = {res.f_a_star:.6f}  ({pstr})  "

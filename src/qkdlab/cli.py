@@ -220,7 +220,7 @@ def cloner_eval(params_spec, normalize, base):
 
 @command("crossing")
 @click.option("--preset", default="3deb", show_default=True,
-              help="Protocol preset: 3deb, universal, 2mub or qubit.")
+              help=f"Protocol preset: {', '.join(security.PRESETS)}.")
 @base_option
 def crossing(preset, base):
     """Solve for the information crossing point of a protocol preset."""

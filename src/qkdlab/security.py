@@ -17,26 +17,29 @@ c[0] = (p, q, ..., q) and every c[m > 0] = (r, s, ..., s)
 those four entries per basis, in the float operations of the full rows;
 see ``_rows_information``.
 
-Three cloner families tie slots of the amplitude matrix together; their
-masks are in the docstrings of ``_phase_covariant`` and next to the
-``PRESETS`` entries.  They give four protocol presets:
+Each preset declares its cloner family once, as the tied mask's
+``slots``: for each inequivalent protocol basis, the parameter in each of
+the four slots that ``cloner._coefficient_entries`` reads.  The search
+geometry, the coefficient entries and the map onto qutrit cloner
+parameters all follow from it (``ProtocolPreset``).  There are four
+protocol presets:
 
-* the phase-covariant family, a function of the dimension d:
+* the phase-covariant masks [[v,x,...,x],[y,y,...,y],...]:
   ``3deb`` (d = 3, the paper's four phase bases) and ``qubit`` (d = 2,
   the qubit cloner behind the Ekert91 comparison numbers);
-* ``universal``  -- clones every state with the same fidelity (12-state
-  protocol);
-* ``2mub``       -- the two-basis qutrit protocol (3D-BB84); information
-  is averaged over the computational and Fourier bases.
+* ``universal``  -- the mask [[v,y,y],[y,y,y],[y,y,y]], which clones every
+  state with the same fidelity (12-state protocol);
+* ``2mub``       -- the two-basis qutrit protocol (3D-BB84), mask
+  [[v,x,x],[x',y,y],[x',y,y]] read in the computational and Fourier
+  bases; information is averaged over the two.
 
 At pinned F_A every family has the same shape: the amplitudes a_i after v
 lie on an ellipsoid sum_i e_i a_i^2 = 1 - F_A, and v^2 = F_A -
-sum_i g_i a_i^2.  Each preset declares its two weight tuples e and g and
-the entries of its coefficient rows per protocol basis (``ProtocolPreset``);
-one angle chart, ``ProtocolPreset.chart``, maps a point of the box
-[-pi/2, pi/2]^(k-1) and a sign branch onto the ellipsoid.  One maximizer,
-``_maximize_on``, searches that box for the attacker's information, the
-symmetric point and the information sweep alike.
+sum_i g_i a_i^2, with e and g derived from the slots; one angle chart,
+``ProtocolPreset.chart``, maps a point of the box [-pi/2, pi/2]^(k-1) and
+a sign branch onto the ellipsoid.  One maximizer, ``_maximize_on``,
+searches that box for the attacker's information, the symmetric point and
+the information sweep alike.
 
 The 2mub and qubit masks are reconstructions validated against their
 published crossing fidelities ((1 + 1/sqrt(d))/2: 0.7887 and
@@ -78,7 +81,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -104,21 +107,6 @@ _CALL_POINTS = 1024
 _FIDELITY_BLOCK = 32
 _INFEASIBLE = -1e18
 _BRANCHES = np.array([1.0, -1.0])
-
-#: Published reference values the computed results are compared against.
-REFERENCE_ERROR_RATES = {
-    "3deb": 0.2247,
-    "universal": 0.2267,
-    "2mub": 0.2113,
-    "qubit": 0.1464,
-}
-
-PROTOCOL_LABELS = {
-    "3deb": "3DEB",
-    "universal": "12-state",
-    "2mub": "3D-BB84",
-    "qubit": "Ekert91",
-}
 
 
 class CrossingError(RuntimeError):
@@ -232,27 +220,65 @@ def ck_rate_bound(i_ab: float, i_ae: float, i_be: float) -> float:
 class ProtocolPreset:
     """A protocol's cloner family: amplitude-matrix slots tied to parameters.
 
-    The amplitudes are ``free_params`` in order, v first.  At pinned F_A
-    the amplitudes a_1, ..., a_k after v lie on the ellipsoid
-    sum_i e_i a_i^2 = 1 - F_A, and v = sqrt(F_A - sum_i g_i a_i^2) >= 0
-    (the overall sign of the amplitudes is quotiented away).  The two
-    weight tuples ``e`` and ``g`` are the whole search geometry; ``chart``
-    maps k - 1 angles and a sign branch onto the ellipsoid.  The rest is:
+    The declaration is the mask.  ``slots`` holds, for each inequivalent
+    protocol basis, the parameter in each slot (v, s, t, y) of the mask as
+    read in that basis: a[0, 0] = v, s in the rest of column 0, t in the
+    rest of row 0 and y everywhere else (``cloner._coefficient_entries``).
+    The amplitudes are ``free_params`` in order, v first.  ``label`` names
+    the protocol in the comparison table, ``error_rate`` is its published
+    acceptable error rate and ``aliases`` are further names
+    ``resolve_preset`` accepts.  Everything else is derived once, at
+    construction.
+
+    In basis b of dimension d the fidelity is F_b = v^2 + (d-1) s^2, and
+    normalization leaves 1 - F_b = (d-1) t^2 + (d-1)^2 y^2; F_A is the mean
+    over the bases.  So at pinned F_A the amplitudes a_1, ..., a_k after v
+    lie on the ellipsoid sum_i e_i a_i^2 = 1 - F_A, and
+    v = sqrt(F_A - sum_i g_i a_i^2) >= 0 (the overall sign of the
+    amplitudes is quotiented away), with
+
+        e_i = mean_b((d-1) [t_b = a_i] + (d-1)^2 [y_b = a_i]),
+        g_i = mean_b((d-1) [s_b = a_i]).
+
+    The two weight tuples ``e`` and ``g`` are the whole search geometry;
+    ``chart`` maps k - 1 angles and a sign branch onto the ellipsoid.  The
+    rest is:
 
     * ``entries(*amplitudes)`` -- the four distinct entries of each
       protocol basis's coefficient rows, from which the objective computes
       I_AE in the float operations of the full rows;
-    * ``cloner(*amplitudes)`` -- the same point as (v, x, y, z = y) qutrit
-      cloner parameters, or ``None`` for masks outside that family.
+    * ``cloner(*amplitudes)`` -- the same point as (v, x, y, z) = (v, t, s, y)
+      qutrit cloner parameters; only a qutrit mask with one basis and
+      s = y has it, for any other it is ``None``.
     """
 
     name: str
+    label: str
     dimension: int
     free_params: tuple[str, ...]
-    e: tuple[float, ...]
-    g: tuple[float, ...]
-    entries: Callable[..., tuple]
-    cloner: Callable[..., ClonerParams] | None = None
+    slots: tuple[tuple[str, str, str, str], ...]
+    error_rate: float
+    aliases: tuple[str, ...] = ()
+    e: tuple[float, ...] = field(init=False)
+    g: tuple[float, ...] = field(init=False)
+    _bases: tuple[Callable[[tuple], tuple], ...] = field(init=False, repr=False, compare=False)
+    cloner: Callable[..., ClonerParams] | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        index = tuple(tuple(map(self.free_params.index, basis)) for basis in self.slots)
+        d1, n, amps = self.dimension - 1, len(index), range(1, len(self.free_params))
+        e = tuple(sum(d1 * (b[2] == i) + d1 * d1 * (b[3] == i) for b in index) / n for i in amps)
+        g = tuple(sum(d1 * (b[1] == i) for b in index) / n for i in amps)
+        v, s, t, y = index[0]
+        cloner = (lambda *a: ClonerParams(a[v], a[t], a[s], a[y])) if (
+            self.dimension == 3 and n == 1 and s == y) else None
+        bases = tuple(_basis_entries(self.dimension, *basis) for basis in index)
+        for name, value in ("e", e), ("g", g), ("_bases", bases), ("cloner", cloner):
+            object.__setattr__(self, name, value)
+
+    def entries(self, *amps):
+        """The four distinct coefficient entries of each protocol basis."""
+        return [entries(amps) for entries in self._bases]
 
     def amplitudes_of(self, values: dict[str, float]) -> tuple[float, ...]:
         return tuple(values[p] for p in self.free_params)
@@ -292,53 +318,32 @@ class ProtocolPreset:
         return (np.where(v2 < 0, _INFEASIBLE, np.sqrt(np.maximum(v2, 0.0))), *amps)
 
 
-def _phase_covariant(name: str, d: int) -> ProtocolPreset:
-    """The phase-covariant cloners of dimension d: the mask
-    [[v,x,...,x],[y,y,...,y],...,[y,y,...,y]].
-
-    Normalization v^2 + (d-1) x^2 + d(d-1) y^2 = 1 and the fidelity
-    F_A = v^2 + (d-1) y^2 give the ellipsoid (d-1) x^2 + (d-1)^2 y^2 =
-    1 - F_A and v^2 = F_A - (d-1) y^2.  d = 3 is the paper's attack on its
-    four phase bases, d = 2 the qubit cloner behind the Ekert91 comparison.
-    """
-    return ProtocolPreset(
-        name, d, ("v", "x", "y"), e=(d - 1, (d - 1) ** 2), g=(0, d - 1),
-        entries=lambda v, x, y: (_coefficient_entries(v, y, x, y, d),),
-        cloner=(lambda v, x, y: ClonerParams(v, x, y, y)) if d == 3 else None)
+def _basis_entries(d: int, v: int, s: int, t: int, y: int):
+    """``_coefficient_entries`` of one protocol basis as a function of the
+    amplitude tuple; v, s, t and y index the amplitude in each slot."""
+    return lambda amps: _coefficient_entries(amps[v], amps[s], amps[t], amps[y], d)
 
 
-PRESETS = {
-    "3deb": _phase_covariant("3deb", 3),
-    # the universal cloners [[v,y,y],[y,y,y],[y,y,y]] clone every state
-    # with the same fidelity: v^2 + 8y^2 = 1 and F_A = v^2 + 2y^2 leave
-    # 6y^2 = 1 - F_A, no freedom beyond the sign
-    "universal": ProtocolPreset(
-        "universal", 3, ("v", "y"), e=(6,), g=(2,),
-        entries=lambda v, y: (_coefficient_entries(v, y, y, y),),
-        cloner=lambda v, y: ClonerParams(v, y, y, y)),
-    # the two-basis cloners [[v,x,x],[x',y,y],[x',y,y]]: x^2 + x'^2 + 4y^2
-    # = 1 - F_A and v^2 = F_A - x^2 - x'^2; computational-basis rows
-    # first, the Fourier basis swaps x and x'
-    "2mub": ProtocolPreset(
-        "2mub", 3, ("v", "x", "xp", "y"), e=(1, 1, 4), g=(1, 1, 0),
-        entries=lambda v, x, xp, y: (_coefficient_entries(v, x, xp, y),
-                                     _coefficient_entries(v, xp, x, y))),
-    "qubit": _phase_covariant("qubit", 2),
-}
-
-_PRESET_ALIASES = {"12-state": "universal", "3d-bb84": "2mub", "ekert91": "qubit"}
+PRESETS = {preset.name: preset for preset in (
+    ProtocolPreset("3deb", "3DEB", 3, ("v", "x", "y"), (("v", "y", "x", "y"),), 0.2247),
+    ProtocolPreset("universal", "12-state", 3, ("v", "y"), (("v", "y", "y", "y"),), 0.2267,
+                   aliases=("12-state",)),
+    # computational-basis slots first; the Fourier basis swaps x and x'
+    ProtocolPreset("2mub", "3D-BB84", 3, ("v", "x", "xp", "y"),
+                   (("v", "x", "xp", "y"), ("v", "xp", "x", "y")), 0.2113, aliases=("3d-bb84",)),
+    ProtocolPreset("qubit", "Ekert91", 2, ("v", "x", "y"), (("v", "y", "x", "y"),), 0.1464,
+                   aliases=("ekert91",)),
+)}
 
 
 def resolve_preset(name: str | ProtocolPreset) -> ProtocolPreset:
     if isinstance(name, ProtocolPreset):
         return name
     key = name.lower()
-    key = _PRESET_ALIASES.get(key, key)
-    try:
-        return PRESETS[key]
-    except KeyError:
-        raise ValueError(f"unknown preset {name!r}; "
-                         f"choose from {sorted(PRESETS)}") from None
+    for preset in PRESETS.values():
+        if key == preset.name or key in preset.aliases:
+            return preset
+    raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
 
 
 def _basis_information(preset: ProtocolPreset, amps):
@@ -592,10 +597,14 @@ class CrossingResult:
     log_base: str
     i_ab: float
     i_ae: float
+    family: InitVar[ProtocolPreset]  # the preset solved; asdict and the JSON leave it out
+
+    def __post_init__(self, family):
+        object.__setattr__(self, "_family", family)
 
     def cloner_params(self) -> ClonerParams:
         """The solution as (v, x, y, z = y) cloner parameters (3deb, universal)."""
-        preset = PRESETS[self.preset]
+        preset = self._family
         if preset.cloner is None:
             raise ValueError(f"preset {self.preset!r} does not map onto "
                              "(v, x, y, z = y) qutrit cloner parameters")
@@ -603,7 +612,7 @@ class CrossingResult:
 
 
 @lru_cache(maxsize=None)
-def _crossing_core(preset_name: str) -> tuple[float, tuple, float, int]:
+def _crossing_core(preset: ProtocolPreset) -> tuple[float, tuple, float, int]:
     """Base-independent crossing solve; returns (F*, params items, residual nats, iters).
 
     Brent's method finds the root of g(F) = max I_AE(F) - I_AB(F) inside
@@ -621,7 +630,6 @@ def _crossing_core(preset_name: str) -> tuple[float, tuple, float, int]:
     returned items.  ``iters`` counts every g request, the 13 grid points
     included.  A Brent run that does not converge raises ``CrossingError``.
     """
-    preset = PRESETS[preset_name]
     d = preset.dimension
     lo, hi = 1.0 / d + 1e-9, 1.0 - 1e-9
     grid = np.linspace(lo, hi, 13).tolist()
@@ -644,7 +652,7 @@ def _crossing_core(preset_name: str) -> tuple[float, tuple, float, int]:
             break
     if bracket is None:
         raise CrossingError(
-            f"no information crossing found for preset {preset_name!r} in "
+            f"no information crossing found for preset {preset.name!r} in "
             f"[{lo:.4f}, {hi:.4f}]")
     ends, evals = grid[bracket:bracket + 2], len(grid)
 
@@ -655,14 +663,14 @@ def _crossing_core(preset_name: str) -> tuple[float, tuple, float, int]:
             solved[f_a] = _maximize_on(preset, f_a, iae)
         return solved[f_a][0] - _iab_nats(f_a, d)
 
-    f_star = _root(g, ends[0], ends[1], f"preset {preset_name!r}", maxiter=200)
+    f_star = _root(g, ends[0], ends[1], f"preset {preset.name!r}", maxiter=200)
     best, amps = solved[f_star]  # _brentq returns a point it has evaluated
     residual = abs(best - _iab_nats(f_star, d))
     # the 1e-8 budget must survive conversion into any supported log base;
     # base 2 has the smallest divisor
     if residual > RESIDUAL_TOL * math.log(2.0):
         raise CrossingError(
-            f"crossing solver did not converge for {preset_name!r}: "
+            f"crossing solver did not converge for {preset.name!r}: "
             f"residual {residual:.2e}")
     return f_star, tuple(sorted(zip(preset.free_params, amps))), residual, evals
 
@@ -671,7 +679,7 @@ def crossing_point(preset="3deb", base=2) -> CrossingResult:
     """Locate the fidelity where the attacker's information meets the receiver's."""
     preset = resolve_preset(preset)
     lb = _log_of_base(base)
-    f_star, items, residual_nats, iters = _crossing_core(preset.name)
+    f_star, items, residual_nats, iters = _crossing_core(preset)
     vals = dict(items)
     i_ab, i_ae = preset_information(preset, vals, base=base)
     return CrossingResult(
@@ -684,6 +692,7 @@ def crossing_point(preset="3deb", base=2) -> CrossingResult:
         log_base=_base_label(base),
         i_ab=i_ab,
         i_ae=i_ae,
+        family=preset,
     )
 
 
@@ -707,7 +716,7 @@ def symmetric_point(preset="3deb") -> SymmetricResult:
     run that does not converge raises ``CrossingError``.
     """
     preset = resolve_preset(preset)
-    if preset.name != "3deb":
+    if preset != PRESETS["3deb"]:
         raise ValueError("symmetric point is defined for the 3deb preset")
 
     solved = {}
@@ -756,7 +765,7 @@ def thresholds() -> ThresholdConstants:
         visibility_threshold=v_thr,
         bell_fidelity_threshold=fidelity_from_visibility(v_thr),
         qubit_fidelity_threshold=0.5 + 1.0 / math.sqrt(8.0),
-        security_threshold_3deb=1.0 - REFERENCE_ERROR_RATES["3deb"],
+        security_threshold_3deb=1.0 - PRESETS["3deb"].error_rate,
         kaszlikowski_visibility=0.6629,
         kaszlikowski_fidelity=fidelity_from_visibility(0.6629),
     )
@@ -776,17 +785,16 @@ def error_rate_table() -> list[ErrorRateRow]:
     """Acceptable error rate 1 - F_A* per protocol, computed from the
     crossing solver and compared against the published reference values."""
     rows = []
-    for key in ("3deb", "universal", "2mub", "qubit"):
-        res = crossing_point(key, base=2)
+    for preset in PRESETS.values():
+        res = crossing_point(preset, base=2)
         err = 1.0 - res.f_a_star
-        ref = REFERENCE_ERROR_RATES[key]
         rows.append(ErrorRateRow(
-            protocol=PROTOCOL_LABELS[key],
-            preset=key,
+            protocol=preset.label,
+            preset=preset.name,
             f_a_star=res.f_a_star,
             error_rate=err,
-            paper_value=ref,
-            delta=err - ref,
+            paper_value=preset.error_rate,
+            delta=err - preset.error_rate,
         ))
     return rows
 

@@ -412,6 +412,26 @@ def preset_mask(preset, amps):
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_entries_match_the_mask_in_every_protocol_basis(name):
+    # each basis's slots against the mask they declare: the rows spelled
+    # out from preset.entries at unnormalized draws against their
+    # definition tilde_amplitudes(mask) @ W.T; 2mub's computational basis
+    # reads the transposed mask
+    preset = PRESETS[name]
+    d, k = preset.dimension, preset.dimension - 1
+    w = np.exp(2j * math.pi * np.outer(np.arange(d), np.arange(d)) / d)
+    rng = np.random.default_rng(417)
+    for _ in range(50):
+        amps = tuple(rng.normal(size=len(preset.free_params)))
+        mask = preset_mask(preset, amps)
+        bases = preset.entries(*amps)
+        assert len(bases) == (2 if name == "2mub" else 1)
+        for ((p, q), (r, s)), mat in zip(bases, (mask.T, mask) if name == "2mub" else (mask,)):
+            rows = np.array([[p] + [q] * k] + [[r] + [s] * k] * k)
+            assert np.max(np.abs(tilde_amplitudes(mat) @ w.T - rows)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
 def test_preset_chart_lands_on_the_fixed_fidelity_surface(name):
     # every chart point is a normalized cloner of the preset's mask with
     # receiver fidelity F_A, on both sign branches

@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +229,24 @@ def test_cloner_params_only_for_the_qutrit_y_eq_z_family():
             crossing_point(preset).cloner_params()
 
 
+def test_crossing_point_solves_the_preset_object_it_is_given():
+    # the solve is keyed on the preset itself, not on its name: a universal
+    # mask renamed to a registered name or to one no registry holds solves
+    # as universal, and its cloner parameters come from its own mask
+    universal = crossing_point("universal")
+    for name in ("3deb", "custom"):
+        renamed = crossing_point(replace(PRESETS["universal"], name=name))
+        assert renamed.preset == name
+        assert (renamed.f_a_star, renamed.params_star) == (universal.f_a_star,
+                                                           universal.params_star)
+        assert renamed.cloner_params() == universal.cloner_params()
+    # a mask with no cloner map keeps none under the name of one that has it
+    with pytest.raises(ValueError, match="does not map"):
+        crossing_point(replace(PRESETS["qubit"], name="3deb")).cloner_params()
+    with pytest.raises(ValueError, match="defined for the 3deb preset"):
+        symmetric_point(replace(PRESETS["universal"], name="3deb"))
+
+
 def _cartesian_probes(preset, f_a, rng, n=300):
     """Feasible amplitude assignments at pinned F_A, drawn in the Cartesian
     coordinates of each mask (independent of the search chart), including
@@ -393,7 +412,7 @@ def test_unknown_preset_rejected():
 
 def test_crossing_deterministic_on_cold_resolve():
     base = crossing_point("3deb").params_star
-    cold = dict(_crossing_core.__wrapped__("3deb")[1])
+    cold = dict(_crossing_core.__wrapped__(PRESETS["3deb"])[1])
     assert cold == base
 
 
@@ -442,7 +461,7 @@ def recorded_cold_solve(request):
         mp.setattr(security, "_level0", level0_spy)
         mp.setattr(security, "_branch_maxima", branch_spy)
         mp.setattr(security, "_maximize_on", maximize_spy)
-        result = _crossing_core.__wrapped__(request.param)
+        result = _crossing_core.__wrapped__(PRESETS[request.param])
     return PRESETS[request.param], result, calls
 
 
@@ -458,7 +477,7 @@ def test_bracket_endpoints_are_polished_once_and_equal_the_point_maxima(recorded
     # rightmost one positive at level 0 on are nested, each once, and the
     # nested values are final: each equals that fidelity's maximum alone
     preset, result, calls = recorded_cold_solve
-    assert result == _crossing_core(preset.name)
+    assert result == _crossing_core(preset)
     grid = list(_bracket_grid(preset))
     assert [block for block, _ in calls["level0"]] == [grid]
     nested = [(f, pair) for block, found in calls["nested"] for f, pair in zip(block, found)]
@@ -507,7 +526,7 @@ def test_cold_solve_makes_the_pinned_objective_calls_per_stage(monkeypatch, name
         return lanes(preset, counted, f_lane, s_lane)
 
     monkeypatch.setattr(security, "_lanes", counted_lanes)
-    evals = _crossing_core.__wrapped__(name)[3]
+    evals = _crossing_core.__wrapped__(PRESETS[name])[3]
     assert (calls, evals) == STAGE_CALLS[name]
 
 
@@ -517,7 +536,7 @@ def test_grid_signs_read_both_sign_branches(monkeypatch, lane):
     # either alone brackets the crossing; one branch pushed far down in the
     # grid's level 0 and in its nests must not move the solve or the grid
     # points it nests, as the other ties it bit for bit
-    expected = _crossing_core("qubit")
+    expected = _crossing_core(PRESETS["qubit"])
     level0, nest_pairs, grid_lanes, nested = security._level0, security._nest_pairs, [], []
 
     def level0_low(preset, block, objective):
@@ -538,17 +557,16 @@ def test_grid_signs_read_both_sign_branches(monkeypatch, lane):
 
     monkeypatch.setattr(security, "_level0", level0_low)
     monkeypatch.setattr(security, "_nest_pairs", nest_low)
-    assert _crossing_core.__wrapped__("qubit") == expected
+    assert _crossing_core.__wrapped__(PRESETS["qubit"]) == expected
     assert len(grid_lanes) == 1
     assert nested == [list(range(26 - 2 * NESTED_GRID_POINTS["qubit"], 26))]
 
 
-def _full_grid_crossing(name):
+def _full_grid_crossing(preset):
     """The crossing solve with all 13 grid points nested in one
     ``_maximize_on`` batch: the reference of ``_crossing_core``, which
     nests only the grid points that can hold the rightmost sign change."""
-    preset = PRESETS[name]
-    d = preset.dimension
+    name, d = preset.name, preset.dimension
     lo, hi = 1.0 / d + 1e-9, 1.0 - 1e-9
     grid = np.linspace(lo, hi, 13).tolist()
     iae = security._iae(preset)
@@ -579,16 +597,16 @@ def _full_grid_crossing(name):
     return f_star, tuple(sorted(zip(preset.free_params, amps))), residual, evals
 
 
-def _solve_or_error(solve, name):
+def _solve_or_error(solve, preset):
     try:
-        return solve(name)
+        return solve(preset)
     except CrossingError as exc:
         return str(exc)
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_crossing_equals_the_full_grid_batch(name):
-    assert _crossing_core.__wrapped__(name) == _full_grid_crossing(name)
+    assert _crossing_core.__wrapped__(PRESETS[name]) == _full_grid_crossing(PRESETS[name])
 
 
 _F_GRID = np.linspace(1 / 3 + 1e-9, 1 - 1e-9, 13)  # 3deb's bracket grid
@@ -638,9 +656,9 @@ def test_a_point_lifted_by_nesting_moves_the_bracket_right(monkeypatch):
     # there from -0.13 to +0.17, and the bracket moves to points 10 and 11
     monkeypatch.setattr(security, "_iae", _shaped_iae(lambda f: 0.75 - f,
                                                       _tent(_F_GRID[10], 0.3)))
-    expected = _full_grid_crossing("3deb")
+    expected = _full_grid_crossing(PRESETS["3deb"])
     seen = _recorded_grid_stages(monkeypatch)
-    result = _crossing_core.__wrapped__("3deb")
+    result = _crossing_core.__wrapped__(PRESETS["3deb"])
     assert result == expected
     g0 = _level0_g(PRESETS["3deb"], _F_GRID.tolist(), seen["level0"])
     assert g0[7] > 0.0 >= g0[8] and g0[10] <= 0.0
@@ -660,9 +678,9 @@ def test_a_nested_part_above_zero_falls_back_to_the_whole_grid(monkeypatch, g_of
     # too and read as the full batch reads it: the same bracket and root, or
     # the same CrossingError
     monkeypatch.setattr(security, "_iae", _shaped_iae(g_of_f, lambda f: 0.0 * f))
-    expected = _solve_or_error(_full_grid_crossing, "3deb")
+    expected = _solve_or_error(_full_grid_crossing, PRESETS["3deb"])
     seen = _recorded_grid_stages(monkeypatch)
-    assert _solve_or_error(_crossing_core.__wrapped__, "3deb") == expected
+    assert _solve_or_error(_crossing_core.__wrapped__, PRESETS["3deb"]) == expected
     assert isinstance(expected, tuple) == crossing
     if crossing:
         assert _F_GRID[3] < expected[0] < _F_GRID[4]
@@ -705,7 +723,7 @@ def _sink_the_grid(monkeypatch):
 def test_crossing_failures_are_non_convergence(monkeypatch, break_solver, message):
     break_solver(monkeypatch)
     with pytest.raises(CrossingError, match=message):
-        _crossing_core.__wrapped__("qubit")
+        _crossing_core.__wrapped__(PRESETS["qubit"])
     monkeypatch.setattr(security, "_crossing_core", _crossing_core.__wrapped__)
     result = CliRunner().invoke(main, ["crossing", "--preset", "qubit"])
     assert result.exit_code == 2, result.output
